@@ -11,9 +11,15 @@
 //! `forward_many`) bit-identical to `forward` across every convolution
 //! strategy × exchange plan, so the allocation-free path can never drift
 //! numerically from the allocating one.
+//!
+//! The counter is a process-wide `#[global_allocator]` and libtest runs
+//! the tests of one binary concurrently, so every test takes the
+//! file-level `WINDOW` lock first: a fenced window then sees its own
+//! cluster's threads and nothing else.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use soifft::cluster::{tags, Cluster, ExchangePolicy};
 use soifft::num::c64;
@@ -21,11 +27,24 @@ use soifft::soi::pipeline::{gather_output, scatter_input, ExchangePlan};
 use soifft::soi::{ConvStrategy, Rational, SoiFft, SoiParams};
 
 /// Process-wide allocation ledger: heap calls (`alloc` + `realloc`) and
-/// bytes requested. Shared by every thread, so a window bracketed by
-/// cluster-wide barriers observes the allocations of *all* ranks — which
-/// makes the zero assertion strictly stronger, not racy.
+/// bytes requested. Shared by every thread of the test binary, so a window
+/// bracketed by cluster-wide barriers observes the allocations of *all*
+/// ranks of its own cluster — and of every other test libtest happens to
+/// be running beside it. Each test therefore holds [`WINDOW`] for its
+/// whole body: one cluster at a time owns the ledger.
 static HEAP_CALLS: AtomicU64 = AtomicU64::new(0);
 static HEAP_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Serializes the tests of this file. libtest runs them on parallel
+/// threads; without the lock a fenced window counts its neighbours'
+/// warm-up allocations.
+static WINDOW: Mutex<()> = Mutex::new(());
+
+/// Takes [`WINDOW`], tolerating poison: a failed neighbour must not turn
+/// every later test into a `PoisonError` instead of its own verdict.
+fn window() -> MutexGuard<'static, ()> {
+    WINDOW.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// [`System`] with a call/byte counter in front. Deallocation is
 /// deliberately uncounted: recycling a buffer is fine, *acquiring* one in
@@ -84,6 +103,7 @@ const RECORDS_PER_CALL: usize = 64;
 /// cluster-wide barriers.
 #[test]
 fn forward_into_steady_state_allocates_nothing() {
+    let _window = window();
     let params = params();
     let x = signal(params.n);
     let inputs = scatter_input(&x, params.procs);
@@ -152,6 +172,7 @@ fn forward_into_steady_state_allocates_nothing() {
 /// the same **zero** standard as the f64 default.
 #[test]
 fn lowprec_forward_into_steady_state_allocates_nothing() {
+    let _window = window();
     use soifft::soi::Precision;
 
     let params = params();
@@ -216,6 +237,7 @@ fn lowprec_forward_into_steady_state_allocates_nothing() {
 /// buffers per call would immediately blow through.
 #[test]
 fn try_forward_into_steady_state_allocations_are_bounded() {
+    let _window = window();
     let params = params();
     let x = signal(params.n);
     let inputs = scatter_input(&x, params.procs);
@@ -276,6 +298,7 @@ fn try_forward_into_steady_state_allocations_are_bounded() {
 /// optimization, never a numerical fork.
 #[test]
 fn forward_into_is_bit_identical_to_forward() {
+    let _window = window();
     let params = params();
     let x = signal(params.n);
     let inputs = scatter_input(&x, params.procs);
@@ -321,6 +344,7 @@ fn forward_into_is_bit_identical_to_forward() {
 /// its outputs must match per-call `forward` exactly, element for element.
 #[test]
 fn forward_many_matches_repeated_forward_bitwise() {
+    let _window = window();
     let params = params();
     let fft = SoiFft::new(params).expect("valid params");
     let batch: Vec<Vec<c64>> = (0..3)
@@ -361,6 +385,7 @@ fn forward_many_matches_repeated_forward_bitwise() {
 /// immediately.
 #[test]
 fn serve_loop_steady_state_allocations_are_bounded() {
+    let _window = window();
     use soifft::serve::{ServeConfig, ServeEngine};
 
     let params = params();
