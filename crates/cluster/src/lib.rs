@@ -55,7 +55,6 @@
 
 pub mod checkpoint;
 pub mod fault;
-pub mod pcie;
 pub mod proxy;
 pub mod resilience;
 pub mod stats;
@@ -75,7 +74,6 @@ pub use fault::{
     BitFlipSite, BitFlipSpec, CrashSite, CrashSpec, FaultAction, FaultEvents, FaultInjector,
     FaultPlan,
 };
-pub use pcie::PcieLink;
 pub use proxy::ProxyCore;
 pub use resilience::{
     checksum, CancellableBarrier, CommError, ExchangePolicy, FailureDetection, RankOutcome,
