@@ -34,6 +34,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
+use soifft_cluster::stats::PhaseToken;
 use soifft_cluster::{
     checksum, BitFlipSite, CheckpointStore, Cluster, ClusterConfig, Comm, CommError, CommStats,
     ExchangePolicy, RankOutcome, RecoveryCtx, RecoveryOutcome, RestartPolicy, Supervisor,
@@ -217,11 +218,13 @@ pub struct SoiRunError {
 }
 
 impl SoiRunError {
-    fn new(phase: &'static str, error: CommError, stats: CommStats) -> Self {
+    /// `error` at `phase`, with the rank's ledger so far.
+    fn at(comm: &Comm, phase: &'static str, error: CommError) -> Self {
+        let stats = Box::new(comm.stats().clone());
         SoiRunError {
             phase,
             error,
-            stats: Box::new(stats),
+            stats,
         }
     }
 }
@@ -274,6 +277,8 @@ impl CancelGate {
     const BOUNDARY_GHOST: usize = 0;
     /// Boundary index: before the all-to-all.
     const BOUNDARY_ALL_TO_ALL: usize = 1;
+    /// The phase a cancellation at each boundary is reported under.
+    const PHASES: [&'static str; 2] = [phases::GHOST, phases::ALL_TO_ALL];
 
     const UNDECIDED: u8 = 0;
     const PROCEED: u8 = 1;
@@ -374,25 +379,17 @@ pub struct SoiWorkspace {
     outgoing: Vec<Vec<c64>>,
     /// Received exchange payloads; recycled into the pool after recovery.
     incoming: Vec<Vec<c64>>,
-    /// Per-segment recovery buffers.
-    rec: RecoverScratch,
-}
-
-/// The buffers one segment's recovery runs in
-/// ([`SoiFft::recover_segment`]).
-#[derive(Clone, Debug)]
-struct RecoverScratch {
     /// Assembled segment `z_s` (`M'`).
     z: Vec<c64>,
     /// Six-step auxiliary buffer (`M'`).
     aux: Vec<c64>,
     /// Six-step internal scratch for the recovery FFTs.
-    six: SixStepScratch,
+    seg_scratch: SixStepScratch,
     /// Assembled low-precision segment (`M'`); empty unless the plan's
     /// [`Precision`] ships the half-width exchange.
     z32: Vec<c32>,
     /// Scratch for the `f32` recovery plan ([`Precision::F32`] only).
-    fft32: Vec<c32>,
+    fft32_scratch: Vec<c32>,
 }
 
 /// The hooks one superstep runs with ([`SoiFft::execute`]); all `None` is
@@ -686,31 +683,25 @@ impl SoiFft {
     /// transforms without per-call allocation.
     pub fn make_workspace(&self) -> SoiWorkspace {
         let p = &self.params;
+        let l = p.total_segments();
+        let blocks = p.blocks_per_rank();
+        let m_prime = p.m_prime();
         SoiWorkspace {
             input_ext: Vec::with_capacity(p.per_rank() + p.ghost_len()),
-            u: vec![c64::ZERO; p.blocks_per_rank() * p.total_segments()],
+            u: vec![c64::ZERO; blocks * l],
             conv: ConvScratch::new(p, &self.plan_l, &self.pool),
             seg_workers: batch::make_worker_scratch(&self.plan_l, &self.pool),
             outgoing: vec![Vec::new(); p.procs],
             incoming: Vec::with_capacity(p.procs),
-            rec: self.make_recover_scratch(),
-        }
-    }
-
-    /// The per-segment recovery buffers alone (degraded-mode workers
-    /// recover segments without ever running a front end).
-    fn make_recover_scratch(&self) -> RecoverScratch {
-        let m_prime = self.params.m_prime();
-        RecoverScratch {
             z: Vec::with_capacity(m_prime),
             aux: vec![c64::ZERO; m_prime],
-            six: self.segment_fft.make_scratch(),
+            seg_scratch: self.segment_fft.make_scratch(),
             z32: Vec::with_capacity(if self.precision.half_width_exchange() {
                 m_prime
             } else {
                 0
             }),
-            fft32: match &self.plan_mp32 {
+            fft32_scratch: match &self.plan_mp32 {
                 Some(plan) => plan.make_scratch(),
                 None => Vec::new(),
             },
@@ -911,11 +902,9 @@ impl SoiFft {
         Ok(y)
     }
 
-    /// The one superstep every transform entry point is a configuration
-    /// of: the stage sequence of the module header over `ws`, with the
-    /// hooks `run` switches on. Owns the per-superstep bookkeeping — entry
-    /// asserts, cost model, the `"superstep"` span (closed on the error
-    /// path too) and the plan-cache gauges.
+    /// The one superstep every transform entry point configures (module
+    /// header). Owns the per-superstep bookkeeping around
+    /// [`SoiFft::stages`], so the `"superstep"` span closes on errors too.
     fn execute(
         &self,
         comm: &mut Comm,
@@ -929,9 +918,9 @@ impl SoiFft {
         assert_eq!(x.len(), p.per_rank(), "wrong local input length");
         assert_eq!(y.len(), self.output_len(comm.rank()), "wrong output length");
         if let Some(ctx) = run.ckpt {
+            let parties = ctx.store().parties();
             assert_eq!(
-                ctx.store().parties(),
-                p.procs,
+                parties, p.procs,
                 "checkpoint store sized for a different cluster"
             );
         }
@@ -953,10 +942,9 @@ impl SoiFft {
         result
     }
 
-    /// The stage sequence itself. Which collectives a rank enters depends
-    /// only on `run`, the frozen committed-phase list and the gate's
-    /// decide-once slots — all identical on every rank — so every rank
-    /// takes the same communication path.
+    /// The stage sequence. Which collectives a rank enters depends only on
+    /// `run`, the frozen committed-phase list and the gate's decide-once
+    /// slots — all identical on every rank — so no rank can diverge.
     fn stages(
         &self,
         comm: &mut Comm,
@@ -966,7 +954,7 @@ impl SoiFft {
         run: Run,
     ) -> Result<(), SoiRunError> {
         let p = &self.params;
-        self.gate(comm, run, CancelGate::BOUNDARY_GHOST, phases::GHOST)?;
+        self.gate(comm, run, CancelGate::BOUNDARY_GHOST)?;
         if self.validation.is_on() {
             if let Some(ctx) = run.ckpt {
                 // Belt-and-braces for in-store rot: the store re-verifies
@@ -979,83 +967,59 @@ impl SoiFft {
         if run.committed(phases::ALL_TO_ALL) {
             // The collective half of the superstep is over: recover
             // locally from the snapshot of what the exchange delivered.
-            let flat = self
-                .restore(comm, run, phases::ALL_TO_ALL)
-                .ok_or_else(|| self.checkpoint_error(comm))?;
+            let flat = self.restore_committed(comm, run, phases::ALL_TO_ALL)?;
             // Each source contributed the same count: mine · wire blocks.
             let chunk = flat.len() / p.procs;
             ws.incoming = (0..p.procs)
                 .map(|q| flat[q * chunk..(q + 1) * chunk].to_vec())
                 .collect();
-        } else {
-            let ghost = self.ghost(comm, x, run)?;
-            self.front(comm, x, ghost, ws, run)?;
-            self.gate(
-                comm,
-                run,
-                CancelGate::BOUNDARY_ALL_TO_ALL,
-                phases::ALL_TO_ALL,
-            )?;
+            self.recover_all(comm, ws, y);
+            return Ok(());
+        }
+
+        let ghost = self.ghost(comm, x, run)?;
+        self.front(comm, x, ghost, ws, run)?;
+        self.gate(comm, run, CancelGate::BOUNDARY_ALL_TO_ALL)?;
+        match (run.policy, self.exchange) {
             // The two interleaving plans recover each segment between
-            // their own exchanges; every other arm delivers the
-            // monolithic layout into `ws.incoming`.
-            match (run.policy, self.exchange) {
-                (None, ExchangePlan::PerSegment) => {
-                    self.recover_per_segment(comm, ws, y);
-                    return Ok(());
+            // their own exchanges.
+            (None, ExchangePlan::PerSegment) => self.recover_per_segment(comm, ws, y),
+            (None, ExchangePlan::Overlapped) => self.recover_overlapped(comm, ws, y),
+            // Every other plan delivers the monolithic layout.
+            _ => {
+                let tagged = self.validation.is_on();
+                self.pack_into(comm, &ws.u, &mut ws.outgoing, tagged, |_, _| true);
+                self.exchange_parts(comm, ws, run)?;
+                // Verify (and strip the tags) BEFORE the snapshot, so a
+                // committed all-to-all checkpoint always holds clean,
+                // payload-only data.
+                self.verify_incoming(comm, &mut ws.incoming)?;
+                if run.ckpt.is_some() {
+                    let flat: Vec<c64> = ws.incoming.iter().flatten().copied().collect();
+                    self.save(comm, run, phases::ALL_TO_ALL, &flat)?;
                 }
-                (None, ExchangePlan::Overlapped) => {
-                    self.recover_overlapped(comm, ws, y);
-                    return Ok(());
-                }
-                _ => {}
-            }
-            let tagged = self.validation.is_on();
-            self.pack_into(comm, &ws.u, &mut ws.outgoing, tagged, |_, _| true);
-            self.exchange_parts(comm, ws, run)?;
-            // Verify (and strip the tags) BEFORE the snapshot, so a
-            // committed all-to-all checkpoint always holds clean,
-            // payload-only data.
-            self.verify_incoming(comm, &mut ws.incoming)?;
-            if run.ckpt.is_some() {
-                let flat: Vec<c64> = ws.incoming.iter().flatten().copied().collect();
-                self.save(comm, run, phases::ALL_TO_ALL, &flat)?;
+                self.recover_all(comm, ws, y);
             }
         }
-        self.recover_all(comm, ws, y);
         Ok(())
     }
 
     /// Cancellation hook: fixes (or obeys) the gate's decision at one
     /// collective boundary.
-    fn gate(
-        &self,
-        comm: &Comm,
-        run: Run,
-        boundary: usize,
-        phase: &'static str,
-    ) -> Result<(), SoiRunError> {
+    fn gate(&self, comm: &Comm, run: Run, boundary: usize) -> Result<(), SoiRunError> {
+        let phase = CancelGate::PHASES[boundary];
         match run.gate {
-            Some(g) if !g.proceed_at(boundary) => Err(SoiRunError::new(
-                phase,
-                CommError::Cancelled { phase },
-                comm.stats().clone(),
-            )),
+            Some(g) if !g.proceed_at(boundary) => {
+                Err(SoiRunError::at(comm, phase, CommError::Cancelled { phase }))
+            }
             _ => Ok(()),
         }
     }
 
-    /// Ghost stage: the successor rank's input prefix. The exchange is
-    /// collective, so it re-runs whenever the phase is not globally
-    /// committed — even ranks holding deeper snapshots participate,
-    /// because their peers need this rank's prefix. `None` when a
-    /// committed `"ghost"` makes the exchange unnecessary.
-    fn ghost(
-        &self,
-        comm: &mut Comm,
-        x: &[c64],
-        run: Run,
-    ) -> Result<Option<Vec<c64>>, SoiRunError> {
+    /// Ghost stage: the successor rank's input prefix (`None` once
+    /// globally committed). The exchange is collective, so until then even
+    /// ranks holding deeper snapshots re-run it: their peers need theirs.
+    fn ghost(&self, comm: &mut Comm, x: &[c64], run: Run) -> Result<Option<Vec<c64>>, SoiRunError> {
         if run.committed(phases::GHOST) {
             return Ok(None);
         }
@@ -1063,7 +1027,7 @@ impl SoiFft {
         let ghost = match run.policy {
             Some(policy) => comm
                 .try_exchange_ghost(x, len, policy)
-                .map_err(|e| SoiRunError::new("ghost", e, comm.stats().clone()))?,
+                .map_err(|e| SoiRunError::at(comm, "ghost", e))?,
             None => comm.exchange_ghost(x, len),
         };
         self.save(comm, run, phases::GHOST, &ghost)?;
@@ -1073,26 +1037,17 @@ impl SoiFft {
     /// Front stage: extends the local input with its ghost into
     /// `ws.input_ext`, convolves (`u = W x`), and runs the block DFTs
     /// (`I ⊗ F_L`) — fused into one pass when configured (§5.3's loop
-    /// fusion) — leaving the exchange frontier in `ws.u`. Every buffer
-    /// comes from the workspace, so a warm call never allocates.
+    /// fusion) — leaving the exchange frontier in `ws.u`. Local state
+    /// resumes from this rank's OWN deepest snapshot, committed or not
+    /// (why that is safe: [`SoiFft::try_forward_recoverable`]).
     ///
-    /// Hooks, each at the boundary of the phase it concerns:
-    ///
-    /// * **resume** — local state restarts from this rank's OWN deepest
-    ///   snapshot (committed or not — the data is valid either way). A
-    ///   rank only restores phase `k` when it holds no `k+1` snapshot, and
-    ///   `k`'s snapshots are pruned only once `k+1` commits — which needs
-    ///   this very rank's `k+1` save — so a restore can never race a prune.
-    /// * **crash points** named after the phases fire at each phase entry,
-    ///   so [`CrashSite::Phase`](soifft_cluster::CrashSite::Phase) plans can
-    ///   kill a rank mid-front-end.
-    /// * **ABFT** ([`SoiFft::guarded`]) — the convolution output is
-    ///   guarded by an FNV-1a checksum, the block DFTs by the Parseval
-    ///   energy balance `E_out = L·E_in`. The fused form never
-    ///   materializes the pre-FFT rows, so its whole front end is guarded
-    ///   by one checksum under the block-DFT site and phase key.
-    /// * **checkpoint** — `u` is snapshotted after the convolution
-    ///   (non-fused pipelines) and after the block DFTs.
+    /// Crash points named after the phases fire at each phase entry, so
+    /// [`CrashSite::Phase`](soifft_cluster::CrashSite::Phase) plans can
+    /// kill a rank mid-front-end; each phase output is
+    /// [guarded](SoiFft::guarded) the moment it exists, then snapshotted.
+    /// The fused form has no standalone convolution boundary: it exposes
+    /// only the `"convolution"` crash point, and one checksum guards its
+    /// whole front end under the block-DFT site and phase key.
     fn front(
         &self,
         comm: &mut Comm,
@@ -1103,19 +1058,18 @@ impl SoiFft {
     ) -> Result<(), SoiRunError> {
         let p = &self.params;
         let l = p.total_segments();
-        let blocks = p.blocks_per_rank();
         let validate = self.validation.is_on();
         let fused = self.fuse_segment_fft;
-        let seg_fft_flops = blocks as f64 * soifft_fft::fft_flops(l);
+        let seg_fft_flops = p.blocks_per_rank() as f64 * soifft_fft::fft_flops(l);
 
         if let Some(u) = self.restore(comm, run, phases::SEGMENT_FFT) {
             ws.u = u;
             return Ok(());
         }
-        // The fused form has no standalone convolution boundary.
-        let rows = match fused {
-            true => None,
-            false => self.restore(comm, run, phases::CONVOLUTION),
+        let rows = if fused {
+            None
+        } else {
+            self.restore(comm, run, phases::CONVOLUTION)
         };
         let resumed = rows.is_some();
         if let Some(rows) = rows {
@@ -1123,9 +1077,7 @@ impl SoiFft {
         } else {
             let ghost = match ghost {
                 Some(g) => g,
-                None => self
-                    .restore(comm, run, phases::GHOST)
-                    .ok_or_else(|| self.checkpoint_error(comm))?,
+                None => self.restore_committed(comm, run, phases::GHOST)?,
             };
             ws.input_ext.clear();
             ws.input_ext.extend_from_slice(x);
@@ -1133,34 +1085,22 @@ impl SoiFft {
             // The received prefix goes back to the pool once staged,
             // balancing the staging buffer the exchange acquired.
             comm.recycle_buffer(ghost);
-            if ws.u.len() != blocks * l {
-                ws.u.resize(blocks * l, c64::ZERO);
-            }
+            ws.u.resize(p.blocks_per_rank() * l, c64::ZERO);
 
             comm.crash_point(phases::CONVOLUTION);
             let t = comm.stats_mut().phase_start();
             self.convolve_rows(ws);
             let conv_flops = p.conv_flops() / p.procs as f64;
-            let sim_s = self.sim.map(|s| {
-                let fft_flops = if fused { seg_fft_flops } else { 0.0 };
-                conv_flops / s.conv_flops_per_s + fft_flops / s.fft_flops_per_s
-            });
-            self.end_phase(comm, "convolution", t, sim_s);
-            // Guard the output the moment it exists; a planned flip then
-            // models corruption while `u` waits in memory for its consumer.
-            let (phase, site) = match fused {
-                true => (phases::SEGMENT_FFT, BitFlipSite::LocalFftBuffer),
-                false => (phases::CONVOLUTION, BitFlipSite::ConvBuffer),
+            let fft_flops = if fused { seg_fft_flops } else { 0.0 };
+            self.end_phase(comm, "convolution", t, conv_flops, fft_flops);
+            let (phase, site) = if fused {
+                (phases::SEGMENT_FFT, BitFlipSite::LocalFftBuffer)
+            } else {
+                (phases::CONVOLUTION, BitFlipSite::ConvBuffer)
             };
             let sum = validate.then(|| checksum(&ws.u));
-            self.guarded(
-                comm,
-                ws,
-                phase,
-                site,
-                |u| Some(checksum(u)) == sum,
-                |ws| self.convolve_rows(ws),
-            )?;
+            let intact = |u: &[c64]| Some(checksum(u)) == sum;
+            self.guarded(comm, ws, (phase, site), intact, |ws| self.convolve_rows(ws))?;
             self.save(comm, run, phase, &ws.u)?;
         }
         if fused {
@@ -1171,34 +1111,33 @@ impl SoiFft {
         // Parseval guard: an unnormalized L-point row DFT scales total
         // energy by exactly L, so `E_out ≈ L·E_in` checks the whole batch
         // in one O(n) pass. The transform is in place; a repair rebuilds
-        // the pre-FFT rows (re-running the deterministic convolution, or
-        // re-reading the snapshot they were resumed from), keeping a
-        // frontier-sized clone off the fault-free hot path.
+        // the pre-FFT rows (the deterministic convolution again, or the
+        // snapshot they were resumed from), keeping a frontier-sized
+        // clone off the fault-free hot path.
         let e_in = validate.then(|| verify::energy(&ws.u));
         let t = comm.stats_mut().phase_start();
         self.fft_rows(ws);
-        let sim_s = self.sim.map(|s| seg_fft_flops / s.fft_flops_per_s);
-        self.end_phase(comm, "segment-fft", t, sim_s);
+        self.end_phase(comm, "segment-fft", t, 0.0, seg_fft_flops);
         let tol = verify::energy_tolerance(l);
-        let rank = comm.rank();
-        self.guarded(
-            comm,
-            ws,
-            phases::SEGMENT_FFT,
-            BitFlipSite::LocalFftBuffer,
-            |u| e_in.is_some_and(|e| verify::parseval_ok(e, verify::energy(u), l, tol)),
-            |ws| {
-                match run.ckpt.filter(|_| resumed) {
-                    Some(ctx) => {
-                        if let Ok(rows) = ctx.store().restore(rank, phases::CONVOLUTION) {
-                            ws.u = rows;
-                        }
+        let intact =
+            |u: &[c64]| e_in.is_some_and(|e| verify::parseval_ok(e, verify::energy(u), l, tol));
+        let snapshot = run
+            .ckpt
+            .filter(|_| resumed)
+            .map(|ctx| (ctx.store(), comm.rank()));
+        let redo = |ws: &mut SoiWorkspace| {
+            match snapshot {
+                Some((store, rank)) => {
+                    if let Ok(rows) = store.restore(rank, phases::CONVOLUTION) {
+                        ws.u = rows;
                     }
-                    None => self.convolve_rows(ws),
                 }
-                self.fft_rows(ws);
-            },
-        )?;
+                None => self.convolve_rows(ws),
+            }
+            self.fft_rows(ws);
+        };
+        let site = (phases::SEGMENT_FFT, BitFlipSite::LocalFftBuffer);
+        self.guarded(comm, ws, site, intact, redo)?;
         self.save(comm, run, phases::SEGMENT_FFT, &ws.u)
     }
 
@@ -1233,17 +1172,14 @@ impl SoiFft {
         batch::forward_rows_parallel_with(&self.plan_l, &self.pool, &mut ws.u, &mut ws.seg_workers);
     }
 
-    /// Closes a compute phase record, with its virtual-time annotation
-    /// when a [`SimSpec`] is installed.
-    fn end_phase(
-        &self,
-        comm: &mut Comm,
-        name: &'static str,
-        t: soifft_cluster::stats::PhaseToken,
-        sim_s: Option<f64>,
-    ) {
-        match sim_s {
-            Some(s) => comm.stats_mut().phase_end_sim(name, t, s),
+    /// Closes a compute phase record of `conv` convolution and `fft` FFT
+    /// flops, with their virtual time when a [`SimSpec`] is installed.
+    fn end_phase(&self, comm: &mut Comm, name: &'static str, t: PhaseToken, conv: f64, fft: f64) {
+        match self.sim {
+            Some(s) => {
+                let sim_s = conv / s.conv_flops_per_s + fft / s.fft_flops_per_s;
+                comm.stats_mut().phase_end_sim(name, t, sim_s)
+            }
             None => comm.stats_mut().phase_end(name, t),
         }
     }
@@ -1251,18 +1187,15 @@ impl SoiFft {
     /// ABFT hook for a phase output held in `ws.u` — the detection model
     /// for memory corruption that never crosses a wire. The caller takes
     /// its guard (a checksum, an input energy) the moment the buffer is
-    /// produced; any planned flip at `site` is injected here, *after* the
-    /// guard, and `intact` re-verifies the invariant before the next phase
-    /// consumes the buffer. Under `Recover` a violation re-executes only
-    /// this phase (`redo`), up to [`verify::RETRY_BUDGET`] times, before
-    /// escalating as [`CommError::SilentCorruption`] at `phase`. With
-    /// validation off this is the flip injection alone.
+    /// produced; any planned flip is injected here, *after* the guard, and
+    /// `intact` re-verifies before the next phase consumes the buffer.
+    /// Under `Recover` a violation re-executes only this phase (`redo`),
+    /// up to [`verify::RETRY_BUDGET`] times, before escalating.
     fn guarded(
         &self,
         comm: &mut Comm,
         ws: &mut SoiWorkspace,
-        phase: &'static str,
-        site: BitFlipSite,
+        (phase, site): (&'static str, BitFlipSite),
         intact: impl Fn(&[c64]) -> bool,
         redo: impl Fn(&mut SoiWorkspace),
     ) -> Result<(), SoiRunError> {
@@ -1316,9 +1249,9 @@ impl SoiFft {
     ///    exhausted, the survivors re-derive every missing rank's exchange
     ///    frontier (from its deepest surviving snapshot, or from the
     ///    inputs) and recompute the missing output segments themselves,
-    ///    split round-robin — through the same wire format and
-    ///    [`SoiFft::recover_segment`] as a live exchange, so the recomputed
-    ///    bits equal the fault-free run's in every [`Precision`].
+    ///    split round-robin — through the live run's wire format and
+    ///    segment recovery, so the bits equal the fault-free run's in
+    ///    every [`Precision`].
     ///
     /// On success, `recovery` (mirrored into every ledger) reports what it
     /// took: [`RecoveryOutcome::None`] for a clean first epoch, otherwise
@@ -1357,17 +1290,18 @@ impl SoiFft {
 
         let mut outputs: Vec<Option<Vec<c64>>> = vec![None; p.procs];
         let mut stats: Vec<CommStats> = vec![CommStats::default(); p.procs];
-        let mut alive = vec![true; p.procs];
+        let mut survivors: Vec<usize> = Vec::new();
         let mut first_err: Option<SoiRunError> = None;
         for (rank, outcome) in run.outcomes.into_iter().enumerate() {
             match outcome {
-                RankOutcome::Ok((Ok(y), ledger)) => {
-                    outputs[rank] = Some(y);
+                RankOutcome::Ok((result, ledger)) => {
                     stats[rank] = ledger;
-                }
-                RankOutcome::Ok((Err(e), ledger)) => {
-                    stats[rank] = ledger;
-                    first_err.get_or_insert(e);
+                    match result {
+                        Ok(y) => outputs[rank] = Some(y),
+                        Err(e) => {
+                            first_err.get_or_insert(e);
+                        }
+                    }
                 }
                 // The thread survived (returned via the typed-abort path)
                 // but produced no output.
@@ -1376,25 +1310,29 @@ impl SoiFft {
                 // non-exhaustive, any future outcome kind: a dead rank, so
                 // degraded mode can still complete the run rather than
                 // silently dropping a slice.
-                _ => alive[rank] = false,
+                _ => continue,
             }
+            survivors.push(rank);
         }
 
         let degraded = outputs.iter().any(Option::is_none);
         let mut recomputed_segments = 0;
         if degraded {
-            // Ranks failed but nothing died: a failure respawn and degraded
-            // recomputation cannot paper over (a fault storm past the retry
-            // budget, a corrupt checkpoint on resume). Surface it typed.
-            let survivors: Vec<usize> = (0..p.procs).filter(|&q| alive[q]).collect();
-            let fatal = match survivors.len() {
-                n if n == p.procs => Some(CommError::Shutdown),
-                0 => Some(CommError::PeerFailed { rank: 0 }),
-                _ => None,
-            };
-            if let Some(error) = fatal {
-                return Err(first_err.unwrap_or_else(|| {
-                    SoiRunError::new("recovery", error, CommStats::default())
+            // Ranks failed but nothing died (or nothing survived): a
+            // failure respawn and degraded recomputation cannot paper over
+            // (a fault storm past the retry budget, a corrupt checkpoint
+            // on resume). Surface it typed.
+            let workers = survivors.len();
+            if workers == p.procs || workers == 0 {
+                let error = match workers {
+                    0 => CommError::PeerFailed { rank: 0 },
+                    _ => CommError::Shutdown,
+                };
+                let stats = Box::default();
+                return Err(first_err.unwrap_or(SoiRunError {
+                    phase: "recovery",
+                    error,
+                    stats,
                 }));
             }
 
@@ -1404,7 +1342,6 @@ impl SoiFft {
             // where they don't), then let the surviving ranks recompute
             // the missing output segments round-robin.
             let m = p.m();
-            let wb = self.wire_blocks();
             let us: Vec<Vec<c64>> = (0..p.procs)
                 .map(|q| self.exchange_frontier(&store, q, inputs))
                 .collect();
@@ -1413,21 +1350,20 @@ impl SoiFft {
                 .flat_map(|owner| (0..self.seg_counts[owner]).map(move |sl| (owner, sl)))
                 .collect();
             recomputed_segments = jobs.len();
-            let workers = survivors.len();
             let results = Cluster::run(workers, |comm| {
-                let mut rs = self.make_recover_scratch();
-                let mut wire = Vec::with_capacity(p.procs * wb);
+                let mut ws = self.make_workspace();
+                ws.incoming.resize(p.procs, Vec::new());
                 let mut done: Vec<(usize, usize, Vec<c64>)> = Vec::new();
                 let t = comm.stats_mut().phase_start();
                 for &(owner, sl) in jobs.iter().skip(comm.rank()).step_by(workers) {
                     // What each source would have put on the wire for
-                    // this segment, then the live recovery path.
-                    wire.clear();
-                    for u_q in &us {
-                        self.pack_part(u_q, self.seg_base[owner] + sl, &mut wire);
+                    // this segment, then the live run's recovery.
+                    for (part, u_q) in ws.incoming.iter_mut().zip(&us) {
+                        part.clear();
+                        self.pack_part(u_q, self.seg_base[owner] + sl, part);
                     }
                     let mut bins = vec![c64::ZERO; m];
-                    self.recover_segment(&mut rs, wire.chunks_exact(wb), &mut bins);
+                    self.recover_segment(&mut ws, 0, &mut bins);
                     done.push((owner, sl, bins));
                 }
                 comm.stats_mut().phase_end("degraded-recover", t);
@@ -1462,13 +1398,10 @@ impl SoiFft {
     }
 
     /// Rank `q`'s exchange frontier (post-block-DFT `u`) for degraded-mode
-    /// recovery, from the deepest usable source: its `"segment-fft"`
-    /// snapshot as-is; its `"convolution"` snapshot plus the block DFTs;
-    /// otherwise recomputed from the driver-held inputs (the ghost is just
-    /// the successor rank's input prefix, so a missing or corrupt ghost
-    /// snapshot only means more recomputation, never failure). The
-    /// driver-side mirror of [`SoiFft::front`]'s resume ladder — same
-    /// kernels, no communicator, ledger, or crash points.
+    /// recovery — [`SoiFft::front`]'s resume ladder run driver-side, with
+    /// no communicator, ledger, or crash points. The ghost is just the
+    /// successor rank's input prefix, so a missing or corrupt ghost
+    /// snapshot only means more recomputation, never failure.
     fn exchange_frontier(
         &self,
         store: &CheckpointStore,
@@ -1483,13 +1416,11 @@ impl SoiFft {
         if let Ok(rows) = store.restore(q, phases::CONVOLUTION) {
             ws.u = rows;
         } else {
+            let ghost = store.restore(q, phases::GHOST);
+            let ghost =
+                ghost.unwrap_or_else(|_| inputs[(q + 1) % p.procs][..p.ghost_len()].to_vec());
             ws.input_ext.extend_from_slice(&inputs[q]);
-            match store.restore(q, phases::GHOST) {
-                Ok(ghost) => ws.input_ext.extend_from_slice(&ghost),
-                Err(_) => ws
-                    .input_ext
-                    .extend_from_slice(&inputs[(q + 1) % p.procs][..p.ghost_len()]),
-            }
+            ws.input_ext.extend_from_slice(&ghost);
             self.convolve_rows(&mut ws);
         }
         if !self.fuse_segment_fft {
@@ -1532,9 +1463,8 @@ impl SoiFft {
 
         // Reduced exchange: per destination, only its wanted segments (in
         // destination-local order, which both sides can derive).
-        self.pack_into(comm, &ws.u, &mut ws.outgoing, false, |q, sl| {
-            is_wanted[self.seg_base[q] + sl]
-        });
+        let keep = |q: usize, sl: usize| is_wanted[self.seg_base[q] + sl];
+        self.pack_into(comm, &ws.u, &mut ws.outgoing, false, keep);
         comm.all_to_all_into(&mut ws.outgoing, &mut ws.incoming);
 
         // Recover owned ∩ wanted, reading parts back in the same order.
@@ -1545,8 +1475,7 @@ impl SoiFft {
         let owned = (0..self.seg_counts[me]).map(|sl| self.seg_base[me] + sl);
         for (i, s) in owned.filter(|&s| is_wanted[s]).enumerate() {
             let mut bins = vec![c64::ZERO; p.m()];
-            let parts = ws.incoming.iter().map(|part| &part[i * wb..(i + 1) * wb]);
-            self.recover_segment(&mut ws.rec, parts, &mut bins);
+            self.recover_segment(&mut ws, i * wb, &mut bins);
             out.push((s, bins));
         }
         comm.stats_mut().phase_end("local-fft", t);
@@ -1574,12 +1503,12 @@ impl SoiFft {
     /// Wire elements per `(source, segment)` part: one per local block at
     /// full width, two blocks per element under the half-width precisions.
     fn wire_blocks(&self) -> usize {
-        let blocks = self.params.blocks_per_rank();
-        if self.precision.half_width_exchange() {
-            blocks.div_ceil(2)
+        let blocks_per_word = if self.precision.half_width_exchange() {
+            2
         } else {
-            blocks
-        }
+            1
+        };
+        self.params.blocks_per_rank().div_ceil(blocks_per_word)
     }
 
     /// Appends to `buf` the wire form of the part of global segment `s`
@@ -1600,18 +1529,13 @@ impl SoiFft {
         }
     }
 
-    /// Pack stage: refills each destination's slot, from the
-    /// communicator's buffer pool (a warm pool serves every slot from
-    /// last call's recycled receive payloads), with the parts of its
-    /// `keep`-selected segments in destination-local order — `[sl][block]`,
-    /// the monolithic exchange layout when everything is kept.
-    ///
-    /// With `tagged`, one extra element per packed segment follows the
-    /// payload, carrying the FNV-1a checksum of that segment's part
-    /// ([`verify::encode_checksum`]). Receivers strip and re-verify the
-    /// tags after reassembly ([`SoiFft::verify_incoming`]), closing the
-    /// window between the link layer's wire checks and the recovery FFTs
-    /// actually consuming the gathered data.
+    /// Pack stage: refills each destination's slot from the communicator's
+    /// buffer pool (a warm pool serves every slot from last call's
+    /// recycled receive payloads) with the parts of its `keep`-selected
+    /// segments in destination-local order — `[sl][block]`, the monolithic
+    /// exchange layout when everything is kept. With `tagged`, one element
+    /// per packed segment follows the payload, carrying the FNV-1a
+    /// checksum of that segment's part for [`SoiFft::verify_incoming`].
     fn pack_into(
         &self,
         comm: &mut Comm,
@@ -1640,11 +1564,10 @@ impl SoiFft {
         comm.stats_mut().span_close("pack");
     }
 
-    /// Exchange stage for the monolithic layout: moves `ws.outgoing` onto
-    /// the wire and leaves what every source addressed to this rank in
-    /// `ws.incoming`. A retry policy selects the round-retrying resilient
-    /// collective whatever the plan (chunk pipelining and round-based
-    /// retry do not compose); otherwise the planned exchange runs.
+    /// Exchange stage for the monolithic layout: `ws.outgoing` goes onto
+    /// the wire, what every source addressed to this rank lands in
+    /// `ws.incoming`. A retry policy overrides the plan
+    /// ([`SoiFft::try_forward`] says why).
     fn exchange_parts(
         &self,
         comm: &mut Comm,
@@ -1655,7 +1578,7 @@ impl SoiFft {
         if let Some(policy) = run.policy {
             ws.incoming = comm
                 .all_to_all_resilient(&ws.outgoing, policy)
-                .map_err(|e| SoiRunError::new("all-to-all", e, comm.stats().clone()))?;
+                .map_err(|e| SoiRunError::at(comm, "all-to-all", e))?;
             // The resilient exchange borrows the outgoing buffers (it may
             // retransmit them across rounds); recycle them once it returns.
             for slot in ws.outgoing.iter_mut() {
@@ -1663,19 +1586,17 @@ impl SoiFft {
             }
             return Ok(());
         }
+        let mut take_outgoing = || std::mem::replace(&mut ws.outgoing, vec![Vec::new(); p.procs]);
         match self.exchange {
+            ExchangePlan::Chunked(chunk) if self.uniform_layout() => {
+                ws.incoming = comm.all_to_all_chunked(take_outgoing(), chunk);
+            }
             ExchangePlan::Chunked(chunk) => {
-                let outgoing = std::mem::replace(&mut ws.outgoing, vec![Vec::new(); p.procs]);
-                ws.incoming = if self.uniform_layout() {
-                    comm.all_to_all_chunked(outgoing, chunk)
-                } else {
-                    // Heterogeneous layouts have asymmetric per-peer
-                    // volumes: every source sends *me* my segments' parts
-                    // (plus their tags).
-                    let per_part = self.wire_blocks() + usize::from(self.validation.is_on());
-                    let expected = vec![self.seg_counts[comm.rank()] * per_part; p.procs];
-                    comm.all_to_all_chunked_v(outgoing, chunk, &expected)
-                };
+                // Heterogeneous layouts have asymmetric per-peer volumes:
+                // every source sends *me* my segments' parts (and tags).
+                let per_part = self.wire_blocks() + usize::from(self.validation.is_on());
+                let expected = vec![self.seg_counts[comm.rank()] * per_part; p.procs];
+                ws.incoming = comm.all_to_all_chunked_v(take_outgoing(), chunk, &expected);
             }
             ExchangePlan::Proxied(chunk) => {
                 assert!(
@@ -1683,8 +1604,7 @@ impl SoiFft {
                     "proxied exchange supports uniform segment layouts only"
                 );
                 let proxy = soifft_cluster::ProxyCore::new();
-                let outgoing = std::mem::replace(&mut ws.outgoing, vec![Vec::new(); p.procs]);
-                ws.incoming = comm.all_to_all_proxied(&proxy, outgoing, chunk);
+                ws.incoming = comm.all_to_all_proxied(&proxy, take_outgoing(), chunk);
             }
             _ => comm.all_to_all_into(&mut ws.outgoing, &mut ws.incoming),
         }
@@ -1696,12 +1616,10 @@ impl SoiFft {
     /// received data (modeling corruption in the window between the link
     /// layer's receive verification and the recovery FFTs consuming the
     /// buffer); then, when validation is on, strips the sender-side
-    /// checksum tags appended by [`SoiFft::pack_into`] and re-verifies
-    /// every `(source, segment)` part. Under `Recover`, a flagged part's
-    /// reassembly is re-executed from the pristine received buffer — the
-    /// corruption is receiver-side, so the bytes the wire delivered are
-    /// the rollback source; escalation carries the *global* id of the
-    /// owned segment the flagged part feeds.
+    /// checksum tags and re-verifies every `(source, segment)` part. Under
+    /// `Recover`, a flagged part is rolled back to the pristine received
+    /// bytes (the corruption is receiver-side); escalation carries the
+    /// *global* id of the owned segment the flagged part feeds.
     fn verify_incoming(&self, comm: &mut Comm, data: &mut [Vec<c64>]) -> Result<(), SoiRunError> {
         let wb = self.wire_blocks();
         let me = comm.rank();
@@ -1709,17 +1627,10 @@ impl SoiFft {
         let chunk = mine * wb;
         let part = |sl: usize| sl * wb..(sl + 1) * wb;
 
-        let tags: Vec<Vec<u64>> = if self.validation.is_on() {
-            data.iter_mut()
-                .map(|buf| {
-                    let tags = buf.split_off(chunk);
-                    tags.iter().map(|&t| verify::decode_checksum(t)).collect()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
+        let mut tags: Vec<Vec<c64>> = Vec::new();
+        if self.validation.is_on() {
+            tags = data.iter_mut().map(|buf| buf.split_off(chunk)).collect();
+        }
         let planned = comm.flip_planned(BitFlipSite::GatheredSegment);
         let pristine = (self.validation.recovers() && planned).then(|| data.to_vec());
         if chunk > 0 && planned {
@@ -1738,10 +1649,15 @@ impl SoiFft {
         let verdict = loop {
             let bad = (0..data.len())
                 .flat_map(|src| (0..mine).map(move |sl| (src, sl)))
-                .find(|&(src, sl)| checksum(&data[src][part(sl)]) != tags[src][sl]);
+                .find(|&(src, sl)| {
+                    checksum(&data[src][part(sl)]) != verify::decode_checksum(tags[src][sl])
+                });
             let Some((src, sl)) = bad else { break Ok(()) };
             comm.stats_mut().note_sdc_detected();
-            let Some(pr) = pristine.as_ref().filter(|_| attempts < verify::RETRY_BUDGET) else {
+            let Some(pr) = pristine
+                .as_ref()
+                .filter(|_| attempts < verify::RETRY_BUDGET)
+            else {
                 break Err(self.sdc_error(comm, "all-to-all", Some(self.seg_base[me] + sl)));
             };
             attempts += 1;
@@ -1758,10 +1674,8 @@ impl SoiFft {
         verdict
     }
 
-    /// Checkpoint hook, restore side: this rank's snapshot of `phase`,
-    /// when a recovery context is installed and the store holds an intact
-    /// one. Wrapped in a `"checkpoint-restore"` trace span, so resume-path
-    /// restores show up in the profile.
+    /// Checkpoint hook, restore side: this rank's snapshot of `phase`, if
+    /// a recovery context is installed and its store holds an intact one.
     fn restore(&self, comm: &mut Comm, run: Run, phase: &'static str) -> Option<Vec<c64>> {
         let ctx = run.ckpt?;
         comm.stats_mut().span_open("checkpoint-restore");
@@ -1770,14 +1684,27 @@ impl SoiFft {
         result.ok()
     }
 
+    /// [`SoiFft::restore`] of state the resume cannot proceed without: a
+    /// missing or corrupt snapshot is a `"checkpoint"` failure.
+    fn restore_committed(
+        &self,
+        comm: &mut Comm,
+        run: Run,
+        phase: &'static str,
+    ) -> Result<Vec<c64>, SoiRunError> {
+        let rank = comm.rank();
+        self.restore(comm, run, phase).ok_or_else(|| {
+            SoiRunError::at(comm, "checkpoint", CommError::CheckpointCorrupt { rank })
+        })
+    }
+
     /// Checkpoint hook, save side (a no-op without a recovery context),
-    /// with write-time verification: stores `data`, then — when validation
-    /// is on — reads the committed checksum back and compares it against
-    /// the *live* buffer. This catches a flip that landed on the snapshot
-    /// image before the store hashed it: such an image is self-consistent,
-    /// so the store's restore-time check (and its commit-time scrub) can
-    /// never see it. Under `Recover` a flagged save is simply redone from
-    /// the live buffer.
+    /// with write-time verification: when validation is on, the committed
+    /// checksum is read back and compared against the *live* buffer. This
+    /// catches a flip that landed on the snapshot image before the store
+    /// hashed it: such an image is self-consistent, so the store's
+    /// restore-time check (and its commit-time scrub) can never see it.
+    /// Under `Recover` a flagged save is redone from the live buffer.
     fn save(
         &self,
         comm: &mut Comm,
@@ -1799,13 +1726,9 @@ impl SoiFft {
             } else {
                 store.save(rank, phase, epoch, data);
             }
-            if !self.validation.is_on() {
-                break Ok(());
-            }
-            if store.stored_checksum(rank, phase) == Some(checksum(data)) {
-                if attempts > 0 {
-                    comm.stats_mut().note_sdc_repaired();
-                }
+            if !self.validation.is_on()
+                || store.stored_checksum(rank, phase) == Some(checksum(data))
+            {
                 break Ok(());
             }
             comm.stats_mut().note_sdc_detected();
@@ -1814,19 +1737,11 @@ impl SoiFft {
             }
             attempts += 1;
         };
+        if verdict.is_ok() && attempts > 0 {
+            comm.stats_mut().note_sdc_repaired();
+        }
         comm.stats_mut().span_close("checkpoint-save");
         verdict
-    }
-
-    /// A resume that needs committed state whose snapshot is missing or
-    /// corrupt.
-    fn checkpoint_error(&self, comm: &Comm) -> SoiRunError {
-        let rank = comm.rank();
-        SoiRunError::new(
-            "checkpoint",
-            CommError::CheckpointCorrupt { rank },
-            comm.stats().clone(),
-        )
     }
 
     /// Once-per-run FFT machinery check: verifies `F(x+αr) = F(x)+αF(r)`
@@ -1850,14 +1765,8 @@ impl SoiFft {
     /// A [`CommError::SilentCorruption`] escalation at `phase`, carrying
     /// the ledger with its recorded detections.
     fn sdc_error(&self, comm: &Comm, phase: &'static str, segment: Option<usize>) -> SoiRunError {
-        SoiRunError::new(
-            phase,
-            CommError::SilentCorruption {
-                rank: comm.rank(),
-                segment,
-            },
-            comm.stats().clone(),
-        )
+        let rank = comm.rank();
+        SoiRunError::at(comm, phase, CommError::SilentCorruption { rank, segment })
     }
 
     /// True when every rank owns the same number of segments.
@@ -1867,70 +1776,63 @@ impl SoiFft {
             .all(|&c| c == self.params.segments_per_proc)
     }
 
-    /// Recovers one segment from its per-source `parts` (wire format, in
-    /// source order) into `out` (`M` bins): reassembly, `F_{M'}` with the
-    /// demodulation fused into the final write-back, projection — in the
-    /// planned precision. `f32` `F_{M'}` + demoted demodulation for
-    /// [`Precision::F32`]; promote-then-fused-`f64`-six-step for
+    /// Recovers one segment into `out` (`M` bins) from its per-source
+    /// parts `ws.incoming[src][off..off + wire_blocks]`: reassembly,
+    /// `F_{M'}` with the demodulation fused into the final write-back,
+    /// projection — `f32` `F_{M'}` + demoted demodulation for
+    /// [`Precision::F32`], promote-then-fused-`f64`-six-step for
     /// [`Precision::Split`]. Every exchange plan, degraded-mode
     /// recomputation and [`SoiFft::forward_segments`] recover through
-    /// here, against caller-owned buffers, so the hot paths stay
-    /// allocation-free and the bits cannot depend on who asked.
-    fn recover_segment<'a>(
-        &self,
-        rs: &mut RecoverScratch,
-        parts: impl Iterator<Item = &'a [c64]>,
-        out: &mut [c64],
-    ) {
+    /// here, so the bits cannot depend on who asked.
+    fn recover_segment(&self, ws: &mut SoiWorkspace, off: usize, out: &mut [c64]) {
         let m = self.params.m();
         let m_prime = self.params.m_prime();
+        let wb = self.wire_blocks();
+        let parts = ws.incoming.iter().map(|part| &part[off..off + wb]);
         if self.precision.half_width_exchange() {
             let blocks = self.params.blocks_per_rank();
-            rs.z32.clear();
+            ws.z32.clear();
             for part in parts {
-                unpack_part_into(part, blocks, &mut rs.z32);
+                unpack_part_into(part, blocks, &mut ws.z32);
             }
-            debug_assert_eq!(rs.z32.len(), m_prime);
+            debug_assert_eq!(ws.z32.len(), m_prime);
             if let Some(plan) = &self.plan_mp32 {
-                rs.fft32.resize(plan.scratch_len(), c32::ZERO);
-                plan.forward_with_scratch(&mut rs.z32, &mut rs.fft32);
-                soifft_num::kernels::mul_pointwise(&mut rs.z32[..m], &self.demod_scale32[..m]);
-                soifft_num::simd::promote_c32_c64(&rs.z32[..m], out);
+                ws.fft32_scratch.resize(plan.scratch_len(), c32::ZERO);
+                plan.forward_with_scratch(&mut ws.z32, &mut ws.fft32_scratch);
+                soifft_num::kernels::mul_pointwise(&mut ws.z32[..m], &self.demod_scale32[..m]);
+                soifft_num::simd::promote_c32_c64(&ws.z32[..m], out);
                 return;
             }
-            rs.z.clear();
-            rs.z.resize(m_prime, c64::ZERO);
-            soifft_num::simd::promote_c32_c64(&rs.z32, &mut rs.z);
+            ws.z.clear();
+            ws.z.resize(m_prime, c64::ZERO);
+            soifft_num::simd::promote_c32_c64(&ws.z32, &mut ws.z);
         } else {
-            rs.z.clear();
+            ws.z.clear();
             for part in parts {
-                rs.z.extend_from_slice(part);
+                ws.z.extend_from_slice(part);
             }
-            debug_assert_eq!(rs.z.len(), m_prime);
+            debug_assert_eq!(ws.z.len(), m_prime);
         }
+        let (z, scale) = (&mut ws.z, &self.demod_scale);
         self.segment_fft
-            .forward_scaled_with(&mut rs.z, &mut rs.aux, &self.demod_scale, &mut rs.six);
-        out.copy_from_slice(&rs.z[..m]);
+            .forward_scaled_with(z, &mut ws.aux, scale, &mut ws.seg_scratch);
+        out.copy_from_slice(&ws.z[..m]);
     }
 
     /// Recover stage over the monolithic layout (`ws.incoming[src]` holds
-    /// `[sl][wire block]`): every owned segment's recovery, recorded as
-    /// the `"local-fft"` phase. The received payloads are then handed back
-    /// so next call's pack (same capacity classes on uniform layouts) is
-    /// served from the pool — the balance that keeps an iterated steady
-    /// state allocation-free.
+    /// `[sl][wire block]`), recorded as the `"local-fft"` phase. The
+    /// received payloads are then handed back so next call's pack (same
+    /// capacity classes on uniform layouts) is served from the pool — the
+    /// balance that keeps an iterated steady state allocation-free.
     fn recover_all(&self, comm: &mut Comm, ws: &mut SoiWorkspace, y: &mut [c64]) {
         let p = &self.params;
         let wb = self.wire_blocks();
-        let mine = self.seg_counts[comm.rank()];
         let t = comm.stats_mut().phase_start();
         for (sl, out) in y.chunks_exact_mut(p.m()).enumerate() {
-            let parts = ws.incoming.iter().map(|part| &part[sl * wb..(sl + 1) * wb]);
-            self.recover_segment(&mut ws.rec, parts, out);
+            self.recover_segment(ws, sl * wb, out);
         }
-        let fft_flops = mine as f64 * soifft_fft::fft_flops(p.m_prime());
-        let sim_s = self.sim.map(|s| fft_flops / s.fft_flops_per_s);
-        self.end_phase(comm, "local-fft", t, sim_s);
+        let fft_flops = self.seg_counts[comm.rank()] as f64 * soifft_fft::fft_flops(p.m_prime());
+        self.end_phase(comm, "local-fft", t, 0.0, fft_flops);
         for buf in ws.incoming.drain(..) {
             comm.recycle_buffer(buf);
         }
@@ -1952,8 +1854,7 @@ impl SoiFft {
             comm.all_to_all_into(&mut ws.outgoing, &mut ws.incoming);
             if sl < mine {
                 let t = comm.stats_mut().phase_start();
-                let parts = ws.incoming.iter().map(Vec::as_slice);
-                self.recover_segment(&mut ws.rec, parts, &mut y[sl * m..(sl + 1) * m]);
+                self.recover_segment(ws, 0, &mut y[sl * m..(sl + 1) * m]);
                 comm.stats_mut().phase_end("local-fft", t);
             }
         }
@@ -1984,17 +1885,14 @@ impl SoiFft {
             }
         }
 
-        // Poll: segments become ready in whatever order the parts land.
-        let mut parts: Vec<Vec<Option<Vec<c64>>>> =
-            (0..mine).map(|_| vec![None; p.procs]).collect();
+        // Poll: segments become ready in whatever order the parts land. A
+        // recovered segment's slot list is drained, which marks it done.
+        let mut parts: Vec<Vec<Option<Vec<c64>>>> = vec![vec![None; p.procs]; mine];
         let mut completed = 0;
         while completed < mine {
             // Drain whatever has arrived for any still-incomplete segment.
             let mut progressed = false;
             for sl in 0..mine {
-                if parts[sl].is_empty() {
-                    continue;
-                }
                 let tag = tags::USER + sl as u64;
                 for (src, part) in parts[sl].iter_mut().enumerate() {
                     if part.is_none() {
@@ -2002,29 +1900,25 @@ impl SoiFft {
                         progressed |= part.is_some();
                     }
                 }
-                if parts[sl].iter().all(Option::is_some) {
+                if !parts[sl].is_empty() && parts[sl].iter().all(Option::is_some) {
                     // Recover this segment now — later packets keep
                     // flowing while we compute (the overlap).
-                    let arrived: Vec<Vec<c64>> =
-                        parts[sl].drain(..).flatten().collect();
-                    let out = &mut y[sl * m..(sl + 1) * m];
-                    self.recover_segment(&mut ws.rec, arrived.iter().map(Vec::as_slice), out);
-                    for buf in arrived {
+                    ws.incoming.extend(parts[sl].drain(..).flatten());
+                    self.recover_segment(ws, 0, &mut y[sl * m..(sl + 1) * m]);
+                    for buf in ws.incoming.drain(..) {
                         comm.recycle_buffer(buf);
                     }
                     completed += 1;
                 }
             }
-            if !progressed && completed < mine {
-                // Nothing new: block on the lowest missing part to avoid a
-                // hot spin.
-                let waiting = parts.iter().enumerate().find_map(|(sl, srcs)| {
-                    let src = srcs.iter().position(Option::is_none)?;
-                    Some((sl, src))
-                });
-                if let Some((sl, src)) = waiting {
-                    parts[sl][src] = Some(comm.recv(src, tags::USER + sl as u64));
-                }
+            // Nothing new: block on the lowest missing part to avoid a
+            // hot spin.
+            let waiting = parts.iter().enumerate().find_map(|(sl, srcs)| {
+                let src = srcs.iter().position(Option::is_none)?;
+                Some((sl, src))
+            });
+            if let Some((sl, src)) = waiting.filter(|_| !progressed) {
+                parts[sl][src] = Some(comm.recv(src, tags::USER + sl as u64));
             }
         }
         comm.stats_mut().phase_end("all-to-all", t);
