@@ -98,14 +98,11 @@ pub enum ExchangePlan {
 ///   single-precision event is the one frontier quantization, so accuracy
 ///   sits between `F32` and `F64` (~1e-7 relative, transport-limited).
 ///
-/// Precision is the wire format of the pack stage and the arithmetic of
-/// the recover stage — nothing else knows it — so it applies to every
-/// transform entry point, [`ExchangePlan`] and [`ConvStrategy`] alike: the
-/// plain, resilient (`try_forward*`), cancellable and checkpointed
-/// pipelines, [`SoiFft::forward_segments`], and degraded-mode
-/// recomputation in [`SoiFft::forward_recovered`] (which packs the
-/// re-derived frontiers into the same wire format, so its bits equal the
-/// fault-free run's). Checksum tags, retransmit staging and `"all-to-all"`
+/// Only the pack stage's wire format and the recover stage's arithmetic
+/// know the precision, so it applies to every transform entry point,
+/// [`ExchangePlan`] and [`ConvStrategy`] alike — resilient, cancellable,
+/// checkpointed and degraded-mode runs included, with bits equal to the
+/// fault-free run's. Checksum tags, retransmit staging and `"all-to-all"`
 /// checkpoints carry the wire elements as shipped.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Precision {
@@ -138,20 +135,6 @@ fn pack_c32_pair(a: c32, b: c32) -> c64 {
     c64::new(
         f64::from_bits(((a.re.to_bits() as u64) << 32) | a.im.to_bits() as u64),
         f64::from_bits(((b.re.to_bits() as u64) << 32) | b.im.to_bits() as u64),
-    )
-}
-
-/// Inverse of [`pack_c32_pair`]. Production unpacking goes through the
-/// dispatched bulk kernel (`simd::unpack_c32_pairs`); this single-element
-/// form stays as the round-trip reference the packing test pins against.
-#[cfg(test)]
-#[inline]
-fn unpack_c32_pair(v: c64) -> (c32, c32) {
-    let re = v.re.to_bits();
-    let im = v.im.to_bits();
-    (
-        c32::new(f32::from_bits((re >> 32) as u32), f32::from_bits(re as u32)),
-        c32::new(f32::from_bits((im >> 32) as u32), f32::from_bits(im as u32)),
     )
 }
 
@@ -760,14 +743,11 @@ impl SoiFft {
     }
 
     /// [`SoiFft::forward_many`] against a caller-planned workspace and
-    /// output set — the fully planned serving shape. Transform `b`
-    /// consumes `inputs[b]` and lands in `outputs[b]` (resized to
-    /// `output_len(rank)` if needed, so a reused output ring costs
-    /// nothing after its first batch). With warm outputs, workspace, and
-    /// buffer pool, every transform in the batch runs the whole pipeline
-    /// without touching the allocator (default configuration) — the
-    /// steady state is bandwidth-bound, not heap-bound, which is the
-    /// §5.3 argument applied to serving.
+    /// output set — the fully planned serving shape: `outputs[b]` is
+    /// resized to `output_len(rank)` if needed, so a reused output ring
+    /// costs nothing after its first batch and the warm steady state is
+    /// bandwidth-bound, not heap-bound (the §5.3 argument applied to
+    /// serving).
     pub fn forward_many_into(
         &self,
         comm: &mut Comm,
@@ -829,20 +809,16 @@ impl SoiFft {
 
     /// Cancellation-aware [`SoiFft::try_forward_into`]: the same resilient
     /// pipeline, but polling `gate` at each collective boundary (before the
-    /// ghost exchange and before the all-to-all). When the gate has been
-    /// [cancelled](CancelGate::cancel) by the time a boundary *decides* —
-    /// the first rank to arrive fixes the decision for everyone, so all
-    /// ranks take the same collective path even if the cancel lands while
-    /// ranks are mid-phase — the run stops with
-    /// `SoiRunError { error: CommError::Cancelled { .. }, .. }` instead of
-    /// starting the next collective.
+    /// ghost exchange and before the all-to-all). When a boundary *decides*
+    /// cancel — once, for every rank; see [`CancelGate`] — the run stops
+    /// with `SoiRunError { error: CommError::Cancelled { .. }, .. }`
+    /// instead of starting the next collective.
     ///
     /// Every rank must call this collectively with the *same* `gate` (one
     /// gate per superstep; [`CancelGate::reset`] re-arms it between
     /// supersteps). A serving dispatcher uses this to shed a job whose
-    /// deadline expired while it was already on the ranks: cancellation is
-    /// cooperative, takes effect at the next boundary, and never tears the
-    /// collective (see `soifft-serve`).
+    /// deadline expired while it was already on the ranks (see
+    /// `soifft-serve`).
     pub fn try_forward_into_cancellable(
         &self,
         comm: &mut Comm,
@@ -1813,9 +1789,12 @@ impl SoiFft {
             }
             debug_assert_eq!(ws.z.len(), m_prime);
         }
-        let (z, scale) = (&mut ws.z, &self.demod_scale);
-        self.segment_fft
-            .forward_scaled_with(z, &mut ws.aux, scale, &mut ws.seg_scratch);
+        self.segment_fft.forward_scaled_with(
+            &mut ws.z,
+            &mut ws.aux,
+            &self.demod_scale,
+            &mut ws.seg_scratch,
+        );
         out.copy_from_slice(&ws.z[..m]);
     }
 
@@ -1885,40 +1864,34 @@ impl SoiFft {
             }
         }
 
-        // Poll: segments become ready in whatever order the parts land. A
-        // recovered segment's slot list is drained, which marks it done.
-        let mut parts: Vec<Vec<Option<Vec<c64>>>> = vec![vec![None; p.procs]; mine];
-        let mut completed = 0;
-        while completed < mine {
-            // Drain whatever has arrived for any still-incomplete segment.
-            let mut progressed = false;
-            for sl in 0..mine {
-                let tag = tags::USER + sl as u64;
-                for (src, part) in parts[sl].iter_mut().enumerate() {
-                    if part.is_none() {
-                        *part = comm.try_recv(src, tag);
-                        progressed |= part.is_some();
-                    }
-                }
-                if !parts[sl].is_empty() && parts[sl].iter().all(Option::is_some) {
-                    // Recover this segment now — later packets keep
-                    // flowing while we compute (the overlap).
-                    ws.incoming.extend(parts[sl].drain(..).flatten());
+        // Poll: segments become ready in whatever order the parts land.
+        let tag = |sl: usize| tags::USER + sl as u64;
+        let mut slots: Vec<Vec<Option<Vec<c64>>>> = vec![vec![None; p.procs]; mine];
+        let mut pending: Vec<(usize, usize)> = (0..mine)
+            .flat_map(|sl| (0..p.procs).map(move |src| (sl, src)))
+            .collect();
+        while !pending.is_empty() {
+            // Take whatever has arrived; when nothing has, block on the
+            // lowest missing part to avoid a hot spin.
+            let before = pending.len();
+            pending.retain(|&(sl, src)| {
+                slots[sl][src] = comm.try_recv(src, tag(sl));
+                slots[sl][src].is_none()
+            });
+            if pending.len() == before {
+                let (sl, src) = pending.remove(0);
+                slots[sl][src] = Some(comm.recv(src, tag(sl)));
+            }
+            // Recover each segment that just completed — later packets
+            // keep flowing while we compute (the overlap).
+            for (sl, slot) in slots.iter_mut().enumerate() {
+                if !slot.is_empty() && slot.iter().all(Option::is_some) {
+                    ws.incoming.extend(slot.drain(..).flatten());
                     self.recover_segment(ws, 0, &mut y[sl * m..(sl + 1) * m]);
                     for buf in ws.incoming.drain(..) {
                         comm.recycle_buffer(buf);
                     }
-                    completed += 1;
                 }
-            }
-            // Nothing new: block on the lowest missing part to avoid a
-            // hot spin.
-            let waiting = parts.iter().enumerate().find_map(|(sl, srcs)| {
-                let src = srcs.iter().position(Option::is_none)?;
-                Some((sl, src))
-            });
-            if let Some((sl, src)) = waiting.filter(|_| !progressed) {
-                parts[sl][src] = Some(comm.recv(src, tags::USER + sl as u64));
             }
         }
         comm.stats_mut().phase_end("all-to-all", t);
@@ -2020,6 +1993,18 @@ mod tests {
             .with_precision(precision);
         let outputs = Cluster::run(params.procs, |comm| fft.forward(comm, &inputs[comm.rank()]));
         (gather_output(outputs), reference_fft(&x))
+    }
+
+    /// Inverse of [`pack_c32_pair`]. Production unpacking goes through the
+    /// dispatched bulk kernel (`simd::unpack_c32_pairs`); this single-element
+    /// form is the round-trip reference the packing test pins against.
+    fn unpack_c32_pair(v: c64) -> (c32, c32) {
+        let re = v.re.to_bits();
+        let im = v.im.to_bits();
+        (
+            c32::new(f32::from_bits((re >> 32) as u32), f32::from_bits(re as u32)),
+            c32::new(f32::from_bits((im >> 32) as u32), f32::from_bits(im as u32)),
+        )
     }
 
     #[test]
