@@ -360,6 +360,11 @@ fn rank_loop(shared: &EngineShared, plans: &EnginePlans, comm: &mut Comm) {
         } else {
             &plans.fft_on
         };
+        // Nothing reads the per-phase records of a finished batch (the
+        // report's counters and the trace buffer live elsewhere), so drop
+        // them here: the ledger stays bounded by one batch however long
+        // the engine serves.
+        comm.stats_mut().clear_records();
         comm.stats_mut().span_open("serve-batch");
         for &idx in &local_jobs {
             match run_job(shared, plans, fft, comm, &mut ws, idx, last_seq, rank) {

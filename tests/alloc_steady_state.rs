@@ -234,17 +234,22 @@ fn lowprec_forward_into_steady_state_allocates_nothing() {
 /// The fault-tolerant path may allocate (consensus votes, retransmit
 /// staging, checksum framing) but stays *bounded*: far below the
 /// pipeline's own working set, which a regression re-allocating workspace
-/// buffers per call would immediately blow through.
+/// buffers per call would immediately blow through. Held for the f64
+/// default and for the half-width wire (same executor, same budget).
 #[test]
 fn try_forward_into_steady_state_allocations_are_bounded() {
+    use soifft::soi::Precision;
+
     let _window = window();
     let params = params();
     let x = signal(params.n);
     let inputs = scatter_input(&x, params.procs);
-    let fft = SoiFft::new(params).expect("valid params");
     let policy = ExchangePolicy::default();
 
-    let (calls, bytes) = {
+    for precision in [Precision::F64, Precision::F32] {
+        let fft = SoiFft::new(params)
+            .expect("valid params")
+            .with_precision(precision);
         let deltas = Cluster::run(params.procs, |comm| {
             let me = &inputs[comm.rank()];
             let mut ws = fft.make_workspace();
@@ -269,27 +274,26 @@ fn try_forward_into_steady_state_allocations_are_bounded() {
         });
         // The ledger is global, so every rank saw the same window (modulo
         // barrier skew); judge the largest observation.
-        (
-            deltas.iter().map(|d| d.0).max().unwrap(),
-            deltas.iter().map(|d| d.1).max().unwrap(),
-        )
-    };
+        let calls = deltas.iter().map(|d| d.0).max().unwrap();
+        let bytes = deltas.iter().map(|d| d.1).max().unwrap();
 
-    // Working set per rank per call is ~N/P complex doubles several times
-    // over (> 100 KiB here). The resilient scaffolding across ALL ranks
-    // must stay an order of magnitude below one rank's working set.
-    let per_call_calls = calls / MEASURED as u64;
-    let per_call_bytes = bytes / MEASURED as u64;
-    assert!(
-        per_call_calls <= 512,
-        "resilient steady state made {per_call_calls} heap calls per \
-         transform (cluster-wide); expected bounded scaffolding only"
-    );
-    assert!(
-        per_call_bytes <= 64 * 1024,
-        "resilient steady state allocated {per_call_bytes} bytes per \
-         transform (cluster-wide); expected bounded scaffolding only"
-    );
+        // Working set per rank per call is ~N/P complex doubles several
+        // times over (> 100 KiB here). The resilient scaffolding across
+        // ALL ranks must stay an order of magnitude below one rank's
+        // working set.
+        let per_call_calls = calls / MEASURED as u64;
+        let per_call_bytes = bytes / MEASURED as u64;
+        assert!(
+            per_call_calls <= 512,
+            "{precision:?}: resilient steady state made {per_call_calls} heap \
+             calls per transform (cluster-wide); expected bounded scaffolding only"
+        );
+        assert!(
+            per_call_bytes <= 64 * 1024,
+            "{precision:?}: resilient steady state allocated {per_call_bytes} \
+             bytes per transform (cluster-wide); expected bounded scaffolding only"
+        );
+    }
 }
 
 /// `forward_into` (and the batch driver over it) must be *bit-identical*

@@ -235,3 +235,69 @@ fn recovered_spectrum_matches_the_fault_free_run_bit_for_bit() {
     );
     assert_eq!(clean, respawned);
 }
+
+#[test]
+fn f32_run_resumes_from_checkpoints_bit_for_bit() {
+    // Snapshots hold what the stage produced — for the "all-to-all" phase
+    // the wire elements as shipped — so a half-width run resumes exactly
+    // like a full-width one, at every depth.
+    use soifft::cluster::{Cluster, RecoveryCtx};
+    use soifft::soi::Precision;
+    use std::sync::Arc;
+
+    let p = soi_params();
+    let x: Vec<c64> = (0..p.n)
+        .map(|i| c64::new((0.11 * i as f64).cos(), (0.07 * i as f64).sin()))
+        .collect();
+    let inputs = scatter_input(&x, p.procs);
+    let fft = SoiFft::new(p)
+        .expect("valid params")
+        .with_precision(Precision::F32);
+    let policy = ExchangePolicy::default();
+
+    // Under the supervisor: a death in the block DFTs resumes from the
+    // "convolution" snapshot, a death entering the exchange from
+    // "segment-fft".
+    let supervised = |plan: FaultPlan| {
+        fft.forward_recovered(
+            ClusterConfig::with_faults(plan),
+            RestartPolicy::default(),
+            &policy,
+            &inputs,
+        )
+        .expect("supervised run must complete")
+    };
+    let clean = supervised(FaultPlan::new(34));
+    assert_eq!(clean.recovery, RecoveryOutcome::None);
+    for site in [CrashSite::Phase("segment-fft"), CrashSite::AllToAll] {
+        let resumed = supervised(FaultPlan::new(34).crash(2, site));
+        assert_eq!(
+            resumed.recovery,
+            RecoveryOutcome::Recovered {
+                restarts: 1,
+                recomputed_segments: 0
+            },
+            "{site:?}"
+        );
+        assert_eq!(resumed.outputs, clean.outputs, "{site:?}");
+    }
+
+    // By hand: a complete epoch commits "all-to-all"; the next epoch over
+    // the same store skips every collective and recovers from the
+    // half-width snapshot alone.
+    let store = Arc::new(CheckpointStore::new(p.procs));
+    for epoch in 0..2u64 {
+        let ctx = RecoveryCtx::resume(Arc::clone(&store), epoch, epoch as u32);
+        assert_eq!(ctx.committed("all-to-all"), epoch == 1);
+        let runs = Cluster::run(p.procs, |comm| {
+            let y = fft
+                .try_forward_recoverable(comm, &inputs[comm.rank()], &policy, &ctx)
+                .expect("healthy cluster");
+            (y, comm.stats().count_of("all-to-all"))
+        });
+        for (rank, (y, exchanges)) in runs.into_iter().enumerate() {
+            assert_eq!(y, clean.outputs[rank], "epoch {epoch}, rank {rank}");
+            assert_eq!(exchanges, 1 - epoch as usize, "epoch {epoch}, rank {rank}");
+        }
+    }
+}

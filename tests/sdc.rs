@@ -280,6 +280,32 @@ fn recover_extra_seeds_sweep_stays_bit_identical() {
     }
 }
 
+#[test]
+fn recover_repairs_a_gathered_flip_on_the_half_width_wire() {
+    // Tags, verification and rollback work on wire elements, whatever
+    // they encode: under F32 a flipped word holds two packed c32 values,
+    // and the repaired spectrum still equals the fault-free F32 run's.
+    use soifft::soi::Precision;
+    let p = soi_params();
+    let inputs = scatter_input(&signal(p.n), p.procs);
+    let fft = SoiFft::new(p)
+        .expect("valid params")
+        .with_precision(Precision::F32)
+        .with_validation(ValidationPolicy::Recover);
+    let run = |plan: FaultPlan| {
+        let (fft, inputs) = (fft.clone(), inputs.clone());
+        unwrap_all(run_cluster_with_faults(p.procs, plan, move |comm| {
+            let res = fft.try_forward(comm, &inputs[comm.rank()], &policy());
+            (res, comm.stats().clone())
+        }))
+    };
+    let (clean, _) = run(FaultPlan::new(313));
+    let (got, ledgers) = run(FaultPlan::new(313).bit_flip(VICTIM, BitFlipSite::GatheredSegment));
+    assert_eq!(got, clean, "repair must be bit-identical");
+    assert!(ledgers[VICTIM].sdc_detected() >= 1);
+    assert!(ledgers[VICTIM].sdc_repaired() >= 1);
+}
+
 // ---------------------------------------------------------------------
 // Fault-free validated runs: no detections, no behavior change.
 // ---------------------------------------------------------------------

@@ -185,3 +185,60 @@ proptest! {
         prop_assert_eq!(b.state(now), BreakerState::Closed);
     }
 }
+
+/// A long-lived engine's per-rank ledger stays bounded: the phase records
+/// are dropped batch by batch (nothing reads a finished batch's records),
+/// while the counters the report is built from still cover every job.
+#[test]
+fn rank_ledgers_stay_bounded_over_thousands_of_jobs() {
+    use soifft::num::c64;
+    use soifft::serve::{ServeConfig, ServeEngine};
+    use soifft::soi::{Rational, SoiParams};
+
+    const JOBS: u64 = 2_000;
+    /// Phase records one superstep can close (generous; the pipeline
+    /// closes five).
+    const RECORDS_PER_JOB: usize = 16;
+
+    let params = SoiParams {
+        n: 1 << 10,
+        procs: 2,
+        segments_per_proc: 2,
+        mu: Rational::new(2, 1),
+        conv_width: 8,
+    };
+    let config = ServeConfig::default();
+    let max_batch = config.max_batch;
+    let engine = ServeEngine::start(params, config).expect("valid params");
+    let x: Vec<c64> = (0..params.n)
+        .map(|i| c64::new((0.01 * i as f64).sin(), 0.25))
+        .collect();
+    let mut out = Vec::new();
+    for _ in 0..JOBS {
+        let ticket = engine.submit(0, &x, None).expect("admitted");
+        ticket.wait_into(&mut out).expect("fault-free serve");
+    }
+    let report = engine.shutdown();
+    assert_eq!(report.stats.completed, JOBS);
+
+    // Every job's all-to-all payload crossed the wire from every rank:
+    // S·blocks elements to each of P destinations, 16 bytes each.
+    let payload = (params.segments_per_proc * params.blocks_per_rank() * params.procs * 16) as u64;
+    let mut queue_wait = 0.0;
+    for (rank, ledger) in report.rank_stats.iter().enumerate() {
+        let ledger = ledger.as_ref().expect("clean shutdown keeps every ledger");
+        assert!(
+            ledger.records().len() <= max_batch * RECORDS_PER_JOB,
+            "rank {rank} kept {} phase records after {JOBS} jobs",
+            ledger.records().len()
+        );
+        assert!(
+            ledger.total_bytes_sent() >= JOBS * payload,
+            "rank {rank}: byte counter lost jobs ({} < {})",
+            ledger.total_bytes_sent(),
+            JOBS * payload
+        );
+        queue_wait += ledger.queue_wait_seconds();
+    }
+    assert!(queue_wait > 0.0, "queue-wait counter lost the jobs");
+}

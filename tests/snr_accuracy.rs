@@ -147,3 +147,97 @@ fn exchange_plan_does_not_change_lowprec_bits() {
         }
     }
 }
+
+#[test]
+fn resilient_and_recovered_runs_get_the_half_width_wire() {
+    // Precision is the pack/recover stages' business only, so the
+    // resilient, checkpointed and degraded paths must hold the same
+    // floors, ship the same half-width all-to-all, and land on the bits
+    // of the plain `forward_into` run at the same precision.
+    use soifft::cluster::{
+        ClusterConfig, CrashSite, ExchangePolicy, FaultPlan, RecoveryOutcome, RestartPolicy,
+    };
+
+    let p = params();
+    let x = signal(p.n);
+    let inputs = scatter_input(&x, p.procs);
+    let policy = ExchangePolicy::default();
+    let payload64 = (p.segments_per_proc * p.blocks_per_rank() * p.procs * 16) as u64;
+    let strategy = ConvStrategy::InterchangedBuffered;
+    let oracle = run(strategy, ExchangePlan::Monolithic, Precision::F64);
+
+    // try_forward: spectrum plus each rank's all-to-all phase volume.
+    let resilient = |precision: Precision| {
+        let fft = SoiFft::new(p)
+            .expect("valid params")
+            .with_precision(precision);
+        let runs = Cluster::run(p.procs, |comm| {
+            let y = fft
+                .try_forward(comm, &inputs[comm.rank()], &policy)
+                .expect("healthy cluster");
+            (y, comm.stats().bytes_in("all-to-all"))
+        });
+        let bytes: Vec<u64> = runs.iter().map(|(_, b)| *b).collect();
+        (
+            gather_output(runs.into_iter().map(|(y, _)| y).collect()),
+            bytes,
+        )
+    };
+    let (_, bytes64) = resilient(Precision::F64);
+
+    for (precision, floor) in [
+        (Precision::F32, F32_FLOOR_DB),
+        (Precision::Split, SPLIT_FLOOR_DB),
+    ] {
+        let plain = run(strategy, ExchangePlan::Monolithic, precision);
+        let (got, bytes) = resilient(precision);
+        assert_eq!(got, plain, "{precision:?}: try_forward bits != forward");
+        let snr = snr_db(&got, &oracle);
+        assert!(snr >= floor, "{precision:?}: try_forward SNR {snr:.1} dB");
+        let gate = soifft::soi::CancelGate::new();
+        let fft = SoiFft::new(p)
+            .expect("valid params")
+            .with_precision(precision);
+        let gated = gather_output(Cluster::run(p.procs, |comm| {
+            let mut ws = fft.make_workspace();
+            let mut y = vec![c64::ZERO; fft.output_len(comm.rank())];
+            let me = &inputs[comm.rank()];
+            fft.try_forward_into_cancellable(comm, me, &policy, &gate, &mut ws, &mut y)
+                .expect("open gate");
+            y
+        }));
+        assert_eq!(gated, plain, "{precision:?}: cancellable bits != forward");
+        for (rank, (half, full)) in bytes.iter().zip(&bytes64).enumerate() {
+            // Same consensus overhead, half the payload.
+            assert_eq!(
+                *half,
+                full - payload64 / 2,
+                "{precision:?}: rank {rank} all-to-all volume"
+            );
+        }
+
+        for (what, plan, restart, degraded) in [
+            ("clean", FaultPlan::new(71), RestartPolicy::default(), false),
+            (
+                "degraded",
+                FaultPlan::new(72).crash(1, CrashSite::AllToAll),
+                RestartPolicy::disabled(),
+                true,
+            ),
+        ] {
+            let run = fft
+                .forward_recovered(ClusterConfig::with_faults(plan), restart, &policy, &inputs)
+                .expect("supervised run completes");
+            assert_eq!(
+                matches!(run.recovery, RecoveryOutcome::Recovered { .. }),
+                degraded,
+                "{precision:?} {what}: {:?}",
+                run.recovery
+            );
+            let got = gather_output(run.outputs);
+            assert_eq!(got, plain, "{precision:?} {what}: bits != fault-free run");
+            let snr = snr_db(&got, &oracle);
+            assert!(snr >= floor, "{precision:?} {what}: SNR {snr:.1} dB");
+        }
+    }
+}
