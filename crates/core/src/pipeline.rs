@@ -1047,8 +1047,12 @@ impl SoiFft {
         } else {
             self.restore(comm, run, phases::CONVOLUTION)
         };
-        let resumed = rows.is_some();
+        // Rows resumed from a snapshot cannot be rebuilt by re-running the
+        // convolution (its input was never staged): a repairing run keeps
+        // a copy for the block-DFT guard's redo.
+        let mut resumed_rows = None;
         if let Some(rows) = rows {
+            resumed_rows = self.validation.recovers().then(|| rows.clone());
             ws.u = rows;
         } else {
             let ghost = match ghost {
@@ -1087,9 +1091,8 @@ impl SoiFft {
         // Parseval guard: an unnormalized L-point row DFT scales total
         // energy by exactly L, so `E_out ≈ L·E_in` checks the whole batch
         // in one O(n) pass. The transform is in place; a repair rebuilds
-        // the pre-FFT rows (the deterministic convolution again, or the
-        // snapshot they were resumed from), keeping a frontier-sized
-        // clone off the fault-free hot path.
+        // the pre-FFT rows by re-running the deterministic convolution,
+        // keeping a frontier-sized clone off the fault-free hot path.
         let e_in = validate.then(|| verify::energy(&ws.u));
         let t = comm.stats_mut().phase_start();
         self.fft_rows(ws);
@@ -1097,17 +1100,9 @@ impl SoiFft {
         let tol = verify::energy_tolerance(l);
         let intact =
             |u: &[c64]| e_in.is_some_and(|e| verify::parseval_ok(e, verify::energy(u), l, tol));
-        let snapshot = run
-            .ckpt
-            .filter(|_| resumed)
-            .map(|ctx| (ctx.store(), comm.rank()));
         let redo = |ws: &mut SoiWorkspace| {
-            match snapshot {
-                Some((store, rank)) => {
-                    if let Ok(rows) = store.restore(rank, phases::CONVOLUTION) {
-                        ws.u = rows;
-                    }
-                }
+            match &resumed_rows {
+                Some(rows) => ws.u.copy_from_slice(rows),
                 None => self.convolve_rows(ws),
             }
             self.fft_rows(ws);

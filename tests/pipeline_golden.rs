@@ -47,7 +47,7 @@ fn params() -> SoiParams {
 
 /// Uniform-random complex input in [-1, 1)², SplitMix64-seeded.
 fn noise(n: usize) -> Vec<c64> {
-    let mut state = 0x5EED_0F_601D_E5u64;
+    let mut state = 0x5EED_0F60_1DE5_u64;
     let mut next = move || {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = state;

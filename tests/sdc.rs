@@ -518,6 +518,54 @@ fn recover_rewrites_the_flipped_snapshot_and_survives_the_crash() {
     );
 }
 
+#[test]
+fn block_dfts_resumed_from_a_snapshot_are_guarded_too() {
+    // The guard rides on the stage, not on the path that reached it. The
+    // injector arms flips in epoch 0 only, so the two epochs are driven
+    // by hand over one store: in the first the victim dies entering the
+    // block DFTs (its "convolution" snapshot is saved); in the second it
+    // resumes from that snapshot and the flip lands on the resumed
+    // stage's output — detected, repaired from the resumed rows,
+    // bit-identical to the fault-free run.
+    use soifft::cluster::{CheckpointStore, RecoveryCtx};
+    use std::sync::Arc;
+
+    let p = soi_params();
+    let inputs = scatter_input(&signal(p.n), p.procs);
+    let fft = SoiFft::new(p)
+        .expect("valid params")
+        .with_validation(ValidationPolicy::Recover);
+    let (clean, _) = unwrap_all(run_soi(
+        FaultPlan::new(314),
+        ValidationPolicy::Recover,
+        policy(),
+    ));
+
+    let store = Arc::new(CheckpointStore::new(p.procs));
+    let epoch = |n: u64, plan: FaultPlan, policy: ExchangePolicy| {
+        let ctx = RecoveryCtx::resume(Arc::clone(&store), n, n as u32);
+        let (fft, inputs) = (fft.clone(), inputs.clone());
+        run_cluster_with_faults(p.procs, plan, move |comm| {
+            let res = fft.try_forward_recoverable(comm, &inputs[comm.rank()], &policy, &ctx);
+            (res, comm.stats().clone())
+        })
+    };
+    let died = epoch(
+        0,
+        FaultPlan::new(314).crash(VICTIM, CrashSite::Phase("segment-fft")),
+        short_policy(),
+    );
+    assert!(matches!(died[VICTIM], RankOutcome::Crashed));
+    assert!(store.has(VICTIM, "convolution") && !store.has(VICTIM, "segment-fft"));
+
+    let plan = FaultPlan::new(314).bit_flip(VICTIM, BitFlipSite::LocalFftBuffer);
+    let (got, ledgers) = unwrap_all(epoch(1, plan, policy()));
+    assert_eq!(got, clean, "repair must be bit-identical");
+    assert_eq!(ledgers[VICTIM].count_of("convolution"), 0, "resumed");
+    assert!(ledgers[VICTIM].sdc_detected() >= 1);
+    assert!(ledgers[VICTIM].sdc_repaired() >= 1);
+}
+
 // ---------------------------------------------------------------------
 // Degraded-mode recomputation accounting (budget-exhausted paths).
 // ---------------------------------------------------------------------
