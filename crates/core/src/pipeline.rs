@@ -831,7 +831,7 @@ impl SoiFft {
         let run = Run {
             policy: Some(policy),
             gate: Some(gate),
-            ckpt: None,
+            ..Run::default()
         };
         self.execute(comm, local_input, ws, y, run)
     }
@@ -871,8 +871,8 @@ impl SoiFft {
         let mut y = vec![c64::ZERO; self.output_len(comm.rank())];
         let run = Run {
             policy: Some(policy),
-            gate: None,
             ckpt: Some(ctx),
+            ..Run::default()
         };
         self.execute(comm, local_input, &mut ws, &mut y, run)?;
         Ok(y)
@@ -1598,10 +1598,11 @@ impl SoiFft {
         let chunk = mine * wb;
         let part = |sl: usize| sl * wb..(sl + 1) * wb;
 
-        let mut tags: Vec<Vec<c64>> = Vec::new();
-        if self.validation.is_on() {
-            tags = data.iter_mut().map(|buf| buf.split_off(chunk)).collect();
-        }
+        let tags: Vec<Vec<c64>> = if self.validation.is_on() {
+            data.iter_mut().map(|buf| buf.split_off(chunk)).collect()
+        } else {
+            Vec::new()
+        };
         let planned = comm.flip_planned(BitFlipSite::GatheredSegment);
         let pristine = (self.validation.recovers() && planned).then(|| data.to_vec());
         if chunk > 0 && planned {
