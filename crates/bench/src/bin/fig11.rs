@@ -1,13 +1,16 @@
-//! Regenerates **Fig 11**: the impact of the §5.3 convolution optimizations
-//! (baseline → loop interchange → circular-buffer staging) on
+//! Regenerates **Fig 11**: the impact of the §5.3 convolution loop orders
+//! (baseline → loop interchange → "buffering") on
 //! convolution-and-oversampling time as the node count grows.
 //!
-//! The scaling mechanism being tested: the baseline's working set is the
-//! whole `n_µ·B·L` tap matrix, which grows with the total segment count `L`
-//! (∝ nodes) until it overflows the cache; the interchanged form touches
-//! `n_µ·B` taps per column regardless of scale; buffering additionally
-//! converts the interchanged form's stride-`L` input walks (pathological
-//! when `L` is a power of two) into contiguous ones.
+//! The scaling mechanism being tested: the baseline (chunk-outer) order
+//! walks the whole `n_µ·B·L` tap table once per chunk, a working set that
+//! grows with the total segment count `L` (∝ nodes) until it overflows
+//! each cache level in turn; the interchanged (panel-outer) order keeps
+//! one 4-column panel's `n_µ·B` tap lines resident regardless of scale.
+//! All orders run the same panel micro-kernel, which already keeps a
+//! panel's live input lines cached, so the paper's third rung
+//! (circular-buffer staging of stride-`L` input walks) is the same loop
+//! nest as the second here and the two columns differ by noise only.
 //!
 //! We run ONE rank's worth of convolution for simulated cluster sizes 4-64
 //! at fixed per-rank input (weak scaling, like the paper's x-axis).
@@ -76,9 +79,9 @@ fn main() {
     println!("(per-rank input = {per_rank} elements, B = {b}, mu = 8/7, 1 segment/rank)\n");
     let mut t = Table::new(&[
         "nodes",
-        "baseline (s)",
-        "interchange (s)",
-        "buffering (s)",
+        "baseline (ms)",
+        "interchange (ms)",
+        "buffering (ms)",
         "baseline WS",
         "interchange WS",
         "tuner pick",
@@ -112,14 +115,14 @@ fn main() {
                 conv::convolve(&params, &window, strategy, &input, &mut out, &pool)
             });
             measured.push((secs, strategy));
-            row.push(format!("{secs:.4}"));
+            row.push(format!("{:.3}", secs * 1e3));
         }
-        // Tap working set per chunk: the paper's Fig 6 argument. Baseline
-        // touches all n_µ·B·L distinct taps every chunk; interchange only
-        // one column's n_µ·B.
+        // Tap working set: the paper's Fig 6 argument. Baseline walks all
+        // n_µ·B·L taps every chunk; interchange one panel's n_µ·B lines
+        // (4 columns × 16 bytes) for a whole sweep.
         let n_mu = params.mu.num();
         let ws_base = n_mu * b * params.total_segments() * 16;
-        let ws_inter = n_mu * b * 16;
+        let ws_inter = n_mu * b * 64;
         row.push(format!("{} KB", ws_base / 1024));
         row.push(format!("{} KB", ws_inter.max(1024) / 1024));
         row.push(tuner_pick(params).label().to_string());
@@ -136,12 +139,11 @@ fn main() {
     }
     print!("{}", t.render());
     println!("\nShapes to compare with the paper's Fig 11:");
-    println!("* baseline working set grows ∝ nodes and eventually spills the");
-    println!("  LLC (on the paper's Phi: 512 KB private L2 ⇒ spill at ~8 nodes");
+    println!("* baseline working set grows ∝ nodes and leaves L1, then L2");
+    println!("  (on the paper's Phi: 512 KB private L2 ⇒ spill at ~8 nodes");
     println!("  with B=72); interchange's stays constant,");
-    println!("* buffering converts the interchange's stride-L input walks to");
-    println!("  contiguous ones (matters when L is a large power of two).");
-    println!("On hosts whose LLC exceeds the baseline working set at every node");
-    println!("count (the WS columns above tell you), the wall-clock separation");
-    println!("does not manifest — the working-set mechanism is what scales.");
+    println!("* buffering is the interchange loop nest: the panel kernel reads");
+    println!("  whole cache lines of input and keeps a panel's B live lines");
+    println!("  cached, which is what the circular buffer staged by hand.");
+    println!("All three produce bit-identical output.");
 }

@@ -8,47 +8,57 @@
 //! ```
 //!
 //! reading a `B·L`-sample input window that advances by `d_µ·L` per chunk
-//! (`n_µ` blocks). This costs `8BµN` flops — the extra arithmetic SOI pays
-//! for removing two all-to-alls — so its bandwidth behaviour matters; the
-//! paper's Fig 11 ablates three implementations which are reproduced here
-//! as [`ConvStrategy`]:
+//! (`n_µ` blocks). The paper counts this as `8BµN` flops — the extra
+//! arithmetic SOI pays for removing two all-to-alls. Because the window is
+//! a real envelope on a carrier of period `2L`
+//! ([`Window`](crate::window::Window)), each tap is
+//! `(−1)^b·φ(j,p)·env`, so what actually runs is
 //!
-//! * [`ConvStrategy::RowMajor`] — the straightforward Fig 6(a) form:
-//!   process output rows in order; every chunk touches all `n_µ·B·L`
-//!   distinct matrix elements, a working set that grows with the segment
-//!   count (∝ nodes) and eventually overflows the LLC.
-//! * [`ConvStrategy::Interchanged`] — the loop-interchanged, decomposed
-//!   Fig 6(b)/Fig 7 form: one input column `p` at a time, touching only
-//!   that column's `n_µ·B` taps — a working set *independent of scale*.
-//!   The price is (a) stride-`L` input access and (b) the block outputs
-//!   only materialize after a final transpose (the paper's "extra main
-//!   memory sweep", mitigated there by non-temporal stores).
-//! * [`ConvStrategy::InterchangedBuffered`] — adds the §5.3 circular-buffer
-//!   staging: the `B` live inputs of a column are kept contiguous and only
-//!   `d_µ` strided loads happen per chunk, converting almost all long-
-//!   stride traffic (which conflict-misses badly when `L` is a power of
-//!   two) into unit-stride traffic.
+//! ```text
+//! u_m[p] = φ(j,p) · Σ_{b<B} ±env(bL + p − jσ) · x[(c·d_µ + b)·L + p]
+//! ```
 //!
-//! All three produce bit-comparable results (tests check exact agreement of
-//! the mathematical ordering where it holds, and tight tolerances where
-//! re-association differs).
+//! — `4BµN` real×complex multiply-add flops plus one complex multiply
+//! per output. All of it happens in one micro-kernel,
+//! [`soifft_num::simd::conv_panel_c64`]: a panel of 4 columns (one cache
+//! line) of one chunk, the `B` input lines loaded once each and fed to
+//! all `n_µ` phases' register accumulators, results stored straight into
+//! block-major `out`.
+//!
+//! A [`ConvStrategy`] is therefore only the order in which the (chunk,
+//! panel) units run — the paper's Fig 11 ladder reduced to its loop nests:
+//!
+//! * [`ConvStrategy::RowMajor`] — chunk-outer, panel-inner (Fig 6(a)):
+//!   each chunk walks all `n_µ·B·L` taps, a working set that grows with
+//!   the segment count (∝ nodes) and leaves L1 first, then L2.
+//! * [`ConvStrategy::Interchanged`] / [`ConvStrategy::InterchangedBuffered`]
+//!   — panel-outer, chunk-inner (Fig 6(b)/Fig 7): one panel's `n_µ·B`
+//!   tap lines (23 KB at µ = 5/4, B = 72) stay L1-resident for the whole
+//!   sweep, *independent of scale*. The `B` live input lines of a panel
+//!   (4.6 KB) stay in cache between consecutive chunks, which is what the
+//!   paper's circular buffer staged by hand, so the two variants are the
+//!   same loop nest here.
+//!
+//! Every output element is the same operation sequence whatever the
+//! order, the thread count or the ISA, so all strategies agree bit for
+//! bit.
 
 use soifft_num::c64;
-use soifft_num::kernels::{axpy_pointwise, dot, dot_strided};
-use soifft_num::strided::CircularBuffer;
+use soifft_num::simd::{conv_panel_c64, CONV_PANEL};
 use soifft_par::Pool;
 
 use crate::params::SoiParams;
 use crate::window::Window;
 
-/// Which convolution implementation to run (the Fig 11 ladder).
+/// Which convolution loop order to run (the Fig 11 ladder).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ConvStrategy {
-    /// Straightforward row-major form (baseline).
+    /// Chunk-outer / panel-inner (baseline).
     RowMajor,
-    /// Loop-interchanged decomposed form (working set independent of P).
+    /// Panel-outer / chunk-inner (tap working set independent of P).
     Interchanged,
-    /// Interchanged plus circular-buffer input staging.
+    /// Same loop nest as [`ConvStrategy::Interchanged`]: the panel kernel
+    /// keeps the live input lines cached without explicit staging.
     InterchangedBuffered,
 }
 
@@ -70,64 +80,87 @@ impl ConvStrategy {
     }
 }
 
-/// One pool worker's reusable convolution state: the §5.3 circular
-/// buffer + its dense snapshot (buffered columns) and one `F_L` plan
-/// scratch (fused conv+FFT). Owned by [`ConvScratch`], one slot per
-/// worker, so no parallel piece ever allocates.
-#[derive(Clone, Debug)]
-struct ConvWorker {
-    ring: CircularBuffer,
-    dense: Vec<c64>,
-    fft: Vec<c64>,
-}
-
-/// Reusable scratch for the convolution stage: the transposed
-/// intermediate `ut` of the interchanged forms plus one [`ConvWorker`]
-/// per pool thread. Plan it once ([`ConvScratch::new`]) and pass it to
-/// [`convolve_with_scratch`] / [`convolve_fused_fft_with_scratch`];
-/// steady-state calls then perform zero heap allocations.
+/// Reusable scratch for the convolution stage: one `F_L` plan scratch per
+/// pool worker, for the fused conv+FFT front end (the unfused orders need
+/// none — the kernel writes `out` directly). Plan it once
+/// ([`ConvScratch::new`]); steady-state calls then perform zero heap
+/// allocations.
 #[derive(Clone, Debug)]
 pub struct ConvScratch {
-    ut: Vec<c64>,
-    workers: Vec<ConvWorker>,
+    fft: Vec<Vec<c64>>,
 }
 
 impl ConvScratch {
-    /// Sizes scratch for `params` under `pool`: `ut` holds the full
-    /// `L × blocks_per_rank` transposed intermediate, each worker a
-    /// `B`-tap ring + snapshot and an `F_L` plan scratch.
-    pub fn new(params: &SoiParams, plan_l: &soifft_fft::Plan, pool: &Pool) -> Self {
-        let l = params.total_segments();
-        let blocks = params.blocks_per_rank();
-        let b = params.conv_width;
+    /// One `plan_l` scratch per thread of `pool`.
+    pub fn new(_params: &SoiParams, plan_l: &soifft_fft::Plan, pool: &Pool) -> Self {
         ConvScratch {
-            ut: vec![c64::ZERO; l * blocks],
-            workers: (0..pool.threads())
-                .map(|_| ConvWorker {
-                    ring: CircularBuffer::new(b),
-                    dense: vec![c64::ZERO; b],
-                    fft: plan_l.make_scratch(),
-                })
-                .collect(),
+            fft: (0..pool.threads()).map(|_| plan_l.make_scratch()).collect(),
         }
     }
 }
 
-/// The sized-but-planless scratch [`convolve`] builds for itself: the
-/// unfused strategies never touch the per-worker FFT scratch.
-fn unplanned_scratch(params: &SoiParams, pool: &Pool) -> ConvScratch {
-    let l = params.total_segments();
-    let blocks = params.blocks_per_rank();
-    let b = params.conv_width;
-    ConvScratch {
-        ut: vec![c64::ZERO; l * blocks],
-        workers: (0..pool.threads())
-            .map(|_| ConvWorker {
-                ring: CircularBuffer::new(b),
-                dense: vec![c64::ZERO; b],
-                fft: Vec::new(),
-            })
-            .collect(),
+/// The convolution's shape and operands, shared by every loop order.
+struct Sweep<'a> {
+    window: &'a Window,
+    input_ext: &'a [c64],
+    l: usize,
+    n_mu: usize,
+    d_mu: usize,
+}
+
+impl<'a> Sweep<'a> {
+    /// Checks the buffer lengths against `params`.
+    fn new(params: &SoiParams, window: &'a Window, input_ext: &'a [c64], out: &[c64]) -> Self {
+        let l = params.total_segments();
+        assert_eq!(
+            input_ext.len(),
+            params.per_rank() + params.ghost_len(),
+            "input must include the ghost region"
+        );
+        assert_eq!(
+            out.len(),
+            params.blocks_per_rank() * l,
+            "output must hold blocks_per_rank · L"
+        );
+        assert_eq!(
+            (window.segments(), window.conv_width(), window.mu_parts()),
+            (l, params.conv_width, (params.mu.num(), params.mu.den())),
+            "window was built for another shape"
+        );
+        Sweep {
+            window,
+            input_ext,
+            l,
+            n_mu: params.mu.num(),
+            d_mu: params.mu.den(),
+        }
+    }
+
+    /// Output elements per chunk (`n_µ` blocks of `L`).
+    fn chunk_len(&self) -> usize {
+        self.n_mu * self.l
+    }
+
+    /// Every panel of chunk `c`, in order.
+    fn chunk(&self, c: usize, chunk_out: &mut [c64]) {
+        for panel in 0..self.window.panels() {
+            self.unit(c, panel, chunk_out);
+        }
+    }
+
+    /// One kernel call: panel `panel` of chunk `c` into that chunk's
+    /// `n_µ·L` outputs.
+    fn unit(&self, c: usize, panel: usize, chunk_out: &mut [c64]) {
+        let p0 = panel * CONV_PANEL;
+        conv_panel_c64(
+            self.window.panel_taps(panel),
+            self.window.panel_phases(panel),
+            self.n_mu,
+            &self.input_ext[c * self.d_mu * self.l + p0..],
+            self.l,
+            CONV_PANEL.min(self.l - p0),
+            &mut chunk_out[p0..],
+        );
     }
 }
 
@@ -136,12 +169,9 @@ fn unplanned_scratch(params: &SoiParams, pool: &Pool) -> ConvScratch {
 /// * `input_ext` — this rank's `N/P` input elements followed by the
 ///   `(B−d_µ)·L` ghost elements from its successor,
 /// * `out` — `blocks_per_rank · L` output elements (block-major),
-/// * `pool` — intra-node parallelism (chunks for RowMajor, columns for the
-///   interchanged forms, mirroring the paper's `loop_a` thread-level
-///   parallelization).
-///
-/// Allocates its scratch internally; repeated callers should plan a
-/// [`ConvScratch`] once and use [`convolve_with_scratch`].
+/// * `pool` — intra-node parallelism: each thread takes a contiguous range
+///   of chunks (the paper's `loop_a` thread-level parallelization) and
+///   runs `strategy`'s loop order inside it.
 pub fn convolve(
     params: &SoiParams,
     window: &Window,
@@ -150,12 +180,31 @@ pub fn convolve(
     out: &mut [c64],
     pool: &Pool,
 ) {
-    let mut scratch = unplanned_scratch(params, pool);
-    convolve_with_scratch(params, window, strategy, input_ext, out, pool, &mut scratch);
+    let sweep = Sweep::new(params, window, input_ext, out);
+    let chunk_len = sweep.chunk_len();
+    pool.par_chunks_mut(out, chunk_len, |_, offset, piece| {
+        let c0 = offset / chunk_len;
+        match strategy {
+            ConvStrategy::RowMajor => {
+                for (ci, chunk_out) in piece.chunks_exact_mut(chunk_len).enumerate() {
+                    sweep.chunk(c0 + ci, chunk_out);
+                }
+            }
+            ConvStrategy::Interchanged | ConvStrategy::InterchangedBuffered => {
+                for panel in 0..window.panels() {
+                    for (ci, chunk_out) in piece.chunks_exact_mut(chunk_len).enumerate() {
+                        sweep.unit(c0 + ci, panel, chunk_out);
+                    }
+                }
+            }
+        }
+    });
 }
 
-/// [`convolve`] against caller-owned [`ConvScratch`]: no heap allocation
-/// inside the call (all three strategies).
+/// [`convolve`] with the signature of the scratch-planned front ends. The
+/// unfused loop orders need no scratch (and never allocate), so `_scratch`
+/// is untouched; it is accepted so a caller plans one [`ConvScratch`] for
+/// whichever front end its plan selects.
 #[allow(clippy::too_many_arguments)]
 pub fn convolve_with_scratch(
     params: &SoiParams,
@@ -164,165 +213,21 @@ pub fn convolve_with_scratch(
     input_ext: &[c64],
     out: &mut [c64],
     pool: &Pool,
-    scratch: &mut ConvScratch,
+    _scratch: &mut ConvScratch,
 ) {
-    let l = params.total_segments();
-    let blocks = params.blocks_per_rank();
-    let chunks = params.chunks_per_rank();
-    let n_mu = params.mu.num();
-    let d_mu = params.mu.den();
-    let b = params.conv_width;
-    assert_eq!(
-        input_ext.len(),
-        params.per_rank() + params.ghost_len(),
-        "input must include the ghost region"
-    );
-    assert_eq!(
-        out.len(),
-        blocks * l,
-        "output must hold blocks_per_rank · L"
-    );
-
-    match strategy {
-        ConvStrategy::RowMajor => {
-            // Parallel over whole chunks; each chunk writes n_µ·L outputs.
-            out.fill(c64::ZERO);
-            pool.par_chunks_mut(out, n_mu * l, |_, offset, piece| {
-                let c0 = offset / (n_mu * l);
-                for (ci, chunk_out) in piece.chunks_exact_mut(n_mu * l).enumerate() {
-                    let c = c0 + ci;
-                    let in_base = c * d_mu * l;
-                    for j in 0..n_mu {
-                        let taps = window.taps_row(j);
-                        let block = &mut chunk_out[j * l..(j + 1) * l];
-                        // b-outer / p-inner: contiguous AXPY of length L per
-                        // tap block; touches the full n_µ·B·L tap set every
-                        // chunk (the Fig 6(a) working-set problem).
-                        for bb in 0..b {
-                            axpy_pointwise(
-                                block,
-                                &taps[bb * l..(bb + 1) * l],
-                                &input_ext[in_base + bb * l..in_base + (bb + 1) * l],
-                            );
-                        }
-                    }
-                }
-            });
-        }
-        ConvStrategy::Interchanged | ConvStrategy::InterchangedBuffered => {
-            // Column-decomposed: write the transposed result (one
-            // contiguous row per input column p), then transpose into
-            // block-major order — the paper's extra memory sweep.
-            if scratch.ut.len() < l * blocks {
-                scratch.ut.resize(l * blocks, c64::ZERO);
-            }
-            let ut = &mut scratch.ut[..l * blocks];
-            let buffered = strategy == ConvStrategy::InterchangedBuffered;
-            pool.par_chunks_mut_scratch(ut, blocks, &mut scratch.workers, |_, offset, cols, w| {
-                let p0 = offset / blocks;
-                for (pi, col_out) in cols.chunks_exact_mut(blocks).enumerate() {
-                    let p = p0 + pi;
-                    if buffered {
-                        column_pass_buffered(
-                            window, input_ext, col_out, p, l, chunks, n_mu, d_mu, b, w,
-                        );
-                    } else {
-                        column_pass_strided(
-                            window, input_ext, col_out, p, l, chunks, n_mu, d_mu, b,
-                        );
-                    }
-                }
-            });
-            // The paper's "extra main memory sweep" of the decomposed form,
-            // band-parallel over output blocks (each thread writes its own
-            // contiguous rows of `out`, reading `ut` strided).
-            let ut_ro: &[c64] = ut;
-            pool.par_chunks_mut(out, l, |_, offset, band| {
-                let m0 = offset / l;
-                for (mi, block) in band.chunks_exact_mut(l).enumerate() {
-                    let m = m0 + mi;
-                    for (p, v) in block.iter_mut().enumerate() {
-                        *v = ut_ro[p * blocks + m];
-                    }
-                }
-            });
-        }
-    }
+    convolve(params, window, strategy, input_ext, out, pool);
 }
 
-/// One column of the interchanged form: stride-L input reads.
-#[allow(clippy::too_many_arguments)]
-fn column_pass_strided(
-    window: &Window,
-    input_ext: &[c64],
-    col_out: &mut [c64],
-    p: usize,
-    l: usize,
-    chunks: usize,
-    n_mu: usize,
-    d_mu: usize,
-    b: usize,
-) {
-    let taps = window.taps_for_p(p); // n_µ × B, unit stride
-    for c in 0..chunks {
-        let base = c * d_mu * l + p;
-        for j in 0..n_mu {
-            let t = &taps[j * b..(j + 1) * b];
-            col_out[c * n_mu + j] = dot_strided(t, &input_ext[base..], l);
-        }
-    }
-}
-
-/// One column with circular-buffer staging: `B` contiguous loads up front,
-/// then `d_µ` strided loads per chunk. The ring and its dense snapshot
-/// live in the worker's [`ConvWorker`] slot (`fill_strided` rewinds the
-/// ring, so reuse across columns and calls is exact).
-#[allow(clippy::too_many_arguments)]
-fn column_pass_buffered(
-    window: &Window,
-    input_ext: &[c64],
-    col_out: &mut [c64],
-    p: usize,
-    l: usize,
-    chunks: usize,
-    n_mu: usize,
-    d_mu: usize,
-    b: usize,
-    w: &mut ConvWorker,
-) {
-    let taps = window.taps_for_p(p);
-    if w.ring.capacity() != b {
-        w.ring = CircularBuffer::new(b);
-    }
-    if w.dense.len() != b {
-        w.dense.resize(b, c64::ZERO);
-    }
-    w.ring.fill_strided(input_ext, p, l);
-    for c in 0..chunks {
-        w.ring.snapshot(&mut w.dense);
-        for j in 0..n_mu {
-            col_out[c * n_mu + j] = dot(&taps[j * b..(j + 1) * b], &w.dense);
-        }
-        if c + 1 < chunks {
-            // Slide the window by d_µ blocks: new elements live at block
-            // indices c·d_µ + b .. c·d_µ + b + d_µ of column p.
-            let start = (c * d_mu + b) * l + p;
-            w.ring.advance_strided(input_ext, start, l, d_mu);
-        }
-    }
-}
-
-/// Row-major convolution with the block DFTs (`I ⊗ F_L`) fused in: as soon
-/// as a block's `L` outputs are produced they are transformed while still
-/// in cache, saving one full memory sweep (paper §5.3: "once P rows are
-/// available, we can immediately start a P-point FFT ... This can be
+/// Chunk-outer convolution with the block DFTs (`I ⊗ F_L`) fused in: as
+/// soon as a chunk's `n_µ` blocks are produced they are transformed while
+/// still in cache, saving one full memory sweep (paper §5.3: "once P rows
+/// are available, we can immediately start a P-point FFT ... This can be
 /// viewed as a loop fusion optimization").
 ///
-/// The paper notes this fusion *cannot* be applied to the decomposed
-/// (interchanged) form, whose first block only completes after all `L`
-/// column passes — which is why the decomposed form pays an extra sweep
-/// and mitigates it with non-temporal stores instead. This function exists
-/// to make that trade measurable (`benches/convolution.rs`).
+/// The paper notes this fusion *cannot* be applied to the panel-outer
+/// (interchanged) order, whose first block only completes on the last
+/// panel's pass. This function exists to make that trade measurable
+/// (`benches/convolution.rs`).
 ///
 /// Output blocks are the *transformed* `v_m = F_L(u_m)`, i.e. the input to
 /// the all-to-all.
@@ -351,72 +256,44 @@ pub fn convolve_fused_fft_with_scratch(
     pool: &Pool,
     scratch: &mut ConvScratch,
 ) {
-    let l = params.total_segments();
-    let blocks = params.blocks_per_rank();
-    let n_mu = params.mu.num();
-    let d_mu = params.mu.den();
-    let b = params.conv_width;
-    assert_eq!(plan_l.len(), l, "plan length must be L");
-    assert_eq!(
-        input_ext.len(),
-        params.per_rank() + params.ghost_len(),
-        "input must include the ghost region"
-    );
-    assert_eq!(
-        out.len(),
-        blocks * l,
-        "output must hold blocks_per_rank · L"
-    );
-
-    out.fill(c64::ZERO);
-    pool.par_chunks_mut_scratch(
-        out,
-        n_mu * l,
-        &mut scratch.workers,
-        |_, offset, piece, w| {
-            let c0 = offset / (n_mu * l);
-            if w.fft.len() < plan_l.scratch_len() {
-                w.fft.resize(plan_l.scratch_len(), c64::ZERO);
+    let sweep = Sweep::new(params, window, input_ext, out);
+    assert_eq!(plan_l.len(), sweep.l, "plan length must be L");
+    let chunk_len = sweep.chunk_len();
+    pool.par_chunks_mut_scratch(out, chunk_len, &mut scratch.fft, |_, offset, piece, fft| {
+        let c0 = offset / chunk_len;
+        if fft.len() < plan_l.scratch_len() {
+            fft.resize(plan_l.scratch_len(), c64::ZERO);
+        }
+        for (ci, chunk_out) in piece.chunks_exact_mut(chunk_len).enumerate() {
+            sweep.chunk(c0 + ci, chunk_out);
+            // The chunk is hot in cache: transform its blocks now instead
+            // of in a later full sweep.
+            for block in chunk_out.chunks_exact_mut(sweep.l) {
+                plan_l.forward_with_scratch(block, fft);
             }
-            for (ci, chunk_out) in piece.chunks_exact_mut(n_mu * l).enumerate() {
-                let c = c0 + ci;
-                let in_base = c * d_mu * l;
-                for j in 0..n_mu {
-                    let taps = window.taps_row(j);
-                    let block = &mut chunk_out[j * l..(j + 1) * l];
-                    for bb in 0..b {
-                        axpy_pointwise(
-                            block,
-                            &taps[bb * l..(bb + 1) * l],
-                            &input_ext[in_base + bb * l..in_base + (bb + 1) * l],
-                        );
-                    }
-                    // The block is hot in cache: transform it now instead of
-                    // in a later full sweep.
-                    plan_l.forward_with_scratch(block, &mut w.fft);
-                }
-            }
-        },
-    );
+        }
+    });
 }
 
-/// Reference implementation straight from the definition (per-row inner
-/// products, no blocking, no parallelism). Used by tests and kept public
-/// for external validation.
+/// Reference implementation straight from the definition (complex taps
+/// from [`Window::taps_row`], per-row inner products, no blocking, no
+/// parallelism). Used by tests and kept public for external validation.
 pub fn convolve_reference(params: &SoiParams, window: &Window, input_ext: &[c64], out: &mut [c64]) {
     let l = params.total_segments();
     let n_mu = params.mu.num();
     let d_mu = params.mu.den();
     let b = params.conv_width;
-    for m in 0..params.blocks_per_rank() {
-        let (c, j) = (m / n_mu, m % n_mu);
+    for j in 0..n_mu {
         let taps = window.taps_row(j);
-        for p in 0..l {
-            let mut acc = c64::ZERO;
-            for bb in 0..b {
-                acc += taps[bb * l + p] * input_ext[c * d_mu * l + bb * l + p];
+        for c in 0..params.chunks_per_rank() {
+            let m = c * n_mu + j;
+            for p in 0..l {
+                let mut acc = c64::ZERO;
+                for bb in 0..b {
+                    acc += taps[bb * l + p] * input_ext[c * d_mu * l + bb * l + p];
+                }
+                out[m * l + p] = acc;
             }
-            out[m * l + p] = acc;
         }
     }
 }
@@ -445,44 +322,59 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn all_strategies_match_reference() {
-        let p = params();
-        p.validate().unwrap();
-        let w = Window::new(WindowKind::GaussianSinc, &p);
-        let x = input_ext(&p);
-        let mut reference = vec![c64::ZERO; p.blocks_per_rank() * p.total_segments()];
-        convolve_reference(&p, &w, &x, &mut reference);
-        for strategy in ConvStrategy::ALL {
-            for threads in [1, 3] {
-                let pool = Pool::new(threads);
-                let mut got = vec![c64::ZERO; reference.len()];
-                convolve(&p, &w, strategy, &x, &mut got, &pool);
-                let err = rel_linf(&got, &reference);
-                assert!(err < 1e-13, "{strategy:?} threads={threads}: err={err:.3e}");
-            }
+    /// Shapes that reach every kernel path: per-rank blocks and ghost
+    /// regions at P = 4, the ledger's design point
+    /// (5 phases, full panels), a phase-group split (n_µ = 8), 2-column
+    /// tails (L = 6, 10) and a 3-column tail (L = 7), the last three with
+    /// odd B.
+    fn shapes() -> Vec<SoiParams> {
+        let shape = |n, procs, s, (num, den), b| SoiParams {
+            n,
+            procs,
+            segments_per_proc: s,
+            mu: Rational::new(num, den),
+            conv_width: b,
+        };
+        let all = vec![
+            params(),
+            shape(1 << 12, 4, 2, (2, 1), 12),
+            shape(1 << 14, 2, 8, (5, 4), 72),
+            shape(16 * 224, 2, 8, (8, 7), 24),
+            shape(6 * 192, 3, 2, (2, 1), 13),
+            shape(10 << 7, 2, 5, (5, 4), 21),
+            shape(7 << 6, 1, 7, (2, 1), 11),
+        ];
+        for p in &all {
+            p.validate().unwrap();
         }
+        all
     }
 
     #[test]
-    fn multi_rank_shapes_also_agree() {
-        // P = 4 ranks: per-rank blocks and ghost regions.
-        let p = SoiParams {
-            n: 1 << 12,
-            procs: 4,
-            segments_per_proc: 2,
-            mu: Rational::new(2, 1),
-            conv_width: 12,
-        };
-        p.validate().unwrap();
-        let w = Window::new(WindowKind::GaussianSinc, &p);
-        let x = input_ext(&p);
-        let mut reference = vec![c64::ZERO; p.blocks_per_rank() * p.total_segments()];
-        convolve_reference(&p, &w, &x, &mut reference);
-        for strategy in ConvStrategy::ALL {
-            let mut got = vec![c64::ZERO; reference.len()];
-            convolve(&p, &w, strategy, &x, &mut got, &Pool::new(2));
-            assert!(rel_linf(&got, &reference) < 1e-13, "{strategy:?}");
+    fn all_strategies_match_reference_and_each_other_bitwise() {
+        for p in shapes() {
+            let w = Window::new(WindowKind::GaussianSinc, &p);
+            let x = input_ext(&p);
+            let mut reference = vec![c64::ZERO; p.blocks_per_rank() * p.total_segments()];
+            convolve_reference(&p, &w, &x, &mut reference);
+            let mut first: Option<Vec<c64>> = None;
+            for strategy in ConvStrategy::ALL {
+                for threads in [1, 2, 3] {
+                    let pool = Pool::new(threads);
+                    let mut got = vec![c64::ZERO; reference.len()];
+                    convolve(&p, &w, strategy, &x, &mut got, &pool);
+                    let err = rel_linf(&got, &reference);
+                    assert!(
+                        err < 1e-13,
+                        "{p:?} {strategy:?} threads={threads}: err={err:.3e}"
+                    );
+                    let first = first.get_or_insert_with(|| got.clone());
+                    assert!(
+                        got == *first,
+                        "{p:?} {strategy:?} threads={threads}: bits differ"
+                    );
+                }
+            }
         }
     }
 
@@ -510,7 +402,7 @@ mod tests {
         for threads in [1, 3] {
             let mut fused = vec![c64::ZERO; separate.len()];
             convolve_fused_fft(&p, &w, &x, &mut fused, &plan, &Pool::new(threads));
-            assert!(rel_linf(&fused, &separate) < 1e-12, "threads={threads}");
+            assert!(fused == separate, "threads={threads}");
         }
     }
 
@@ -530,7 +422,7 @@ mod tests {
             &mut bfr,
             &Pool::serial(),
         );
-        assert!(rel_linf(&a, &bfr) < 1e-13);
+        assert!(a == bfr);
     }
 
     #[test]

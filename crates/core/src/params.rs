@@ -318,7 +318,12 @@ impl SoiParams {
         None
     }
 
-    /// Convolution flop count, the paper's `8BµN`.
+    /// Convolution flop count, the paper's nominal `8BµN` (one complex
+    /// multiply-add per tap and output). Kept as the unit every rate in
+    /// the cost model and the benchmarks is quoted in; the kernel itself
+    /// executes `4BµN + 6µN` — real taps times complex data, then one
+    /// complex multiply per output ([`crate::conv`]) — so a rate computed
+    /// from this count reads about twice the arithmetic actually retired.
     pub fn conv_flops(&self) -> f64 {
         8.0 * self.conv_width as f64 * self.mu.as_f64() * self.n as f64
     }

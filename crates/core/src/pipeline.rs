@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | ghost | `ghost` | receive `(B−d_µ)·L` elements from the successor rank (tens of KB; the latency-bound nearest-neighbour step of §5.1) |
 //! | front | `convolution`, `segment-fft` | `u = W x` on the extended local input, then an `L`-point FFT per output block (`I_{M'} ⊗ F_L`) — one fused sweep when planned |
-//! | pack | (`pack` span) | gather each destination's segment parts from `u`, in the planned wire format |
+//! | pack | (`pack` span) | one sweep over `u`, scattering each destination's segment parts in the planned wire format |
 //! | exchange | `all-to-all` | the single `Perm_{L,N'}` exchange — monolithic, chunk-pipelined, proxied, or split per segment so later exchanges overlap earlier segments' recovery (§6.1's multi-segment trick) |
 //! | verify | (`sdc-verify` span) | re-check what was gathered against the senders' checksum tags |
 //! | recover | `local-fft` | `F_{M'}` per owned segment with the demodulation `W⁻¹` fused into the final write-back (§5.2.4), keeping the first `M` bins |
@@ -28,7 +28,7 @@
 //! | crash points | a fault plan | `front`, at each phase entry |
 //! | checkpoint restore-or-run-then-save | a [`RecoveryCtx`] | `restore` / `save` around every stage |
 //! | ABFT guard → verify → repair | [`ValidationPolicy`] | `guarded` (phase buffers), `verify_incoming` (gathered parts), `save` (snapshot images) |
-//! | precision | [`Precision`] | the wire format of `pack_part` / `recover_segment` |
+//! | precision | [`Precision`] | the wire format of `pack_tile` / `recover_segment` |
 //! | tracing | the communicator | the spans and phase records above |
 
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
@@ -125,6 +125,11 @@ impl Precision {
         self != Precision::F64
     }
 }
+
+/// Frontier rows (blocks) per pack tile: `16·L` elements, 4 KB at `L = 16`
+/// — L1-resident while its columns are scattered, and 256 contiguous bytes
+/// per destination stream. Even, so half-width pairs never straddle tiles.
+const PACK_ROWS: usize = 16;
 
 /// Bit-packs two `c32` into one `c64` wire element. Pure bit moves: the
 /// transport only copies (or byte-serializes) `c64` buffers, so arbitrary
@@ -353,7 +358,7 @@ pub struct SoiWorkspace {
     input_ext: Vec<c64>,
     /// Post-convolution / post-block-DFT frontier (`blocks · L`).
     u: Vec<c64>,
-    /// Convolution scratch (ring, dense taps window, fused-FFT scratch).
+    /// Convolution scratch (the fused front end's per-worker `F_L` scratch).
     conv: ConvScratch,
     /// One row-FFT scratch per pool worker for the block DFTs.
     seg_workers: Vec<Vec<c64>>,
@@ -1482,21 +1487,44 @@ impl SoiFft {
         self.params.blocks_per_rank().div_ceil(blocks_per_word)
     }
 
-    /// Appends to `buf` the wire form of the part of global segment `s`
-    /// held in frontier `u`: `v_m[s]` for every local block — as-is at
+    /// Writes rows `m0 .. m0 + PACK_ROWS` (clipped to the frontier) of
+    /// column `s` of `u` into their place in `part`, the wire form of
+    /// global segment `s` — `v_m[s]` for every local block `m`: as-is at
     /// full width; demoted to `c32` and bit-packed two per `c64` under the
     /// half-width precisions (odd block counts pad the final pair with
-    /// zero, which the receiver drops).
-    fn pack_part(&self, u: &[c64], s: usize, buf: &mut Vec<c64>) {
+    /// zero, which the receiver drops). Every packer walks the frontier
+    /// tile by tile and calls this for each stream it keeps, so `u` is
+    /// read from memory once — a tile stays cached while its `L` columns
+    /// are scattered — instead of once per segment at stride `L`.
+    fn pack_tile(&self, u: &[c64], m0: usize, s: usize, part: &mut [c64]) {
         let l = self.params.total_segments();
+        let rows = &u[m0 * l..u.len().min((m0 + PACK_ROWS) * l)];
+        let mut column = rows.chunks_exact(l).map(|block| block[s]);
         if self.precision.half_width_exchange() {
-            let mut values = u.chunks_exact(l).map(|block| c32::from_c64(block[s]));
-            while let Some(a) = values.next() {
-                let b = values.next().unwrap_or(c32::ZERO);
-                buf.push(pack_c32_pair(a, b));
+            for slot in &mut part[m0 / 2..] {
+                let Some(a) = column.next() else { break };
+                let b = column.next().unwrap_or(c64::ZERO);
+                *slot = pack_c32_pair(c32::from_c64(a), c32::from_c64(b));
             }
         } else {
-            buf.extend(u.chunks_exact(l).map(|block| block[s]));
+            for (slot, v) in part[m0..].iter_mut().zip(column) {
+                *slot = v;
+            }
+        }
+    }
+
+    /// First rows of the tiles [`SoiFft::pack_tile`] is called with.
+    fn pack_tiles(&self) -> impl Iterator<Item = usize> {
+        (0..self.params.blocks_per_rank()).step_by(PACK_ROWS)
+    }
+
+    /// Appends to `buf` the wire form of the part of global segment `s`
+    /// held in frontier `u`.
+    fn pack_part(&self, u: &[c64], s: usize, buf: &mut Vec<c64>) {
+        let start = buf.len();
+        buf.resize(start + self.wire_blocks(), c64::ZERO);
+        for m0 in self.pack_tiles() {
+            self.pack_tile(u, m0, s, &mut buf[start..]);
         }
     }
 
@@ -1517,20 +1545,28 @@ impl SoiFft {
     ) {
         let wb = self.wire_blocks();
         comm.stats_mut().span_open("pack");
+        let keep = &keep;
+        let kept = |q: usize| (0..self.seg_counts[q]).filter(move |&sl| keep(q, sl));
         for (q, slot) in outgoing.iter_mut().enumerate() {
-            let kept = (0..self.seg_counts[q]).filter(|&sl| keep(q, sl));
-            let n = kept.clone().count();
+            let n = kept(q).count();
             let mut buf = comm.acquire_buffer(n * (wb + usize::from(tagged)));
-            for sl in kept {
-                self.pack_part(u, self.seg_base[q] + sl, &mut buf);
+            buf.resize(n * wb, c64::ZERO);
+            *slot = buf;
+        }
+        for m0 in self.pack_tiles() {
+            for (q, buf) in outgoing.iter_mut().enumerate() {
+                for (part, sl) in buf.chunks_exact_mut(wb).zip(kept(q)) {
+                    self.pack_tile(u, m0, self.seg_base[q] + sl, part);
+                }
             }
-            if tagged {
-                for i in 0..n {
+        }
+        if tagged {
+            for buf in outgoing.iter_mut() {
+                for i in 0..buf.len() / wb {
                     let sum = checksum(&buf[i * wb..(i + 1) * wb]);
                     buf.push(verify::encode_checksum(sum));
                 }
             }
-            *slot = buf;
         }
         comm.stats_mut().span_close("pack");
     }
@@ -1852,10 +1888,21 @@ impl SoiFft {
         // Post everything up front (sends never block in this transport;
         // on real MPI these would be MPI_Isend).
         let t = comm.stats_mut().phase_start();
-        for q in 0..p.procs {
-            for sl in 0..self.seg_counts[q] {
+        let mut parts: Vec<Vec<c64>> = (0..p.total_segments())
+            .map(|_| {
                 let mut buf = comm.acquire_buffer(wb);
-                self.pack_part(&ws.u, self.seg_base[q] + sl, &mut buf);
+                buf.resize(wb, c64::ZERO);
+                buf
+            })
+            .collect();
+        for m0 in self.pack_tiles() {
+            for (s, part) in parts.iter_mut().enumerate() {
+                self.pack_tile(&ws.u, m0, s, part);
+            }
+        }
+        let mut parts = parts.into_iter();
+        for q in 0..p.procs {
+            for (sl, buf) in parts.by_ref().take(self.seg_counts[q]).enumerate() {
                 comm.send(q, tags::USER + sl as u64, buf);
             }
         }

@@ -31,7 +31,10 @@
 //! constants are computed numerically, which is also available for the
 //! Gaussian as a cross-check.
 
+use std::f64::consts::PI;
+
 use soifft_num::c64;
+use soifft_num::simd::CONV_PANEL;
 use soifft_num::special::{bessel_i0, erf, sinc};
 
 use crate::params::{SoiError, SoiParams};
@@ -43,8 +46,8 @@ pub enum WindowKind {
     /// setup. The default.
     GaussianSinc,
     /// Kaiser (I₀) taper; marginally better stopband for the same support,
-    /// demodulation constants computed by direct numerical transform
-    /// (`O(M·B·L)` setup).
+    /// demodulation constants computed by numerical transform of the taps
+    /// (`L` length-`M` FFTs at setup).
     KaiserSinc,
     /// Discrete-prolate (Slepian/DPSS) taper — the *optimal* concentration
     /// for the time-bandwidth budget, several orders of magnitude deeper
@@ -59,9 +62,9 @@ pub enum WindowKind {
 pub enum DemodMode {
     /// Closed-form spectrum (Gaussian taper only).
     Analytic,
-    /// Direct numerical transform of the actual taps (any taper); uses the
-    /// truncated window's true spectrum, so it is the more exact choice
-    /// when `M·B·L` setup work is affordable.
+    /// Numerical transform of the actual taps (any taper), as `L`
+    /// length-`M` FFTs; uses the truncated window's true spectrum, so it
+    /// is the more exact choice when that setup work is affordable.
     Numeric,
     /// `Numeric` when `M·B·L ≤ 2³⁰`, else `Analytic`.
     Auto,
@@ -72,8 +75,21 @@ pub enum DemodMode {
 /// passband edge conditioning, larger deepens the stopband.
 const PASSBAND_MARGIN: f64 = 0.25;
 
-/// A fully built SOI window: taps in both access layouts plus the
+/// A fully built SOI window: the convolution kernel's tap tables plus the
 /// demodulation diagonal.
+///
+/// `w(t) = cis(2πf₀τ)·env(τ)` with `env` real and `f₀ = −1/(2L)`, so a
+/// tap's phase advances by exactly `π` per `L` samples and every tap
+/// factors as
+///
+/// ```text
+/// w(bL + p − jσ) = (−1)^b · φ(j,p) · env(bL + p − jσ)
+/// ```
+///
+/// with one unit phase `φ` per output column `p` and modulation index
+/// `j`. The convolution therefore accumulates real × complex products and
+/// applies `φ` once per output; only the real, sign-folded envelope and
+/// the `φ` table are stored.
 #[derive(Clone, Debug)]
 pub struct Window {
     kind: WindowKind,
@@ -95,12 +111,14 @@ pub struct Window {
     /// (ProlateSinc only) — every tap argument `i − jσ` lands exactly on
     /// this grid.
     prolate_grid: Option<Vec<f64>>,
-    /// Row-major taps: `taps[j·B·L + i] = w(i − jσ)`, `j < n_µ`,
-    /// `i < B·L`.
-    taps: Vec<c64>,
-    /// Per-column layout for the interchanged convolution:
-    /// `taps_by_p[(p·n_µ + j)·B + b] = w(bL + p − jσ)`.
-    taps_by_p: Vec<c64>,
+    /// Real taps `(−1)^b·env(bL + p − jσ)` in the order
+    /// [`soifft_num::simd::conv_panel_c64`] reads them: `[panel][b][j]`
+    /// then the panel's `CONV_PANEL` columns, each value twice (the `re`
+    /// and `im` lanes it multiplies). Columns past `L` in the last panel
+    /// are zero.
+    env: Vec<f64>,
+    /// Unit phases `φ(j,p)`, `[panel][j][column]`.
+    phi: Vec<c64>,
     /// `demod[l] = σ / ŵ(−l/N)` for `l < M`.
     demod: Vec<c64>,
 }
@@ -154,10 +172,10 @@ impl Window {
         let transition = (1.0 - PASSBAND_MARGIN) * guard;
         // Balanced Gaussian: truncation depth == stopband depth
         // (exponent π·T_h·Δ each; see module docs).
-        let sigma_t = (t_half / (2.0 * std::f64::consts::PI * transition)).sqrt();
+        let sigma_t = (t_half / (2.0 * PI * transition)).sqrt();
         // Kaiser β from the standard attenuation fit for the same
         // time-bandwidth product.
-        let atten_db = 2.285 * 2.0 * std::f64::consts::PI * transition * t_support + 8.0;
+        let atten_db = 2.285 * 2.0 * PI * transition * t_support + 8.0;
         let beta = if atten_db > 50.0 {
             0.1102 * (atten_db - 8.7)
         } else if atten_db >= 21.0 {
@@ -196,36 +214,34 @@ impl Window {
             sigma_t,
             beta,
             prolate_grid,
-            taps: Vec::new(),
-            taps_by_p: Vec::new(),
+            env: Vec::new(),
+            phi: Vec::new(),
             demod: Vec::new(),
         };
 
-        // Taps: w(i − jσ), σ = d_µ·L/n_µ.
-        let bl = b * l;
-        let sigma = (d_mu * l) as f64 / n_mu as f64;
-        let mut taps = vec![c64::ZERO; n_mu * bl];
-        for j in 0..n_mu {
-            let shift = j as f64 * sigma;
-            let row = &mut taps[j * bl..(j + 1) * bl];
-            for (i, v) in row.iter_mut().enumerate() {
-                *v = w.eval_time(i as f64 - shift);
-            }
-        }
-        w.taps = taps;
-
-        // Column-major copy for the interchanged convolution.
-        let mut by_p = vec![c64::ZERO; l * n_mu * b];
+        // Tap tables in panel order.
+        let panels = l.div_ceil(CONV_PANEL);
+        let hop = w.hop();
+        let mut env = vec![0.0; panels * b * n_mu * 2 * CONV_PANEL];
+        let mut phi = vec![c64::ZERO; panels * n_mu * CONV_PANEL];
         for p in 0..l {
+            let (panel, q) = (p / CONV_PANEL, p % CONV_PANEL);
             for j in 0..n_mu {
+                let shift = j as f64 * hop;
+                phi[(panel * n_mu + j) * CONV_PANEL + q] = w.phase(p as f64 - shift);
                 for bb in 0..b {
-                    by_p[(p * n_mu + j) * b + bb] = w.taps[j * bl + bb * l + p];
+                    let sign = if bb % 2 == 0 { 1.0 } else { -1.0 };
+                    let e = sign * w.envelope((bb * l + p) as f64 - shift);
+                    let at = ((panel * b + bb) * n_mu + j) * 2 * CONV_PANEL + 2 * q;
+                    env[at] = e;
+                    env[at + 1] = e;
                 }
             }
         }
-        w.taps_by_p = by_p;
+        w.env = env;
+        w.phi = phi;
 
-        // Demodulation diagonal.
+        // Demodulation diagonal `σ / ŵ(−l/N)`.
         let has_closed_form = kind == WindowKind::GaussianSinc;
         let numeric = match mode {
             DemodMode::Numeric => true,
@@ -237,21 +253,58 @@ impl Window {
                 );
                 false
             }
-            DemodMode::Auto => !has_closed_form || (m as u128) * (bl as u128) <= 1u128 << 30,
+            DemodMode::Auto => !has_closed_form || (m as u128) * ((b * l) as u128) <= 1u128 << 30,
         };
-        let inv_sigma_recip = sigma; // demod multiplies by σ / ŵ.
-        let mut demod = Vec::with_capacity(m);
-        for ll in 0..m {
-            let f = -(ll as f64) / n as f64;
-            let what = if numeric {
-                w.spectrum_numeric(f)
-            } else {
-                w.spectrum_analytic(f)
-            };
-            demod.push(c64::real(inv_sigma_recip) / what);
-        }
-        w.demod = demod;
+        let spectrum = if numeric {
+            w.passband_spectrum_numeric(m)
+        } else {
+            (0..m)
+                .map(|ll| w.spectrum_analytic(-(ll as f64) / n as f64))
+                .collect()
+        };
+        w.demod = spectrum
+            .into_iter()
+            .map(|what| c64::real(hop) / what)
+            .collect();
         Ok(w)
+    }
+
+    /// The hop `σ = d_µ·L/n_µ` between consecutive modulation indices.
+    fn hop(&self) -> f64 {
+        (self.d_mu * self.l) as f64 / self.n_mu as f64
+    }
+
+    /// `ŵ(−l/N)` for `l < M` from the actual taps. With `t = Lq + r` and
+    /// `N = ML`,
+    ///
+    /// ```text
+    /// ŵ(−l/N) = Σ_{r<L} e^{2πi·lr/N} · Σ_{q<B} w(Lq + r)·e^{2πi·lq/M}
+    /// ```
+    ///
+    /// — `L` unnormalized inverse DFTs of length `M` (each a forward
+    /// transform of the conjugate), combined by Horner's rule in the
+    /// twiddle `e^{2πi·l/N}`: `O(N log M)` instead of the `M·B·L` of
+    /// summing every bin directly.
+    fn passband_spectrum_numeric(&self, m: usize) -> Vec<c64> {
+        let plan = soifft_fft::shared_plan(m);
+        let mut scratch = plan.make_scratch();
+        let n = (m * self.l) as f64;
+        let twiddle: Vec<c64> = (0..m)
+            .map(|ll| c64::cis(2.0 * PI * ll as f64 / n))
+            .collect();
+        let mut acc = vec![c64::ZERO; m];
+        let mut g = vec![c64::ZERO; m];
+        for r in (0..self.l).rev() {
+            g.fill(c64::ZERO);
+            for q in 0..self.b {
+                g[q % m] += self.eval_time((q * self.l + r) as f64).conj();
+            }
+            plan.forward_with_scratch(&mut g, &mut scratch);
+            for ((a, &tw), gv) in acc.iter_mut().zip(&twiddle).zip(&g) {
+                *a = *a * tw + gv.conj();
+            }
+        }
+        acc
     }
 
     /// Evaluates the continuous window at (possibly fractional) sample
@@ -260,9 +313,28 @@ impl Window {
         if !(0.0..=self.t_support).contains(&t) {
             return c64::ZERO;
         }
+        self.phase(t) * self.envelope(t)
+    }
+
+    /// The real envelope `env` at sample position `t` (band-pass sinc ×
+    /// taper); zero outside `[0, t_support]`.
+    fn envelope(&self, t: f64) -> f64 {
+        if !(0.0..=self.t_support).contains(&t) {
+            return 0.0;
+        }
         let tau = t - self.t_support / 2.0;
-        let envelope = 2.0 * self.fc * sinc(2.0 * self.fc * tau) * self.taper(tau);
-        c64::cis(2.0 * std::f64::consts::PI * self.f0 * tau) * envelope
+        2.0 * self.fc * sinc(2.0 * self.fc * tau) * self.taper(tau)
+    }
+
+    /// The modulation `cis(2πf₀τ) = cis(−πτ/L)` at sample position `t`
+    /// (any `t`). `τ` is reduced modulo the period `2L` first — exactly,
+    /// in floating point — so the angle's rounding error does not grow
+    /// with `|τ|` and `phase(t + L) = −phase(t)` holds to an ulp.
+    fn phase(&self, t: f64) -> c64 {
+        let tau = t - self.t_support / 2.0;
+        let period = 2.0 * self.l as f64;
+        let r = tau - period * (tau / period).round();
+        c64::cis(-PI * (r / self.l as f64))
     }
 
     fn taper(&self, tau: f64) -> f64 {
@@ -305,40 +377,53 @@ impl Window {
             "closed-form spectrum exists only for the Gaussian taper"
         );
         let nu = f - self.f0;
-        let alpha = std::f64::consts::SQRT_2 * std::f64::consts::PI * self.sigma_t;
+        let alpha = std::f64::consts::SQRT_2 * PI * self.sigma_t;
         let mag = 0.5 * (erf(alpha * (nu + self.fc)) - erf(alpha * (nu - self.fc)));
         let t0 = self.t_support / 2.0;
-        c64::cis(-2.0 * std::f64::consts::PI * f * t0) * mag
+        c64::cis(-2.0 * PI * f * t0) * mag
     }
 
     /// Numerical spectrum of the actual (truncated, sampled) taps:
     /// `Σ_t w(t) e^{−2πi f t}` over the `j = 0` tap row.
     pub fn spectrum_numeric(&self, f: f64) -> c64 {
-        let bl = self.b * self.l;
-        let row = &self.taps[..bl];
-        let step = c64::cis(-2.0 * std::f64::consts::PI * f);
+        let step = c64::cis(-2.0 * PI * f);
         let mut phase = c64::ONE;
         let mut acc = c64::ZERO;
-        for &w in row {
-            acc += w * phase;
+        for i in 0..self.b * self.l {
+            acc += self.eval_time(i as f64) * phase;
             phase *= step;
         }
         acc
     }
 
     /// The taps for modulation index `j` (`j < n_µ`), length `B·L`:
-    /// `w(i − jσ)`.
-    pub fn taps_row(&self, j: usize) -> &[c64] {
-        let bl = self.b * self.l;
-        &self.taps[j * bl..(j + 1) * bl]
+    /// `w(i − jσ)`, evaluated on demand (reference implementations and
+    /// tests; the convolution reads [`Window::panel_taps`]).
+    pub fn taps_row(&self, j: usize) -> Vec<c64> {
+        assert!(j < self.n_mu, "modulation index out of range");
+        let shift = j as f64 * self.hop();
+        (0..self.b * self.l)
+            .map(|i| self.eval_time(i as f64 - shift))
+            .collect()
     }
 
-    /// The compact per-column taps for input column `p`: an `n_µ × B`
-    /// block, `taps_for_p(p)[j·B + b] = w(bL + p − jσ)` (the "X" elements of
-    /// the paper's Fig 6(b)).
-    pub fn taps_for_p(&self, p: usize) -> &[c64] {
-        let stride = self.n_mu * self.b;
-        &self.taps_by_p[p * stride..(p + 1) * stride]
+    /// Number of `CONV_PANEL`-column panels covering the `L` columns.
+    pub fn panels(&self) -> usize {
+        self.l.div_ceil(CONV_PANEL)
+    }
+
+    /// The real taps of one panel, `[b][j][lane]` as
+    /// [`soifft_num::simd::conv_panel_c64`] takes them:
+    /// `(−1)^b·env(bL + p − jσ)` for the panel's columns `p`, each twice.
+    pub fn panel_taps(&self, panel: usize) -> &[f64] {
+        let stride = self.b * self.n_mu * 2 * CONV_PANEL;
+        &self.env[panel * stride..(panel + 1) * stride]
+    }
+
+    /// The unit phases `φ(j,p)` of one panel, `[j][column]`.
+    pub fn panel_phases(&self, panel: usize) -> &[c64] {
+        let stride = self.n_mu * CONV_PANEL;
+        &self.phi[panel * stride..(panel + 1) * stride]
     }
 
     /// The demodulation diagonal `D[l] = σ/ŵ(−l/N)`, length `M`.
@@ -418,23 +503,97 @@ mod tests {
         }
     }
 
-    #[test]
-    fn taps_by_p_matches_row_layout() {
-        let w = Window::new(WindowKind::GaussianSinc, &params());
+    /// Worst `|(−1)^b·φ(j,p)·env − w(bL + p − jσ)| / |w|` over every tap
+    /// the panel tables hold.
+    fn worst_factorisation_error(kind: WindowKind, p: &SoiParams) -> f64 {
+        p.validate().unwrap();
+        let w = Window::new(kind, p);
         let (n_mu, _) = w.mu_parts();
-        let l = w.segments();
-        let b = w.conv_width();
-        for p in [0, 1, l / 2, l - 1] {
-            let cols = w.taps_for_p(p);
-            for j in 0..n_mu {
+        let (l, b) = (w.segments(), w.conv_width());
+        let mut worst: f64 = 0.0;
+        for j in 0..n_mu {
+            let row = w.taps_row(j);
+            for col in 0..l {
+                let (panel, q) = (col / CONV_PANEL, col % CONV_PANEL);
+                let phi = w.panel_phases(panel)[j * CONV_PANEL + q];
+                assert!((phi.abs() - 1.0).abs() < 4.0 * f64::EPSILON);
                 for bb in 0..b {
-                    assert_eq!(
-                        cols[j * b + bb],
-                        w.taps_row(j)[bb * l + p],
-                        "p={p} j={j} b={bb}"
-                    );
+                    let at = (bb * n_mu + j) * 2 * CONV_PANEL + 2 * q;
+                    let env = &w.panel_taps(panel)[at..at + 2];
+                    assert_eq!(env[0], env[1], "lanes are duplicated");
+                    let want = row[bb * l + col];
+                    let err = (phi * env[0] - want).abs();
+                    if want.abs() > 0.0 {
+                        worst = worst.max(err / want.abs());
+                    } else {
+                        assert_eq!(err, 0.0, "j={j} p={col} b={bb}");
+                    }
                 }
             }
+        }
+        worst
+    }
+
+    #[test]
+    fn panel_tables_factor_the_taps() {
+        // µ = 5/4 with L = 20 (σ = 16) and µ = 8/7 with L = 16 (σ = 14):
+        // every tap argument is exactly representable, so `eval_time` and
+        // the factored form differ by their own roundings only.
+        let exact = [
+            SoiParams {
+                n: 20 * 288,
+                procs: 4,
+                segments_per_proc: 5,
+                mu: Rational::new(5, 4),
+                conv_width: 72,
+            },
+            SoiParams {
+                n: 16 * 224,
+                procs: 2,
+                segments_per_proc: 8,
+                mu: Rational::new(8, 7),
+                conv_width: 72,
+            },
+        ];
+        // The ledger's design point: σ = 12.8 is not representable, so the
+        // argument `bL + p − jσ` itself carries up to ulp(BL)/2 ≈ 1e-13 of
+        // rounding that the `b = 0` phase does not see.
+        let ledger = SoiParams {
+            n: 1 << 14,
+            procs: 2,
+            segments_per_proc: 8,
+            mu: Rational::new(5, 4),
+            conv_width: 72,
+        };
+        for kind in [
+            WindowKind::GaussianSinc,
+            WindowKind::KaiserSinc,
+            WindowKind::ProlateSinc,
+        ] {
+            for p in &exact {
+                let err = worst_factorisation_error(kind, p);
+                assert!(err <= 1e-15, "{kind:?} µ={:?}: {err:.3e}", p.mu);
+            }
+            let err = worst_factorisation_error(kind, &ledger);
+            assert!(err <= 1e-13, "{kind:?} ledger point: {err:.3e}");
+        }
+    }
+
+    #[test]
+    fn last_panel_is_zero_padded() {
+        // L = 6: one full panel and a 2-column tail.
+        let p = SoiParams {
+            n: 6 * 192,
+            procs: 3,
+            segments_per_proc: 2,
+            mu: Rational::new(2, 1),
+            conv_width: 12,
+        };
+        p.validate().unwrap();
+        let w = Window::new(WindowKind::GaussianSinc, &p);
+        assert_eq!(w.panels(), 2);
+        for lanes in w.panel_taps(1).chunks_exact(2 * CONV_PANEL) {
+            assert!(lanes[4..].iter().all(|&v| v == 0.0));
         }
     }
 
@@ -591,21 +750,35 @@ mod tests {
 
     #[test]
     fn demod_matches_spectrum_inverse() {
-        let p = params();
-        let w = Window::new(WindowKind::GaussianSinc, &p);
-        let sigma = p.total_segments() as f64 / p.mu.as_f64();
-        let d = w.demod();
-        assert_eq!(d.len(), p.m());
-        for l in [0usize, 3, p.m() / 2, p.m() - 1] {
-            let f = -(l as f64) / p.n as f64;
-            let what = w.spectrum_numeric(f);
-            let expect = c64::real(sigma) / what;
-            assert!(
-                (d[l] - expect).abs() < 1e-9 * expect.abs(),
-                "l={l}: {:?} vs {:?}",
-                d[l],
-                expect
-            );
+        // The FFT-assembled diagonal against the bin-by-bin sum, at a
+        // power-of-two `M` and at `M = 7·2⁵` (Kaiser: numeric demod only).
+        let odd = SoiParams {
+            n: 16 * 224,
+            procs: 2,
+            segments_per_proc: 8,
+            mu: Rational::new(8, 7),
+            conv_width: 24,
+        };
+        odd.validate().unwrap();
+        for (kind, p) in [
+            (WindowKind::GaussianSinc, params()),
+            (WindowKind::KaiserSinc, odd),
+        ] {
+            let w = Window::with_demod_mode(kind, &p, DemodMode::Numeric);
+            let sigma = p.total_segments() as f64 / p.mu.as_f64();
+            let d = w.demod();
+            assert_eq!(d.len(), p.m());
+            for l in [0usize, 3, p.m() / 2, p.m() - 1] {
+                let f = -(l as f64) / p.n as f64;
+                let what = w.spectrum_numeric(f);
+                let expect = c64::real(sigma) / what;
+                assert!(
+                    (d[l] - expect).abs() < 1e-9 * expect.abs(),
+                    "{kind:?} l={l}: {:?} vs {:?}",
+                    d[l],
+                    expect
+                );
+            }
         }
     }
 

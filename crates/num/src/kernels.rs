@@ -66,24 +66,6 @@ pub fn dot_scalar<T: Real>(t: &[Complex<T>], x: &[Complex<T>]) -> Complex<T> {
     acc0 + acc1
 }
 
-/// Strided inner product `Σ t[i]·x[i·stride]` (the interchanged
-/// convolution's column form).
-#[inline]
-pub fn dot_strided<T: Real>(t: &[Complex<T>], x: &[Complex<T>], stride: usize) -> Complex<T> {
-    assert!(stride >= 1);
-    assert!(
-        x.len() > (t.len().max(1) - 1) * stride || t.is_empty(),
-        "x too short"
-    );
-    let mut acc = Complex::<T>::ZERO;
-    let mut idx = 0;
-    for &tv in t {
-        acc += tv * x[idx];
-        idx += stride;
-    }
-    acc
-}
-
 /// `data[i] *= scale[i]` (demodulation / twiddle application).
 #[inline]
 pub fn mul_pointwise<T: Real>(data: &mut [Complex<T>], scale: &[Complex<T>]) {
@@ -132,24 +114,6 @@ pub fn dot_split(t: &[c32], x: &[c32]) -> c64 {
     simd::dot_split(t, x)
 }
 
-/// Split-precision strided inner product (the interchanged convolution's
-/// column form at reduced operand width).
-#[inline]
-pub fn dot_strided_split(t: &[c32], x: &[c32], stride: usize) -> c64 {
-    assert!(stride >= 1);
-    assert!(
-        x.len() > (t.len().max(1) - 1) * stride || t.is_empty(),
-        "x too short"
-    );
-    let mut acc = c64::ZERO;
-    let mut idx = 0;
-    for &tv in t {
-        acc += tv.to_c64() * x[idx].to_c64();
-        idx += stride;
-    }
-    acc
-}
-
 /// Split-precision AXPY: `f64` accumulator, `f32` operands.
 #[inline]
 pub fn axpy_split(acc: &mut [c64], t: &[c32], x: &[c32]) {
@@ -188,19 +152,6 @@ mod tests {
             let got = dot(&t, &x);
             assert!((got - naive).abs() < 1e-10 * (1.0 + naive.abs()), "n={n}");
         }
-    }
-
-    #[test]
-    fn dot_strided_matches_dense_gather() {
-        let t = v(9, 1.1);
-        let x = v(9 * 5, 0.2);
-        let dense: Vec<c64> = (0..9).map(|i| x[i * 5]).collect();
-        let want = dot(&t, &dense);
-        let got = dot_strided(&t, &x, 5);
-        assert!((got - want).abs() < 1e-10);
-        // Unit stride degenerates to dot.
-        let got1 = dot_strided(&t, &x[..9], 1);
-        assert!((got1 - dot(&t, &x[..9])).abs() < 1e-12);
     }
 
     #[test]
@@ -263,18 +214,6 @@ mod tests {
         let split_err = (dot_split(&t32, &x32) - oracle).abs();
         let f32_err = (dot(&t32, &x32).to_c64() - oracle).abs();
         assert!(split_err <= f32_err, "split {split_err} vs f32 {f32_err}");
-    }
-
-    #[test]
-    fn split_strided_matches_dense() {
-        let t64 = v(9, 1.1);
-        let x64 = v(9 * 5, 0.2);
-        let t32: Vec<c32> = t64.iter().map(|&z| c32::from_c64(z)).collect();
-        let x32: Vec<c32> = x64.iter().map(|&z| c32::from_c64(z)).collect();
-        let dense: Vec<c32> = (0..9).map(|i| x32[i * 5]).collect();
-        let want = dot_split(&t32, &dense);
-        let got = dot_strided_split(&t32, &x32, 5);
-        assert!((got - want).abs() < 1e-9);
     }
 
     #[test]

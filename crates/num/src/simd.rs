@@ -19,7 +19,9 @@
 //! fallback on the same inputs (property-tested in
 //! `tests/simd_parity.rs`): the vector lanes apply exactly the scalar
 //! formula's operations (the complex multiply is built from `mul` +
-//! `addsub`, never a fused contraction the scalar path lacks), the
+//! `addsub`, never a fused contraction the scalar path lacks — where a
+//! kernel does fuse, as the convolution panel's `fmadd` does, its scalar
+//! mirror is written with `f64::mul_add`, which rounds once too), the
 //! accumulator *count* of the scalar fallback matches the vector lane
 //! count (2 complex lanes for `c64`, 4 for `c32`), and the final
 //! cross-lane combine is the same sequential expression in both paths.
@@ -211,6 +213,118 @@ pub fn mul_pointwise_planar_scalar(are: &mut [f64], aim: &mut [f64], bre: &[f64]
         let im = are[i] * bim[i] + aim[i] * bre[i];
         are[i] = re;
         aim[i] = im;
+    }
+}
+
+/// Columns per convolution panel: one 64-byte cache line of `c64`, two
+/// AVX2 vectors.
+pub const CONV_PANEL: usize = 4;
+
+/// Output phases accumulated per pass over the taps: `5 × 2` accumulator
+/// vectors plus the panel's two input vectors fit the 16 YMM registers.
+const CONV_PHASES_PER_PASS: usize = 5;
+
+/// One (chunk, panel) unit of the SOI convolution with real taps and one
+/// unit phase per output: for `j < n_mu` and column `q < width`,
+///
+/// ```text
+/// out[j·l + q] = phi[j·4 + q] · Σ_b taps[(b·n_mu + j)·8 + 2q] · x[b·l + q]
+/// ```
+///
+/// `taps` is `[b][j][lane]` with each column's real tap stored twice (the
+/// `re` and `im` lanes of the vector it multiplies), so `B =
+/// taps.len() / (8·n_mu)`; `x` and `out` are rows of stride `l` starting
+/// at the panel's first column. Each tap row loads the panel's inputs
+/// once and feeds every phase's accumulator with one real×complex FMA per
+/// vector; the finished sums are rotated by `phi` and stored once.
+///
+/// Every output is the same operation sequence (`B` fused multiply-adds
+/// per component in `b` order, then one complex multiply) whatever
+/// `width`, `n_mu` grouping or ISA, so results are bit-identical to
+/// [`conv_panel_c64_scalar`].
+#[inline]
+pub fn conv_panel_c64(
+    taps: &[f64],
+    phi: &[c64],
+    n_mu: usize,
+    x: &[c64],
+    l: usize,
+    width: usize,
+    out: &mut [c64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() {
+        let b = conv_panel_check(taps, phi, n_mu, x, l, width, out);
+        // SAFETY: avx2+fma verified by `simd_active`; `conv_panel_check`
+        // established every bound the kernel's doc lists.
+        unsafe { avx2::conv_panel_c64(taps, phi, n_mu, b, x, l, width, out) };
+        return;
+    }
+    conv_panel_c64_scalar(taps, phi, n_mu, x, l, width, out);
+}
+
+/// Scalar reference for [`conv_panel_c64`], built on `f64::mul_add` so it
+/// rounds exactly where the FMA kernel does.
+pub fn conv_panel_c64_scalar(
+    taps: &[f64],
+    phi: &[c64],
+    n_mu: usize,
+    x: &[c64],
+    l: usize,
+    width: usize,
+    out: &mut [c64],
+) {
+    let b = conv_panel_check(taps, phi, n_mu, x, l, width, out);
+    for q in 0..width {
+        conv_column_scalar(taps, phi, n_mu, b, x, l, q, out);
+    }
+}
+
+/// Shape checks shared by both convolution-panel paths; returns the tap
+/// count `B`. After it, `taps` is `B × n_mu × 8`, `phi` is `n_mu × 4`,
+/// and rows `b < B` of `x` / `j < n_mu` of `out` hold `width` columns.
+fn conv_panel_check(
+    taps: &[f64],
+    phi: &[c64],
+    n_mu: usize,
+    x: &[c64],
+    l: usize,
+    width: usize,
+    out: &[c64],
+) -> usize {
+    assert!(n_mu > 0 && !taps.is_empty(), "empty tap table");
+    assert_eq!(taps.len() % (2 * CONV_PANEL * n_mu), 0, "ragged tap table");
+    assert_eq!(phi.len(), CONV_PANEL * n_mu, "phase table length");
+    assert!(
+        (1..=CONV_PANEL).contains(&width) && width <= l,
+        "panel width"
+    );
+    let b = taps.len() / (2 * CONV_PANEL * n_mu);
+    assert!(x.len() >= (b - 1) * l + width, "input too short");
+    assert!(out.len() >= (n_mu - 1) * l + width, "output too short");
+    b
+}
+
+/// Column `q` of one convolution panel, all `n_mu` phases.
+#[allow(clippy::too_many_arguments)]
+fn conv_column_scalar(
+    taps: &[f64],
+    phi: &[c64],
+    n_mu: usize,
+    b: usize,
+    x: &[c64],
+    l: usize,
+    q: usize,
+    out: &mut [c64],
+) {
+    for j in 0..n_mu {
+        let mut acc = c64::ZERO;
+        for bb in 0..b {
+            let e = taps[(bb * n_mu + j) * 2 * CONV_PANEL + 2 * q];
+            let v = x[bb * l + q];
+            acc = c64::new(e.mul_add(v.re, acc.re), e.mul_add(v.im, acc.im));
+        }
+        out[j * l + q] = acc * phi[j * CONV_PANEL + q];
     }
 }
 
@@ -594,6 +708,91 @@ mod avx2 {
             let im = are[j] * bim[j] + aim[j] * bre[j];
             are[j] = re;
             aim[j] = im;
+        }
+    }
+
+    /// `NJ` phases × `NV` vectors (2 columns each) of one convolution
+    /// panel: `NJ·NV` accumulators live in registers across the tap loop.
+    ///
+    /// # Safety
+    /// Requires avx2+fma. For `b < taps_b`: `taps + b·tap_stride` must
+    /// point at `NJ` rows of 8 doubles and `x + 2·b·l` at `4·NV` doubles;
+    /// `phi` at `NJ` rows of 8 doubles; `out + 2·j·l` at `4·NV` writable
+    /// doubles for `j < NJ`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn conv_group<const NJ: usize, const NV: usize>(
+        taps: *const f64,
+        tap_stride: usize,
+        taps_b: usize,
+        phi: *const f64,
+        x: *const f64,
+        l: usize,
+        out: *mut f64,
+    ) {
+        let mut acc = [[_mm256_setzero_pd(); NV]; NJ];
+        for b in 0..taps_b {
+            let row = x.add(2 * b * l);
+            let mut xv = [_mm256_setzero_pd(); NV];
+            for (v, slot) in xv.iter_mut().enumerate() {
+                *slot = _mm256_loadu_pd(row.add(4 * v));
+            }
+            let t = taps.add(b * tap_stride);
+            for (j, acc_j) in acc.iter_mut().enumerate() {
+                for (v, a) in acc_j.iter_mut().enumerate() {
+                    *a = _mm256_fmadd_pd(_mm256_loadu_pd(t.add(8 * j + 4 * v)), xv[v], *a);
+                }
+            }
+        }
+        for (j, acc_j) in acc.iter().enumerate() {
+            for (v, &a) in acc_j.iter().enumerate() {
+                let ph = _mm256_loadu_pd(phi.add(8 * j + 4 * v));
+                _mm256_storeu_pd(out.add(2 * j * l + 4 * v), cmul_pd(a, ph));
+            }
+        }
+    }
+
+    /// # Safety
+    /// Requires avx2+fma and the shapes `conv_panel_check` establishes
+    /// with `b` the tap count it returned.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn conv_panel_c64(
+        taps: &[f64],
+        phi: &[c64],
+        n_mu: usize,
+        b: usize,
+        x: &[c64],
+        l: usize,
+        width: usize,
+        out: &mut [c64],
+    ) {
+        let nv = width / 2;
+        let stride = 2 * CONV_PANEL * n_mu;
+        let xp = x.as_ptr() as *const f64;
+        let op = out.as_mut_ptr() as *mut f64;
+        let mut j0 = 0;
+        while nv > 0 && j0 < n_mu {
+            let nj = (n_mu - j0).min(CONV_PHASES_PER_PASS);
+            let t = taps.as_ptr().add(8 * j0);
+            let ph = (phi.as_ptr() as *const f64).add(8 * j0);
+            let o = op.add(2 * j0 * l);
+            // Vector columns are `q < 2·nv ≤ width`, phases `j0..j0+nj ≤
+            // n_mu`: inside the checked rows of every slice.
+            macro_rules! pass {
+                ($($nj:literal)*) => {
+                    match (nj, nv) {
+                        $(($nj, 2) => conv_group::<$nj, 2>(t, stride, b, ph, xp, l, o),
+                          ($nj, _) => conv_group::<$nj, 1>(t, stride, b, ph, xp, l, o),)*
+                        _ => unreachable!("at most CONV_PHASES_PER_PASS phases per pass"),
+                    }
+                };
+            }
+            pass!(1 2 3 4 5);
+            j0 += nj;
+        }
+        // An odd trailing column has no vector to ride in.
+        for q in 2 * nv..width {
+            conv_column_scalar(taps, phi, n_mu, b, x, l, q, out);
         }
     }
 

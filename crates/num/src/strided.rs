@@ -3,9 +3,9 @@
 //! Long-stride access is the recurring villain of the paper (§5.2.1: "the
 //! memory accesses will be in larger strides, sometimes greater than a page
 //! size"; §5.3: "conflict misses from long-stride access to input"). The
-//! standard cure, used by both the 6-step FFT and the buffered convolution,
-//! is to *stage* strided data through a small contiguous buffer and run the
-//! compute kernel on the buffer. These helpers are those staging copies,
+//! standard cure, used by the 6-step FFT, is to *stage* strided data
+//! through a small contiguous buffer and run the compute kernel on the
+//! buffer. These helpers are those staging copies,
 //! generic over the precision parameter [`Real`].
 
 use crate::complex::Complex;
@@ -84,74 +84,6 @@ pub fn scatter_matrix<T: Real>(
     }
 }
 
-/// A fixed-capacity circular staging buffer over a strided input stream.
-///
-/// This is the §5.3 "Avoiding Cache Conflict Misses by Buffering" structure:
-/// the convolution reads `B` window-width elements at stride `L`; instead of
-/// touching the strided input `n_µ` times per chunk, `B` elements are held
-/// contiguously and only `d_µ` new elements are copied in per chunk
-/// ("translate B non-contiguous loads to ... d_µ non-contiguous loads and
-/// d_µ contiguous stores").
-#[derive(Clone, Debug)]
-pub struct CircularBuffer<T: Real = f64> {
-    buf: Vec<Complex<T>>,
-    head: usize,
-}
-
-impl<T: Real> CircularBuffer<T> {
-    /// Creates a buffer of capacity `cap` filled with zeros.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap > 0, "capacity must be positive");
-        CircularBuffer {
-            buf: vec![Complex::<T>::ZERO; cap],
-            head: 0,
-        }
-    }
-
-    /// Capacity in elements.
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Overwrites the whole buffer from a strided gather (initial fill).
-    pub fn fill_strided(&mut self, src: &[Complex<T>], offset: usize, stride: usize) {
-        let cap = self.buf.len();
-        gather(src, offset, stride, cap, &mut self.buf);
-        self.head = 0;
-    }
-
-    /// Advances the window by `n` elements, gathering the `n` new elements
-    /// from `src` (strided) and overwriting the `n` oldest.
-    pub fn advance_strided(&mut self, src: &[Complex<T>], offset: usize, stride: usize, n: usize) {
-        let cap = self.buf.len();
-        assert!(n <= cap, "advance larger than capacity");
-        let mut idx = offset;
-        for k in 0..n {
-            self.buf[(self.head + k) % cap] = src[idx];
-            idx += stride;
-        }
-        self.head = (self.head + n) % cap;
-    }
-
-    /// Logical element `i` (0 = oldest element of the window).
-    #[inline]
-    pub fn get(&self, i: usize) -> Complex<T> {
-        let cap = self.buf.len();
-        debug_assert!(i < cap);
-        self.buf[(self.head + i) % cap]
-    }
-
-    /// Copies the logical window into a dense slice (used when a kernel
-    /// wants a straight contiguous view instead of modular indexing).
-    pub fn snapshot(&self, out: &mut [Complex<T>]) {
-        let cap = self.buf.len();
-        assert_eq!(out.len(), cap, "snapshot length mismatch");
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.get(i);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,59 +134,5 @@ mod tests {
                 assert_eq!(dst[2 + r * stride + c], dense[r * 5 + c]);
             }
         }
-    }
-
-    #[test]
-    fn circular_buffer_sliding_window_matches_direct_gather() {
-        // Window of B=6 over stride-4 data, advancing d=2 at a time:
-        // exactly the convolution staging pattern.
-        let src = data(200);
-        let (b, d, stride) = (6usize, 2usize, 4usize);
-        let mut cb = CircularBuffer::<f64>::new(b);
-        cb.fill_strided(&src, 0, stride);
-        let mut direct = vec![c64::ZERO; b];
-        for step in 0..10 {
-            let base = step * d; // element offset of window start
-            gather(&src, base * stride, stride, b, &mut direct);
-            let mut snap = vec![c64::ZERO; b];
-            cb.snapshot(&mut snap);
-            assert_eq!(snap, direct, "step {step}");
-            for (i, want) in direct.iter().enumerate() {
-                assert_eq!(cb.get(i), *want, "step {step} i {i}");
-            }
-            // Advance: new elements are at window positions b..b+d.
-            cb.advance_strided(&src, (base + b) * stride, stride, d);
-        }
-    }
-
-    #[test]
-    fn circular_buffer_works_in_f32() {
-        let src: Vec<crate::complex::c32> = (0..32)
-            .map(|i| crate::complex::c32::new(i as f32, -(i as f32)))
-            .collect();
-        let mut cb = CircularBuffer::<f32>::new(4);
-        cb.fill_strided(&src, 0, 2);
-        assert_eq!(cb.get(3), src[6]);
-        cb.advance_strided(&src, 8, 2, 2);
-        assert_eq!(cb.get(3), src[10]);
-    }
-
-    #[test]
-    fn circular_buffer_full_advance_replaces_everything() {
-        let src = data(64);
-        let mut cb = CircularBuffer::<f64>::new(4);
-        cb.fill_strided(&src, 0, 1);
-        cb.advance_strided(&src, 10, 1, 4);
-        let mut snap = vec![c64::ZERO; 4];
-        cb.snapshot(&mut snap);
-        assert_eq!(snap, &src[10..14]);
-    }
-
-    #[test]
-    #[should_panic(expected = "advance larger than capacity")]
-    fn circular_buffer_overadvance_panics() {
-        let src = data(8);
-        let mut cb = CircularBuffer::<f64>::new(2);
-        cb.advance_strided(&src, 0, 1, 3);
     }
 }

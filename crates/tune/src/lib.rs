@@ -140,7 +140,9 @@ impl RateModel {
     pub fn default_prior() -> Self {
         RateModel {
             fft_flops_per_s: 2.0e9,
-            conv_flops_per_s: 4.0e9,
+            // Nominal `8BµN` flops per second of the panel-outer kernel
+            // inside a transform on a ~2 GHz AVX2 core.
+            conv_flops_per_s: 3.0e10,
             net_bytes_per_s: 4.0e9,
             net_latency_s: 5.0e-6,
         }
@@ -357,9 +359,11 @@ const SEGMENT_GRID: &[usize] = &[1, 2, 4, 8, 16, 32];
 /// Chunk/proxy granularity probed for the pipelined exchanges.
 const CHUNK_ELEMS: usize = 8192;
 
-/// Working-set size above which the row-major convolution's strided
-/// sweep is penalized in the prior (nominal shared-LLC bytes).
-const LLC_BYTES: usize = 32 << 20;
+/// Tap-table size above which the chunk-outer convolution, which streams
+/// the whole table once per chunk, is penalized harder in the prior
+/// (nominal private-L2 bytes). The panel-outer orders keep one panel's
+/// taps in L1 at any size.
+const TAP_CACHE_BYTES: usize = 1 << 20;
 
 /// Prior discount for the fused front end: one fewer sweep over `u`
 /// (§5.3 loop fusion).
@@ -579,21 +583,16 @@ impl Tuner {
         let report = PlanReport::new(cand.params).map_err(|(e, _)| TuneError::InvalidShape(e))?;
         let b = report.predicted_phases(&self.rates.to_sim());
 
-        let working_set = report.tap_bytes + report.conv_out_bytes;
-        let strategy_factor = if cand.exec.fused {
-            1.0
-        } else {
-            match cand.exec.strategy {
-                ConvStrategy::RowMajor => {
-                    if working_set > LLC_BYTES {
-                        1.5
-                    } else {
-                        1.1
-                    }
-                }
-                ConvStrategy::Interchanged => 1.05,
-                ConvStrategy::InterchangedBuffered => 1.0,
-            }
+        // Refit to the panel kernel (2-core AVX2 host, µ = 5/4, B = 72):
+        // chunk-outer over an L2-resident table (L = 16, 92 KB) runs 1.3×
+        // the panel-outer time, over a 2.9 MB table (L = 512) about 2×.
+        // The fused front end is chunk-outer too. The two interchanged
+        // variants are one loop nest.
+        let chunk_outer = cand.exec.fused || cand.exec.strategy == ConvStrategy::RowMajor;
+        let strategy_factor = match (chunk_outer, report.tap_bytes > TAP_CACHE_BYTES) {
+            (false, _) => 1.0,
+            (true, false) => 1.3,
+            (true, true) => 2.0,
         };
         let mut conv_s = b.convolution_s * strategy_factor;
         let mut seg_s = b.segment_fft_s;

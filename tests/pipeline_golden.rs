@@ -5,15 +5,17 @@
 //! is run on one seeded uniform-random input (P = 4, two segments per
 //! rank, plus the heterogeneous 1/3/1/3 layout) and the
 //! [`soifft::cluster::checksum`] of the gathered spectrum is compared
-//! against the table at the bottom of this file. The table was recorded
-//! before the pipeline was restructured into one staged executor, so a
-//! passing run proves the executor reproduces the former per-entry-point
-//! bodies bit for bit. (The SIMD kernels' scalar fallbacks are
-//! lane-for-lane mirrors of the vector code — `tests/simd_parity.rs` — so
-//! the digests do not depend on the host's instruction set.)
+//! against the table at the bottom of this file. (The SIMD kernels'
+//! scalar fallbacks are lane-for-lane mirrors of the vector code —
+//! `tests/simd_parity.rs` — so the digests do not depend on the host's
+//! instruction set; CI runs this file under `SOIFFT_FORCE_SCALAR=1` too.)
 //!
-//! Three structural facts are asserted alongside the digests:
+//! Four structural facts are asserted alongside the digests:
 //!
+//! * the bits do not depend on the front end: every convolution loop
+//!   order, fused or not, runs the same panel kernel, so each output
+//!   element is one operation sequence and the table has one row per
+//!   precision;
 //! * the allocating forms (`forward`, `try_forward`, `forward_many`) and
 //!   the workspace forms (`forward_into` on a *warm* workspace,
 //!   `try_forward_into`) agree bitwise;
@@ -112,12 +114,12 @@ fn compute() -> BTreeMap<String, u64> {
     let policy = ExchangePolicy::default();
     let mut got = BTreeMap::new();
 
-    // forward / forward_into over the full grid, uniform layout. The
-    // exchange plan never changes the bits, so one table row per
-    // (front end, precision) covers all five plans.
-    for (fe_label, fe) in front_ends(&base) {
-        for precision in Precision::ALL {
-            let mut row: Option<u64> = None;
+    // forward / forward_into over the full grid, uniform layout. Neither
+    // the exchange plan nor the front end changes the bits, so one table
+    // row per precision covers all twenty combinations.
+    for precision in Precision::ALL {
+        let mut row: Option<u64> = None;
+        for (fe_label, fe) in front_ends(&base) {
             for (ex_label, exchange) in EXCHANGES {
                 let fft = fe.clone().with_precision(precision).with_exchange(exchange);
                 // `with_precision` may re-consult wisdom; re-pin the front end.
@@ -131,14 +133,14 @@ fn compute() -> BTreeMap<String, u64> {
                 assert_eq!(
                     *row.get_or_insert(d),
                     d,
-                    "{what}: bits depend on the exchange plan"
+                    "{what}: bits depend on the front end or the exchange plan"
                 );
             }
-            got.insert(
-                format!("forward/{fe_label}/{}", precision_label(precision)),
-                row.expect("five plans ran"),
-            );
         }
+        got.insert(
+            format!("forward/{}", precision_label(precision)),
+            row.expect("twenty combinations ran"),
+        );
     }
 
     // Heterogeneous layout (Proxied supports uniform layouts only).
@@ -180,6 +182,7 @@ fn compute() -> BTreeMap<String, u64> {
     // (allocating and workspace forms agree), the default front end
     // through the cancellable form with an open gate and on the
     // heterogeneous layout.
+    let mut row: Option<u64> = None;
     for (fe_label, fe) in front_ends(&base) {
         let a = gather_output(Cluster::run(p.procs, |comm| {
             fe.try_forward(comm, &inputs[comm.rank()], &policy)
@@ -196,8 +199,14 @@ fn compute() -> BTreeMap<String, u64> {
             y
         }));
         assert_eq!(a, b, "{fe_label}: try_forward_into != try_forward");
-        got.insert(format!("try_forward/{fe_label}"), checksum(&a));
+        let d = checksum(&a);
+        assert_eq!(
+            *row.get_or_insert(d),
+            d,
+            "{fe_label}: try_forward bits depend on the front end"
+        );
     }
+    got.insert("try_forward".into(), row.expect("four front ends ran"));
     let gate = CancelGate::new();
     let y = gather_output(Cluster::run(p.procs, |comm| {
         let mut ws = base.make_workspace();
@@ -299,23 +308,13 @@ fn pipeline_output_bits_match_the_recorded_digests() {
     let got = compute();
 
     // Cross-path identities at F64 (independent of the table's values).
-    let plain = got["forward/buffering/f64"];
-    assert_eq!(got["try_forward/buffering"], plain);
+    let plain = got["forward/f64"];
+    assert_eq!(got["try_forward"], plain);
     assert_eq!(got["cancellable/open-gate"], plain);
-    for name in ["clean", "respawn", "degraded-snapshots", "degraded-inputs"] {
-        assert_eq!(got[&format!("recovered/default/{name}")], plain, "{name}");
-        assert_eq!(
-            got[&format!("recovered/fused/{name}")],
-            got["forward/fused/f64"],
-            "fused {name}"
-        );
-    }
-    for (label, _) in front_ends(&SoiFft::new(params()).expect("valid params")) {
-        assert_eq!(
-            got[&format!("try_forward/{label}")],
-            got[&format!("forward/{label}/f64")],
-            "{label}"
-        );
+    for fe in ["default", "fused"] {
+        for name in ["clean", "respawn", "degraded-snapshots", "degraded-inputs"] {
+            assert_eq!(got[&format!("recovered/{fe}/{name}")], plain, "{fe} {name}");
+        }
     }
     assert_eq!(got["try_forward-hetero"], got["forward-hetero/f64"]);
 
@@ -329,37 +328,28 @@ fn pipeline_output_bits_match_the_recorded_digests() {
     }
 }
 
-/// Recorded at commit c3da301 (the three hand-written superstep bodies).
+/// Re-recorded with the real-envelope panel kernel: taps are applied as
+/// `φ·Σ ±env·x` with fused multiply-adds, a reassociation of the former
+/// complex `Σ w·x` (SNR against the oracle unchanged; the f32 row did not
+/// move at all). Identical under AVX2 and `SOIFFT_FORCE_SCALAR=1`.
 const GOLDEN: &[(&str, u64)] = &[
-    ("cancellable/open-gate", 0xcf3f020e0018ebba),
+    ("cancellable/open-gate", 0x2c91cb514575a6f5),
     ("forward-hetero/f32", 0xbfc6dd7f17580b86),
-    ("forward-hetero/f64", 0xcf3f020e0018ebba),
-    ("forward-hetero/split", 0x0a5780ea2c83fe88),
-    ("forward/baseline/f32", 0xbfc6dd7f17580b86),
-    ("forward/baseline/f64", 0x999f62b27cdfa992),
-    ("forward/baseline/split", 0x0a5780ea2c83fe88),
-    ("forward/buffering/f32", 0xbfc6dd7f17580b86),
-    ("forward/buffering/f64", 0xcf3f020e0018ebba),
-    ("forward/buffering/split", 0x0a5780ea2c83fe88),
-    ("forward/fused/f32", 0xbfc6dd7f17580b86),
-    ("forward/fused/f64", 0x999f62b27cdfa992),
-    ("forward/fused/split", 0x0a5780ea2c83fe88),
-    ("forward/interchange/f32", 0xbfc6dd7f17580b86),
-    ("forward/interchange/f64", 0x999f62b27cdfa992),
-    ("forward/interchange/split", 0x0a5780ea2c83fe88),
-    ("recovered/default/clean", 0xcf3f020e0018ebba),
-    ("recovered/default/degraded-inputs", 0xcf3f020e0018ebba),
-    ("recovered/default/degraded-snapshots", 0xcf3f020e0018ebba),
-    ("recovered/default/respawn", 0xcf3f020e0018ebba),
-    ("recovered/fused/clean", 0x999f62b27cdfa992),
-    ("recovered/fused/degraded-inputs", 0x999f62b27cdfa992),
-    ("recovered/fused/degraded-snapshots", 0x999f62b27cdfa992),
-    ("recovered/fused/respawn", 0x999f62b27cdfa992),
-    ("segments/hetero", 0xeab0a28e0a4bb1aa),
-    ("segments/uniform", 0xeab0a28e0a4bb1aa),
-    ("try_forward-hetero", 0xcf3f020e0018ebba),
-    ("try_forward/baseline", 0x999f62b27cdfa992),
-    ("try_forward/buffering", 0xcf3f020e0018ebba),
-    ("try_forward/fused", 0x999f62b27cdfa992),
-    ("try_forward/interchange", 0x999f62b27cdfa992),
+    ("forward-hetero/f64", 0x2c91cb514575a6f5),
+    ("forward-hetero/split", 0xf860c83c1e23cdfa),
+    ("forward/f32", 0xbfc6dd7f17580b86),
+    ("forward/f64", 0x2c91cb514575a6f5),
+    ("forward/split", 0xf860c83c1e23cdfa),
+    ("recovered/default/clean", 0x2c91cb514575a6f5),
+    ("recovered/default/degraded-inputs", 0x2c91cb514575a6f5),
+    ("recovered/default/degraded-snapshots", 0x2c91cb514575a6f5),
+    ("recovered/default/respawn", 0x2c91cb514575a6f5),
+    ("recovered/fused/clean", 0x2c91cb514575a6f5),
+    ("recovered/fused/degraded-inputs", 0x2c91cb514575a6f5),
+    ("recovered/fused/degraded-snapshots", 0x2c91cb514575a6f5),
+    ("recovered/fused/respawn", 0x2c91cb514575a6f5),
+    ("segments/hetero", 0xacbc063975b115de),
+    ("segments/uniform", 0xacbc063975b115de),
+    ("try_forward", 0x2c91cb514575a6f5),
+    ("try_forward-hetero", 0x2c91cb514575a6f5),
 ];

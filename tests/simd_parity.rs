@@ -147,6 +147,53 @@ proptest! {
         prop_assert_eq!(bits64(&acc_a), bits64(&acc_b));
     }
 
+    /// Convolution panel kernel: every phase count that splits the
+    /// register groups differently (2; 5; 5+3; 5+4), odd tap counts, and
+    /// row widths whose last panel is full (16, 20) or a 2-column tail
+    /// (6, 10) — plus 1- and 3-column tails via `l − 1`. Outputs past the
+    /// panel's width must stay untouched in both paths.
+    #[test]
+    fn conv_panel_parity(
+        n_mu in prop::sample::select(vec![2usize, 5, 8, 9]),
+        half_b in 0usize..13,
+        l in prop::sample::select(vec![5usize, 6, 7, 10, 16, 20]),
+        seed in proptest::prelude::any::<u64>(),
+    ) {
+        let b = 2 * half_b + 1;
+        let lanes = 2 * simd::CONV_PANEL;
+        let mut next = stream(seed);
+        let x = vec_c64(b * l, seed ^ 0x11);
+        for p0 in (0..l).step_by(simd::CONV_PANEL) {
+            let width = simd::CONV_PANEL.min(l - p0);
+            let mut taps = vec![0.0; b * n_mu * lanes];
+            for pair in taps.chunks_exact_mut(2) {
+                pair.fill(next());
+            }
+            let phi = vec_c64(n_mu * simd::CONV_PANEL, seed ^ p0 as u64);
+            let untouched = vec_c64(n_mu * l - p0, seed ^ 0x22);
+            let mut a = untouched.clone();
+            let mut want = a.clone();
+            simd::conv_panel_c64(&taps, &phi, n_mu, &x[p0..], l, width, &mut a);
+            simd::conv_panel_c64_scalar(&taps, &phi, n_mu, &x[p0..], l, width, &mut want);
+            prop_assert_eq!(bits64(&a), bits64(&want));
+            for (i, (got, before)) in a.iter().zip(&untouched).enumerate() {
+                if !(p0..p0 + width).contains(&((p0 + i) % l)) {
+                    prop_assert_eq!(got, before);
+                }
+            }
+            // The mirror really is the definition, to rounding.
+            for j in 0..n_mu {
+                for q in 0..width {
+                    let sum = (0..b).fold(c64::ZERO, |acc, bb| {
+                        acc + x[p0 + bb * l + q] * taps[(bb * n_mu + j) * lanes + 2 * q]
+                    });
+                    let expect = sum * phi[j * simd::CONV_PANEL + q];
+                    prop_assert!((a[j * l + q] - expect).abs() < 1e-12);
+                }
+            }
+        }
+    }
+
     /// Precision-conversion kernels: exact widening and pure bit
     /// movement, so SIMD must equal scalar on every length (odd tails
     /// exercise the pad-dropping path).

@@ -7,6 +7,7 @@ use soifft::cluster::Cluster;
 use soifft::fft::Plan;
 use soifft::num::c64;
 use soifft::num::error::{rel_l2, rel_linf};
+use soifft::num::simd::CONV_PANEL;
 use soifft::par::Pool;
 use soifft::soi::conv::{convolve, convolve_reference};
 use soifft::soi::pipeline::{gather_output, scatter_input};
@@ -93,16 +94,20 @@ proptest! {
     fn window_taps_within_read_window(p in valid_params()) {
         let w = Window::new(WindowKind::GaussianSinc, &p);
         let l = p.total_segments();
-        let bl = p.conv_width * l;
         let (n_mu, d_mu) = (p.mu.num(), p.mu.den());
         let sigma = (d_mu * l) as f64 / n_mu as f64;
-        for j in 0..n_mu {
-            let row = w.taps_row(j);
-            prop_assert_eq!(row.len(), bl);
-            let lo = (j as f64 * sigma).floor();
-            for (i, v) in row.iter().enumerate() {
-                if (i as f64) < lo - 1.0 {
-                    prop_assert!(v.abs() == 0.0, "j={} i={}", j, i);
+        // Checked on the panel tables the convolution kernel reads.
+        let lanes = 2 * CONV_PANEL;
+        prop_assert_eq!(w.panels(), l.div_ceil(CONV_PANEL));
+        for panel in 0..w.panels() {
+            let taps = w.panel_taps(panel);
+            prop_assert_eq!(taps.len(), p.conv_width * n_mu * lanes);
+            for (at, v) in taps.iter().enumerate() {
+                let (b, j, q) = (at / (n_mu * lanes), at / lanes % n_mu, at % lanes / 2);
+                let col = panel * CONV_PANEL + q;
+                let i = b * l + col;
+                if col >= l || (i as f64) < (j as f64 * sigma).floor() - 1.0 {
+                    prop_assert!(*v == 0.0, "j={} i={}", j, i);
                 }
             }
         }
