@@ -1,8 +1,9 @@
-//! Criterion bench behind §5.1: all-to-all exchange, blocking vs chunked
-//! pipelining at several chunk sizes (the latency/throughput trade the
-//! paper tunes for PCIe↔InfiniBand overlap).
+//! Criterion bench of the all-to-all exchange (the `Perm_{L,N'}` step of
+//! SOI, three of them in Cooley–Tukey): one allocating `all_to_all` per
+//! launch against eight back-to-back `all_to_all_into` calls whose
+//! payloads cycle through the rank's buffer pool.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use soifft_bench::signal;
 use soifft_cluster::Cluster;
 use soifft_num::c64;
@@ -25,15 +26,22 @@ fn bench_alltoall(c: &mut Criterion) {
             })
         });
     });
-    for chunk in [256usize, 1024, 4096] {
-        g.bench_with_input(BenchmarkId::new("chunked", chunk), &chunk, |b, &chunk| {
-            b.iter(|| {
-                Cluster::run(procs, |comm| {
-                    comm.all_to_all_chunked(make_outgoing(comm.rank(), procs, per_dest), chunk)
-                })
-            });
+    g.bench_function("into_x8", |b| {
+        b.iter(|| {
+            Cluster::run(procs, |comm| {
+                let data = make_outgoing(comm.rank(), procs, per_dest);
+                let mut outgoing = vec![Vec::new(); procs];
+                let mut incoming = Vec::new();
+                for _ in 0..8 {
+                    for (slot, part) in outgoing.iter_mut().zip(&data) {
+                        *slot = comm.acquire_buffer(per_dest);
+                        slot.extend_from_slice(part);
+                    }
+                    comm.all_to_all_into(&mut outgoing, &mut incoming);
+                }
+            })
         });
-    }
+    });
     g.finish();
 }
 

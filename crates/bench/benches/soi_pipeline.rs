@@ -54,8 +54,7 @@ fn bench_exchange_plans(c: &mut Criterion) {
     g.sample_size(10);
     for (label, plan) in [
         ("monolithic", ExchangePlan::Monolithic),
-        ("chunked_1k", ExchangePlan::Chunked(1024)),
-        ("per_segment", ExchangePlan::PerSegment),
+        ("overlapped", ExchangePlan::Overlapped),
     ] {
         let soi = SoiFft::new(params())
             .expect("plannable")

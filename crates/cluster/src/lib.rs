@@ -55,7 +55,6 @@
 
 pub mod checkpoint;
 pub mod fault;
-pub mod proxy;
 pub mod resilience;
 pub mod stats;
 pub mod supervisor;
@@ -74,7 +73,6 @@ pub use fault::{
     BitFlipSite, BitFlipSpec, CrashSite, CrashSpec, FaultAction, FaultEvents, FaultInjector,
     FaultPlan,
 };
-pub use proxy::ProxyCore;
 pub use resilience::{
     checksum, CancellableBarrier, CommError, ExchangePolicy, FailureDetection, RankOutcome,
     RetryPolicy, ValidationPolicy,
@@ -244,7 +242,7 @@ pub struct Comm {
     rank: usize,
     size: usize,
     /// The message-moving backend (delivery, failure detection, barrier).
-    pub(crate) transport: Box<dyn Transport>,
+    transport: Box<dyn Transport>,
     pending: HashMap<(usize, u64), Vec<Vec<c64>>>,
     /// Sequence numbers already accepted, per source (duplicate filter;
     /// only populated when verification is on).
@@ -252,17 +250,17 @@ pub struct Comm {
     injector: Option<FaultInjector>,
     /// Whether wire messages carry/verify checksums and sequence filtering
     /// (on exactly when a fault plan is installed).
-    pub(crate) verify: bool,
+    verify: bool,
     retry: RetryPolicy,
     recv_deadline_default: Duration,
-    pub(crate) next_seq: u64,
+    next_seq: u64,
     /// Monotone counter agreeing across ranks (collective calls are
     /// collective), isolating each resilient exchange's tag space.
     exchange_epoch: u64,
     /// Supervision epoch of this incarnation (0 outside supervised runs);
     /// stamped on every outgoing message and checked on every arrival.
-    pub(crate) generation: u64,
-    pub(crate) stats: CommStats,
+    generation: u64,
+    stats: CommStats,
     /// Freelist of recycled payload buffers (see [`BufferPool`]).
     pool: BufferPool,
 }
@@ -637,7 +635,7 @@ impl Comm {
     /// Takes a cleared buffer with capacity ≥ `len` from this rank's
     /// freelist, or allocates one (rounded up to the pool's capacity
     /// class) and charges the `comm_allocs` ledger. Message payloads the
-    /// transport stages (ghost halos, all-to-all chunks, resilient
+    /// transport stages (ghost halos, packed all-to-all parts, resilient
     /// retransmit copies) come from here, so a steady-state exchange that
     /// recycles what it receives allocates nothing.
     pub fn acquire_buffer(&mut self, len: usize) -> Vec<c64> {
@@ -742,7 +740,7 @@ impl Comm {
 
     /// Non-blocking receive: returns a matching message if one has already
     /// arrived, without waiting (the `MPI_Iprobe + MPI_Recv` pattern used
-    /// when polling for pipelined chunks while computing).
+    /// when polling for segment parts while computing).
     ///
     /// # Panics
     /// If `src` is not a rank of this cluster. (The `Option` return means
@@ -805,51 +803,64 @@ impl Comm {
     /// indexed by source. This is the `Perm_{L,N'}` step of SOI and each of
     /// the three exchanges of Cooley–Tukey.
     ///
-    /// The whole exchange is recorded as one `"all-to-all"` phase.
-    pub fn all_to_all(&mut self, outgoing: Vec<Vec<c64>>) -> Vec<Vec<c64>> {
-        assert_eq!(outgoing.len(), self.size, "need one buffer per rank");
-        self.maybe_crash(CrashSite::AllToAll);
-        let t = self.stats.phase_start();
-        for (dst, data) in outgoing.into_iter().enumerate() {
-            self.send(dst, tags::ALL_TO_ALL, data);
-        }
-        let mut incoming: Vec<Vec<c64>> = (0..self.size).map(|_| Vec::new()).collect();
-        for (src, slot) in incoming.iter_mut().enumerate() {
-            *slot = self.recv(src, tags::ALL_TO_ALL);
-        }
-        self.stats.phase_end("all-to-all", t);
+    /// Thin wrapper over [`Comm::all_to_all_into`]: the whole exchange is
+    /// recorded as one `"all-to-all"` phase.
+    pub fn all_to_all(&mut self, mut outgoing: Vec<Vec<c64>>) -> Vec<Vec<c64>> {
+        let mut incoming = Vec::with_capacity(self.size);
+        self.all_to_all_into(&mut outgoing, &mut incoming);
         incoming
     }
 
     /// [`Comm::all_to_all`] against caller-owned buffers — the workspace
-    /// form of the exchange. Each `outgoing[d]` is moved onto the wire
-    /// (left empty); whatever `incoming` held from a previous iteration is
-    /// recycled into the pool before the received payloads are pushed, so
-    /// an iterated exchange that refills its outgoing buffers from the
-    /// pool allocates nothing in steady state. Wire traffic is identical
-    /// to [`Comm::all_to_all`].
+    /// form of the exchange. Whatever `incoming` held from a previous
+    /// iteration is recycled into the pool, then each `outgoing[d]` is
+    /// moved onto the wire (left empty) and the received payloads are
+    /// pushed, so an iterated exchange that refills its outgoing buffers
+    /// from the pool allocates nothing in steady state.
+    ///
+    /// Infallible like [`Comm::send`]: a typed failure of the exchange
+    /// (under the default receive deadline) becomes a rank-fatal panic.
     pub fn all_to_all_into(&mut self, outgoing: &mut [Vec<c64>], incoming: &mut Vec<Vec<c64>>) {
         assert_eq!(outgoing.len(), self.size, "need one buffer per rank");
         self.maybe_crash(CrashSite::AllToAll);
         let t = self.stats.phase_start();
-        for (dst, slot) in outgoing.iter_mut().enumerate() {
-            let data = std::mem::take(slot);
-            self.send(dst, tags::ALL_TO_ALL, data);
-        }
         for old in incoming.drain(..) {
-            let evicted = self.pool.give(old);
-            self.stats.note_pool_evictions(evicted);
+            self.recycle_buffer(old);
         }
-        for src in 0..self.size {
-            let got = self.recv(src, tags::ALL_TO_ALL);
-            incoming.push(got);
+        let end = Instant::now() + self.recv_deadline_default;
+        let take = |_: &mut Comm, dst: usize| std::mem::take(&mut outgoing[dst]);
+        if let Err(e) = self.post_collect(tags::ALL_TO_ALL, end, incoming, take) {
+            resilience::raise(e)
         }
         self.stats.phase_end("all-to-all", t);
     }
 
+    /// The one all-to-all core: posts `stage(self, d)` to every rank `d`
+    /// on `tag`, then collects one message from every source into
+    /// `incoming` (indexed by source), every receive against the one
+    /// deadline `end`. Stops at the first failure.
+    fn post_collect(
+        &mut self,
+        tag: u64,
+        end: Instant,
+        incoming: &mut Vec<Vec<c64>>,
+        mut stage: impl FnMut(&mut Comm, usize) -> Vec<c64>,
+    ) -> Result<(), CommError> {
+        for dst in 0..self.size {
+            let data = stage(self, dst);
+            self.try_send(dst, tag, data)?;
+        }
+        for src in 0..self.size {
+            let got = self.recv_until(src, tag, end)?;
+            incoming.push(got);
+        }
+        Ok(())
+    }
+
     /// Fault-tolerant all-to-all: the exchange runs in *rounds* on fresh
-    /// tags; after each round the ranks run a small consensus (max-reduce
-    /// of a failure flag) and, if anyone failed, everyone retries — up to
+    /// tags, each round one [`Comm::post_collect`]; after each round the
+    /// ranks run a small consensus (max-reduce of a failure flag) and, if
+    /// anyone failed, everyone retries — up to
     /// [`ExchangePolicy::max_rounds`] rounds, each under
     /// [`ExchangePolicy::deadline`]. Absorbs transient faults that outlive
     /// the link-layer retransmit budget; structural failures (a dead peer)
@@ -891,58 +902,38 @@ impl Comm {
         let epoch = self.exchange_epoch;
         self.exchange_epoch += 1;
         let mut last_err = CommError::Timeout;
-        for round in 0..policy.max_rounds {
-            let (data_tag, reduce_tag, bcast_tag) = tags::resilient_tags(epoch, round);
-            let end = Instant::now() + policy.deadline;
-            let mut local_err: Option<CommError> = None;
-            for (dst, payload) in outgoing.iter().enumerate() {
-                // Each round posts a pool-staged copy (the caller keeps the
+        let result = 'rounds: {
+            for round in 0..policy.max_rounds {
+                let (data_tag, reduce_tag, bcast_tag) = tags::resilient_tags(epoch, round);
+                let end = Instant::now() + policy.deadline;
+                let mut incoming = Vec::with_capacity(self.size);
+                // Each round posts pool-staged copies (the caller keeps the
                 // originals for potential retransmission next round).
-                let mut copy = self.acquire_buffer(payload.len());
-                copy.extend_from_slice(payload);
-                if let Err(e) = self.try_send(dst, data_tag, copy) {
-                    local_err = Some(e);
-                    break;
-                }
-            }
-            let mut incoming: Vec<Vec<c64>> = (0..self.size).map(|_| Vec::new()).collect();
-            if local_err.is_none() {
-                for (src, slot) in incoming.iter_mut().enumerate() {
-                    match self.recv_until(src, data_tag, end) {
-                        Ok(data) => *slot = data,
-                        Err(e) => {
-                            local_err = Some(e);
-                            break;
-                        }
+                let stage = |comm: &mut Comm, dst: usize| {
+                    let mut copy = comm.acquire_buffer(outgoing[dst].len());
+                    copy.extend_from_slice(&outgoing[dst]);
+                    copy
+                };
+                let posted = self.post_collect(data_tag, end, &mut incoming, stage);
+                // Structural failures cannot be retried away.
+                if let Err(e) = &posted {
+                    if !e.is_transient() {
+                        break 'rounds Err(e.clone());
                     }
                 }
-            }
-            // Structural failures cannot be retried away.
-            if let Some(e) = &local_err {
-                if !e.is_transient() {
-                    self.stats.phase_end("all-to-all", t);
-                    return Err(e.clone());
+                // Consensus: retry only if someone failed; its own time budget.
+                let flag = if posted.is_err() { 1.0 } else { 0.0 };
+                let c_end = Instant::now() + policy.deadline;
+                match self.allreduce_max_until(flag, reduce_tag, bcast_tag, c_end) {
+                    Ok(0.0) => break 'rounds Ok(incoming),
+                    Ok(_) => last_err = posted.err().unwrap_or(CommError::Timeout),
+                    Err(e) => break 'rounds Err(e),
                 }
             }
-            // Consensus: retry only if someone failed; its own time budget.
-            let flag = if local_err.is_some() { 1.0 } else { 0.0 };
-            let c_end = Instant::now() + policy.deadline;
-            match self.allreduce_max_until(flag, reduce_tag, bcast_tag, c_end) {
-                Ok(any_failed) => {
-                    if any_failed == 0.0 {
-                        self.stats.phase_end("all-to-all", t);
-                        return Ok(incoming);
-                    }
-                    last_err = local_err.unwrap_or(CommError::Timeout);
-                }
-                Err(e) => {
-                    self.stats.phase_end("all-to-all", t);
-                    return Err(e);
-                }
-            }
-        }
+            Err(last_err)
+        };
         self.stats.phase_end("all-to-all", t);
-        Err(last_err)
+        result
     }
 
     /// Ghost exchange with typed failures and bounded retry: like
@@ -1039,139 +1030,23 @@ impl Comm {
         }
     }
 
-    /// Chunked/pipelined all-to-all (§5.1): each per-destination buffer is
-    /// split into chunks of at most `chunk_elems` elements which are sent
-    /// round-robin across destinations, so no single long message
-    /// serializes the exchange — the software analogue of pipelining PCIe
-    /// staging with InfiniBand transfers. Message *contents* are identical
-    /// to [`Comm::all_to_all`]; this collective assumes the symmetric
-    /// layouts used by the FFT exchanges (you receive from `src` as many
-    /// elements as you send to `src`).
-    pub fn all_to_all_chunked(
-        &mut self,
-        mut outgoing: Vec<Vec<c64>>,
-        chunk_elems: usize,
-    ) -> Vec<Vec<c64>> {
-        assert_eq!(outgoing.len(), self.size, "need one buffer per rank");
-        assert!(chunk_elems > 0, "chunk size must be positive");
-        self.maybe_crash(CrashSite::AllToAll);
-        let t = self.stats.phase_start();
-        let lens: Vec<usize> = outgoing.iter().map(Vec::len).collect();
-        self.send_chunks(&mut outgoing, &lens, chunk_elems);
-        // Expected lengths mirror what we sent (symmetric exchange).
-        let incoming = self.recv_chunks(&lens);
-        self.stats.phase_end("all-to-all", t);
-        incoming
-    }
-
-    /// Sends every buffer round-robin across destinations in chunks of at
-    /// most `chunk_elems` elements. A chunk that covers a *whole* buffer
-    /// is moved out of `outgoing` and sent without copying; a partial
-    /// chunk must be staged into a fresh allocation (the transport owns
-    /// each message's payload) and is counted as a staging copy in the
-    /// ledger, so the chunk-size / allocation trade-off is measurable.
-    fn send_chunks(&mut self, outgoing: &mut [Vec<c64>], lens: &[usize], chunk_elems: usize) {
-        let mut offsets = vec![0usize; self.size];
-        let mut more = true;
-        while more {
-            more = false;
-            self.stats.span_open("a2a-round");
-            for dst in 0..self.size {
-                let off = offsets[dst];
-                if off >= lens[dst] {
-                    continue;
-                }
-                let take = chunk_elems.min(lens[dst] - off);
-                let payload = if off == 0 && take == lens[dst] {
-                    std::mem::take(&mut outgoing[dst])
-                } else {
-                    // Staged from the pool: a recycled chunk from an earlier
-                    // round serves this copy free; only a pool miss counts
-                    // as a staging allocation in the ledger.
-                    let mut staged = self.acquire_buffer(take);
-                    staged.extend_from_slice(&outgoing[dst][off..off + take]);
-                    staged
-                };
-                self.send(dst, tags::ALL_TO_ALL_CHUNK, payload);
-                offsets[dst] = off + take;
-                more |= offsets[dst] < lens[dst];
-            }
-            self.stats.span_close("a2a-round");
-        }
-    }
-
-    /// Reassembles the chunked exchange, receiving chunks in order per
-    /// source. Each slot is sized once up front (from the pool when a
-    /// recycled buffer fits, uncounted otherwise — the slot is the
-    /// caller's result, not a staging copy); a volume that arrives as a
-    /// single chunk adopts the transport's buffer outright. Consumed chunk
-    /// payloads are recycled, so the next round's (or next call's) staging
-    /// copies come free.
-    fn recv_chunks(&mut self, expected: &[usize]) -> Vec<Vec<c64>> {
-        let mut incoming: Vec<Vec<c64>> = Vec::with_capacity(self.size);
-        for (src, &want) in expected.iter().enumerate() {
-            let mut slot: Vec<c64> = Vec::new();
-            let mut first = true;
-            while slot.len() < want {
-                let chunk = self.recv(src, tags::ALL_TO_ALL_CHUNK);
-                if first && chunk.len() == want {
-                    slot = chunk;
-                    break;
-                }
-                if first {
-                    match self.pool.take(want) {
-                        Some(buf) => slot = buf,
-                        None => slot.reserve_exact(want),
-                    }
-                    first = false;
-                }
-                slot.extend_from_slice(&chunk);
-                let evicted = self.pool.give(chunk);
-                self.stats.note_pool_evictions(evicted);
-            }
-            incoming.push(slot);
-        }
-        incoming
-    }
-
-    /// Asymmetric chunked all-to-all (`MPI_Alltoallv` with pipelining):
-    /// like [`Comm::all_to_all_chunked`], but the caller states how many
-    /// elements to expect from each source instead of assuming symmetry —
-    /// needed by heterogeneous segment layouts whose per-peer volumes
-    /// differ.
-    pub fn all_to_all_chunked_v(
-        &mut self,
-        mut outgoing: Vec<Vec<c64>>,
-        chunk_elems: usize,
-        expected: &[usize],
-    ) -> Vec<Vec<c64>> {
-        assert_eq!(outgoing.len(), self.size, "need one buffer per rank");
-        assert_eq!(expected.len(), self.size, "need one expectation per rank");
-        assert!(chunk_elems > 0, "chunk size must be positive");
-        self.maybe_crash(CrashSite::AllToAll);
-        let t = self.stats.phase_start();
-        let lens: Vec<usize> = outgoing.iter().map(Vec::len).collect();
-        self.send_chunks(&mut outgoing, &lens, chunk_elems);
-        let incoming = self.recv_chunks(expected);
-        self.stats.phase_end("all-to-all", t);
-        incoming
-    }
-
     /// Ghost exchange (Fig 2's nearest-neighbour step): every rank sends
     /// the first `ghost_len` elements of its local input to its predecessor
     /// and receives its successor's prefix (circularly). Recorded as the
     /// `"ghost"` phase.
+    ///
+    /// Thin infallible wrapper over [`Comm::try_exchange_ghost`] (one
+    /// round under the default receive deadline).
     pub fn exchange_ghost(&mut self, local: &[c64], ghost_len: usize) -> Vec<c64> {
         assert!(ghost_len <= local.len(), "ghost larger than local data");
-        self.maybe_crash(CrashSite::Ghost);
-        let t = self.stats.phase_start();
-        let prev = (self.rank + self.size - 1) % self.size;
-        let next = (self.rank + 1) % self.size;
-        let mut out = self.acquire_buffer(ghost_len);
-        out.extend_from_slice(&local[..ghost_len]);
-        let got = self.send_recv(prev, tags::GHOST, out, next, tags::GHOST);
-        self.stats.phase_end("ghost", t);
-        got
+        let once = ExchangePolicy {
+            deadline: self.recv_deadline_default,
+            max_rounds: 1,
+        };
+        match self.try_exchange_ghost(local, ghost_len, &once) {
+            Ok(ghost) => ghost,
+            Err(e) => resilience::raise(e),
+        }
     }
 
     /// Gathers every rank's buffer to rank 0 (returns `None` elsewhere).
@@ -1214,20 +1089,13 @@ impl Comm {
     }
 
     /// All-reduce of a scalar by maximum (used for error norms and timing
-    /// reductions). Implemented as gather-to-0 + broadcast.
+    /// reductions): gather-to-0 + broadcast. Thin infallible wrapper over
+    /// the deadline-bounded core the resilient consensus runs.
     pub fn allreduce_max(&mut self, value: f64) -> f64 {
-        if self.rank == 0 {
-            let mut m = value;
-            for src in 1..self.size {
-                m = m.max(self.recv(src, tags::REDUCE)[0].re);
-            }
-            for dst in 1..self.size {
-                self.send(dst, tags::BCAST, vec![c64::new(m, 0.0)]);
-            }
-            m
-        } else {
-            self.send(0, tags::REDUCE, vec![c64::new(value, 0.0)]);
-            self.recv(0, tags::BCAST)[0].re
+        let end = Instant::now() + self.recv_deadline_default;
+        match self.allreduce_max_until(value, tags::REDUCE, tags::BCAST, end) {
+            Ok(m) => m,
+            Err(e) => resilience::raise(e),
         }
     }
 }
@@ -1237,8 +1105,6 @@ impl Comm {
 pub mod tags {
     /// Blocking all-to-all.
     pub const ALL_TO_ALL: u64 = 1;
-    /// Chunked all-to-all.
-    pub const ALL_TO_ALL_CHUNK: u64 = 2;
     /// Ghost (nearest-neighbour) exchange.
     pub const GHOST: u64 = 3;
     /// Gather to root.
@@ -1801,27 +1667,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_all_to_all_matches_blocking() {
-        let p = 3;
-        let make_outgoing = |r: usize| -> Vec<Vec<c64>> {
-            (0..p)
-                .map(|d| {
-                    (0..17)
-                        .map(|j| c64::new((r * 100 + d * 10) as f64, j as f64))
-                        .collect()
-                })
-                .collect()
-        };
-        let blocking = Cluster::run(p, |comm| comm.all_to_all(make_outgoing(comm.rank())));
-        for chunk in [1, 4, 16, 17, 64] {
-            let chunked = Cluster::run(p, |comm| {
-                comm.all_to_all_chunked(make_outgoing(comm.rank()), chunk)
-            });
-            assert_eq!(chunked, blocking, "chunk={chunk}");
-        }
-    }
-
-    #[test]
     fn ghost_exchange_brings_successor_prefix() {
         let p = 4;
         let out = Cluster::run(p, |comm| {
@@ -1892,49 +1737,21 @@ mod tests {
     }
 
     #[test]
-    fn chunked_all_to_all_handles_empty_buffers() {
-        // Heterogeneous exchanges ship empty buffers to some peers.
+    fn all_to_all_handles_empty_and_asymmetric_volumes() {
+        // Heterogeneous segment layouts ship empty buffers to some peers
+        // and receive different volumes from different sources.
         let p = 3;
         let out = Cluster::run(p, |comm| {
             let r = comm.rank();
             let outgoing: Vec<Vec<c64>> = (0..p)
-                .map(|d| {
-                    if (r + d) % 2 == 0 {
-                        vec![c64::real((r * 10 + d) as f64); 5]
-                    } else {
-                        Vec::new()
-                    }
-                })
+                .map(|d| vec![c64::real((r * 10 + d) as f64); (r + d) % 2 * (r + 1)])
                 .collect();
-            comm.all_to_all_chunked(outgoing, 2)
+            comm.all_to_all(outgoing)
         });
         for (r, incoming) in out.iter().enumerate() {
             for (src, buf) in incoming.iter().enumerate() {
-                if (src + r) % 2 == 0 {
-                    assert_eq!(buf.len(), 5, "r={r} src={src}");
-                    assert_eq!(buf[0].re as usize, src * 10 + r);
-                } else {
-                    assert!(buf.is_empty(), "r={r} src={src}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_v_handles_asymmetric_volumes() {
-        // Rank r sends r+1 elements to everyone; expects src+1 from src.
-        let p = 3;
-        let out = Cluster::run(p, |comm| {
-            let r = comm.rank();
-            let outgoing: Vec<Vec<c64>> =
-                (0..p).map(|_| vec![c64::real(r as f64); r + 1]).collect();
-            let expected: Vec<usize> = (0..p).map(|src| src + 1).collect();
-            comm.all_to_all_chunked_v(outgoing, 2, &expected)
-        });
-        for incoming in &out {
-            for (src, buf) in incoming.iter().enumerate() {
-                assert_eq!(buf.len(), src + 1);
-                assert!(buf.iter().all(|z| z.re as usize == src));
+                assert_eq!(buf.len(), (src + r) % 2 * (src + 1), "r={r} src={src}");
+                assert!(buf.iter().all(|z| z.re as usize == src * 10 + r));
             }
         }
     }
@@ -2008,45 +1825,29 @@ mod tests {
     }
 
     #[test]
-    fn chunked_with_chunk_larger_than_every_buffer_moves_without_copies() {
-        // Satellite edge case: chunk_elems exceeds every buffer, so each
-        // buffer ships as one moved-out chunk — zero staging copies.
-        let p = 3;
-        let make_outgoing = |r: usize| -> Vec<Vec<c64>> {
-            (0..p)
-                .map(|d| {
-                    (0..17)
-                        .map(|j| c64::new((r * 10 + d) as f64, j as f64))
-                        .collect()
-                })
-                .collect()
-        };
-        let blocking = Cluster::run(p, |comm| comm.all_to_all(make_outgoing(comm.rank())));
-        let out = Cluster::run(p, |comm| {
-            let incoming = comm.all_to_all_chunked(make_outgoing(comm.rank()), 1000);
-            (incoming, comm.stats().comm_allocs())
-        });
-        for (r, (incoming, allocs)) in out.into_iter().enumerate() {
-            assert_eq!(incoming, blocking[r]);
-            assert_eq!(allocs, 0, "whole-buffer chunks must be moved, not copied");
-        }
-    }
-
-    #[test]
-    fn chunked_partial_chunks_count_staging_copies() {
-        // 17 elements in chunks of 4 → ceil(17/4) = 5 staging copies per
-        // destination (no chunk covers a whole buffer). The counter is
-        // how the perf fix is verified: the same exchange used to copy
-        // every chunk unconditionally.
-        let p = 3;
-        let out = Cluster::run(p, |comm| {
-            let r = comm.rank();
-            let outgoing: Vec<Vec<c64>> = (0..p).map(|_| vec![c64::real(r as f64); 17]).collect();
-            comm.all_to_all_chunked(outgoing, 4);
-            comm.stats().comm_allocs()
+    fn iterated_all_to_all_into_stops_allocating_once_warm() {
+        // Payloads staged from the pool and received payloads recycled
+        // back: after one warm-up call the exchange is served entirely
+        // from the freelist.
+        let out = Cluster::run(3, |comm| {
+            let mut outgoing = vec![Vec::new(); comm.size()];
+            let mut incoming = Vec::new();
+            let mut allocs = Vec::new();
+            for i in 0..3 {
+                for slot in outgoing.iter_mut() {
+                    *slot = comm.acquire_buffer(17);
+                    slot.resize(17, c64::real(i as f64));
+                }
+                comm.all_to_all_into(&mut outgoing, &mut incoming);
+                assert!(incoming
+                    .iter()
+                    .all(|b| b.len() == 17 && b[0].re == i as f64));
+                allocs.push(comm.stats().comm_allocs());
+            }
+            allocs
         });
         for allocs in out {
-            assert_eq!(allocs, (p as u64) * 5);
+            assert_eq!(allocs[1], allocs[2], "warm exchange allocated: {allocs:?}");
         }
     }
 

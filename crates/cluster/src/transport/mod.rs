@@ -180,25 +180,6 @@ impl PeerMap {
     }
 }
 
-/// A cloneable fire-and-forget sender handle to one destination,
-/// detached from the transport's lifetime — what the §5.1 proxy core
-/// uses to push staged chunks from its own thread. Delivery is
-/// best-effort (a dead destination swallows the message, exactly like a
-/// dropped channel send).
-pub struct AsyncSender(Box<dyn Fn(Message) + Send + Sync>);
-
-impl AsyncSender {
-    /// Wraps a delivery closure.
-    pub fn new(f: impl Fn(Message) + Send + Sync + 'static) -> Self {
-        AsyncSender(Box::new(f))
-    }
-
-    /// Delivers `msg` (best-effort).
-    pub fn send(&self, msg: Message) {
-        (self.0)(msg)
-    }
-}
-
 /// A message-moving backend under [`Comm`](crate::Comm): point-to-point
 /// delivery, a failure detector, and a barrier. Implementations must
 /// deliver messages FIFO per (src, dst) pair; everything else (ordering
@@ -251,10 +232,6 @@ pub trait Transport: Send {
         let _ = dst;
         0
     }
-
-    /// A detached sender handle to `dst` for proxy offload, when the
-    /// backend supports concurrent senders (`None` otherwise).
-    fn async_sender(&self, dst: usize) -> Option<AsyncSender>;
 
     /// Harvests heartbeat activity since the last call (zeros for
     /// backends without heartbeats).
@@ -366,12 +343,5 @@ impl Transport for InProcTransport {
 
     fn queue_depth(&self, dst: usize) -> usize {
         self.senders[dst].len()
-    }
-
-    fn async_sender(&self, dst: usize) -> Option<AsyncSender> {
-        let tx = self.senders[dst].clone();
-        Some(AsyncSender::new(move |msg| {
-            let _ = tx.send(msg);
-        }))
     }
 }

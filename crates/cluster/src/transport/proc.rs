@@ -41,8 +41,8 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use super::shm::ShmRing;
 use super::wire::{self, frame_to_message, message_to_frame, Frame, FrameKind};
 use super::{
-    AsyncSender, HeartbeatDelta, LinkDelta, PeerFailure, PeerFailureKind, PeerMap, SendOutcome,
-    Transport, WaitOutcome,
+    HeartbeatDelta, LinkDelta, PeerFailure, PeerFailureKind, PeerMap, SendOutcome, Transport,
+    WaitOutcome,
 };
 use crate::resilience::{CommError, FailureDetection};
 use crate::supervisor::RestartPolicy;
@@ -143,7 +143,7 @@ pub struct ProcTransport {
     hb_sent: Arc<AtomicU64>,
     /// Wire bytes written toward each destination rank (hub routing
     /// means one physical link, but attribution stays per-peer).
-    bytes_to: Arc<Vec<AtomicU64>>,
+    bytes_to: Vec<AtomicU64>,
     /// Kept to shut the socket down on drop, unblocking the reader.
     stream: UnixStream,
 }
@@ -176,7 +176,7 @@ impl ProcTransport {
         let alive = Arc::new(AtomicBool::new(true));
         let wedged = Arc::new(AtomicBool::new(false));
         let hb_sent = Arc::new(AtomicU64::new(0));
-        let bytes_to = Arc::new((0..endpoint.size).map(|_| AtomicU64::new(0)).collect());
+        let bytes_to = (0..endpoint.size).map(|_| AtomicU64::new(0)).collect();
         let writer = Arc::new(Mutex::new(stream.try_clone()?));
 
         // Reader: control + (socket-plane) data frames from the hub.
@@ -424,18 +424,6 @@ impl Transport for ProcTransport {
                 Err(RecvTimeoutError::Disconnected) => return Err(self.closed_error()),
             }
         }
-    }
-
-    fn async_sender(&self, dst: usize) -> Option<AsyncSender> {
-        let writer = Arc::clone(&self.writer);
-        let bytes_to = Arc::clone(&self.bytes_to);
-        Some(AsyncSender::new(move |msg| {
-            let frame = message_to_frame(dst, msg);
-            let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-            if wire::write_frame(&mut *w, &frame).is_ok() {
-                bytes_to[dst].fetch_add(frame.encoded_len() as u64, Ordering::Relaxed);
-            }
-        }))
     }
 
     fn take_heartbeat_delta(&self) -> HeartbeatDelta {

@@ -45,8 +45,8 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender,
 use super::netchaos::{NetChaos, NetChaosEvents, NetChaosPlan};
 use super::wire::{self, frame_to_message, message_to_frame, Frame, FrameKind};
 use super::{
-    AsyncSender, HeartbeatDelta, LinkDelta, PeerFailure, PeerFailureKind, PeerMap, SendOutcome,
-    Transport, WaitOutcome,
+    HeartbeatDelta, LinkDelta, PeerFailure, PeerFailureKind, PeerMap, SendOutcome, Transport,
+    WaitOutcome,
 };
 use crate::checkpoint::CheckpointStore;
 use crate::resilience::{CommError, FailureDetection, RankOutcome};
@@ -539,13 +539,6 @@ impl Transport for TcpTransport {
 
     fn queue_depth(&self, dst: usize) -> usize {
         self.shared.outq[dst].as_ref().map_or(0, |q| q.len())
-    }
-
-    fn async_sender(&self, dst: usize) -> Option<AsyncSender> {
-        let q = self.shared.outq[dst].as_ref()?.clone();
-        Some(AsyncSender::new(move |msg| {
-            let _ = q.try_send(message_to_frame(dst, msg));
-        }))
     }
 
     fn take_heartbeat_delta(&self) -> HeartbeatDelta {

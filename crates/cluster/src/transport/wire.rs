@@ -17,7 +17,7 @@
 
 use std::io::{self, Read, Write};
 
-use soifft_num::c64;
+use soifft_num::{c64, fnv1a};
 
 use crate::resilience::checksum;
 
@@ -216,16 +216,6 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-/// FNV-1a over raw bytes (header checksum; the payload uses the shared
-/// word-wise [`checksum`] the rest of the stack uses).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    bytes
-        .iter()
-        .fold(SEED, |h, &b| (h ^ b as u64).wrapping_mul(PRIME))
-}
 
 /// Encodes `frame` into a self-contained byte buffer.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {

@@ -31,13 +31,13 @@
 //! * [`ConvStrategy::RowMajor`] — chunk-outer, panel-inner (Fig 6(a)):
 //!   each chunk walks all `n_µ·B·L` taps, a working set that grows with
 //!   the segment count (∝ nodes) and leaves L1 first, then L2.
-//! * [`ConvStrategy::Interchanged`] / [`ConvStrategy::InterchangedBuffered`]
-//!   — panel-outer, chunk-inner (Fig 6(b)/Fig 7): one panel's `n_µ·B`
-//!   tap lines (23 KB at µ = 5/4, B = 72) stay L1-resident for the whole
-//!   sweep, *independent of scale*. The `B` live input lines of a panel
-//!   (4.6 KB) stay in cache between consecutive chunks, which is what the
-//!   paper's circular buffer staged by hand, so the two variants are the
-//!   same loop nest here.
+//! * [`ConvStrategy::Interchanged`] — panel-outer, chunk-inner (Fig
+//!   6(b)/Fig 7): one panel's `n_µ·B` tap lines (23 KB at µ = 5/4,
+//!   B = 72) stay L1-resident for the whole sweep, *independent of
+//!   scale*. The `B` live input lines of a panel (4.6 KB) stay in cache
+//!   between consecutive chunks, which is what the paper's circular
+//!   buffer (Fig 11's third rung, "buffering") staged by hand, so that
+//!   rung is this same loop nest and has no variant of its own.
 //!
 //! Every output element is the same operation sequence whatever the
 //! order, the thread count or the ISA, so all strategies agree bit for
@@ -55,27 +55,21 @@ use crate::window::Window;
 pub enum ConvStrategy {
     /// Chunk-outer / panel-inner (baseline).
     RowMajor,
-    /// Panel-outer / chunk-inner (tap working set independent of P).
+    /// Panel-outer / chunk-inner (tap working set independent of P); the
+    /// panel kernel keeps the live input lines cached without explicit
+    /// staging, so this is also the paper's "buffering" rung.
     Interchanged,
-    /// Same loop nest as [`ConvStrategy::Interchanged`]: the panel kernel
-    /// keeps the live input lines cached without explicit staging.
-    InterchangedBuffered,
 }
 
 impl ConvStrategy {
-    /// The ladder in Fig 11 order.
-    pub const ALL: [ConvStrategy; 3] = [
-        ConvStrategy::RowMajor,
-        ConvStrategy::Interchanged,
-        ConvStrategy::InterchangedBuffered,
-    ];
+    /// Both loop orders, in Fig 11 order.
+    pub const ALL: [ConvStrategy; 2] = [ConvStrategy::RowMajor, ConvStrategy::Interchanged];
 
     /// Label matching the paper's Fig 11 legend.
     pub fn label(self) -> &'static str {
         match self {
             ConvStrategy::RowMajor => "baseline",
             ConvStrategy::Interchanged => "interchange",
-            ConvStrategy::InterchangedBuffered => "buffering",
         }
     }
 }
@@ -190,7 +184,7 @@ pub fn convolve(
                     sweep.chunk(c0 + ci, chunk_out);
                 }
             }
-            ConvStrategy::Interchanged | ConvStrategy::InterchangedBuffered => {
+            ConvStrategy::Interchanged => {
                 for panel in 0..window.panels() {
                     for (ci, chunk_out) in piece.chunks_exact_mut(chunk_len).enumerate() {
                         sweep.unit(c0 + ci, panel, chunk_out);
@@ -417,7 +411,7 @@ mod tests {
         convolve(
             &p,
             &w,
-            ConvStrategy::InterchangedBuffered,
+            ConvStrategy::Interchanged,
             &x,
             &mut bfr,
             &Pool::serial(),
@@ -482,7 +476,6 @@ mod tests {
     fn strategy_labels() {
         assert_eq!(ConvStrategy::RowMajor.label(), "baseline");
         assert_eq!(ConvStrategy::Interchanged.label(), "interchange");
-        assert_eq!(ConvStrategy::InterchangedBuffered.label(), "buffering");
-        assert_eq!(ConvStrategy::ALL.len(), 3);
+        assert_eq!(ConvStrategy::ALL.len(), 2);
     }
 }

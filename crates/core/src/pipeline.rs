@@ -10,7 +10,7 @@
 //! | ghost | `ghost` | receive `(B−d_µ)·L` elements from the successor rank (tens of KB; the latency-bound nearest-neighbour step of §5.1) |
 //! | front | `convolution`, `segment-fft` | `u = W x` on the extended local input, then an `L`-point FFT per output block (`I_{M'} ⊗ F_L`) — one fused sweep when planned |
 //! | pack | (`pack` span) | one sweep over `u`, scattering each destination's segment parts in the planned wire format |
-//! | exchange | `all-to-all` | the single `Perm_{L,N'}` exchange — monolithic, chunk-pipelined, proxied, or split per segment so later exchanges overlap earlier segments' recovery (§6.1's multi-segment trick) |
+//! | exchange | `all-to-all` | the single `Perm_{L,N'}` exchange — monolithic, or overlapped: every segment's parts posted up front and each segment recovered as soon as its parts land (§6.1's multi-segment trick) |
 //! | verify | (`sdc-verify` span) | re-check what was gathered against the senders' checksum tags |
 //! | recover | `local-fft` | `F_{M'}` per owned segment with the demodulation `W⁻¹` fused into the final write-back (§5.2.4), keeping the first `M` bins |
 //!
@@ -51,29 +51,21 @@ use crate::params::{SoiError, SoiParams};
 use crate::verify;
 use crate::window::{Window, WindowKind};
 
-/// How the all-to-all is performed.
+/// How the all-to-all is scheduled. Both plans move the same parts and
+/// produce bit-identical output.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExchangePlan {
     /// One monolithic exchange (longest messages, no overlap) — the
-    /// paper's few-segments/many-nodes setting.
+    /// paper's few-segments/many-nodes setting, and the default.
     Monolithic,
-    /// Split into chunks of the given element count, sent round-robin
-    /// (§5.1 pipelining).
-    Chunked(usize),
-    /// One exchange per local segment index; segment `σ`'s recovery FFT
-    /// runs before segment `σ+1`'s exchange, the §6.1 overlap structure.
-    PerSegment,
     /// Send-ahead with polling receives: ALL segments' packets are posted
     /// up front, then each segment is recovered as soon as its last packet
     /// arrives (non-blocking `try_recv` polling between FFTs). The closest
     /// software analogue of the paper's overlapped multi-segment mode on a
-    /// transport without true asynchrony.
+    /// transport without true asynchrony. The fallible entry points and
+    /// validated plans run the monolithic schedule instead (their retry
+    /// rounds and checksum tags are per exchange, not per segment).
     Overlapped,
-    /// Route the exchange through the §5.1 reverse-communication proxy
-    /// core: a dedicated background worker stages each chunk (the PCIe DMA
-    /// stand-in) and pushes it to the wire, pipelined chunk-by-chunk.
-    /// Uniform segment layouts only.
-    Proxied(usize),
 }
 
 /// Arithmetic and wire precision of the pipeline's back half (the
@@ -494,7 +486,7 @@ impl SoiFft {
             demod_scale,
             window,
             params,
-            strategy: ConvStrategy::InterchangedBuffered,
+            strategy: ConvStrategy::Interchanged,
             exchange: ExchangePlan::Monolithic,
             precision: Precision::F64,
             plan_mp32: None,
@@ -777,8 +769,8 @@ impl SoiFft {
     /// partial [`CommStats`] ledger, instead of panicking or hanging.
     ///
     /// Always uses the monolithic exchange form (the resilient collective
-    /// re-sends whole rounds; chunk pipelining and round-based retry do not
-    /// compose). Every rank must call this collectively with the same
+    /// re-sends whole rounds; per-segment posting and round-based retry do
+    /// not compose). Every rank must call this collectively with the same
     /// `policy`.
     pub fn try_forward(
         &self,
@@ -962,11 +954,13 @@ impl SoiFft {
         self.front(comm, x, ghost, ws, run)?;
         self.gate(comm, run, CancelGate::BOUNDARY_ALL_TO_ALL)?;
         match (run.policy, self.exchange) {
-            // The two interleaving plans recover each segment between
-            // their own exchanges.
-            (None, ExchangePlan::PerSegment) => self.recover_per_segment(comm, ws, y),
-            (None, ExchangePlan::Overlapped) => self.recover_overlapped(comm, ws, y),
-            // Every other plan delivers the monolithic layout.
+            // The overlapped plan recovers each segment as its parts land.
+            // Its parts carry no checksum tags, so a validated plan takes
+            // the tagged monolithic path instead.
+            (None, ExchangePlan::Overlapped) if !self.validation.is_on() => {
+                self.recover_overlapped(comm, ws, y)
+            }
+            // Everything else delivers the monolithic layout.
             _ => {
                 let tagged = self.validation.is_on();
                 self.pack_into(comm, &ws.u, &mut ws.outgoing, tagged, |_, _| true);
@@ -1573,15 +1567,14 @@ impl SoiFft {
 
     /// Exchange stage for the monolithic layout: `ws.outgoing` goes onto
     /// the wire, what every source addressed to this rank lands in
-    /// `ws.incoming`. A retry policy overrides the plan
-    /// ([`SoiFft::try_forward`] says why).
+    /// `ws.incoming` — through the round-retrying collective under a
+    /// retry policy.
     fn exchange_parts(
         &self,
         comm: &mut Comm,
         ws: &mut SoiWorkspace,
         run: Run,
     ) -> Result<(), SoiRunError> {
-        let p = &self.params;
         if let Some(policy) = run.policy {
             ws.incoming = comm
                 .all_to_all_resilient(&ws.outgoing, policy)
@@ -1593,28 +1586,7 @@ impl SoiFft {
             }
             return Ok(());
         }
-        let mut take_outgoing = || std::mem::replace(&mut ws.outgoing, vec![Vec::new(); p.procs]);
-        match self.exchange {
-            ExchangePlan::Chunked(chunk) if self.uniform_layout() => {
-                ws.incoming = comm.all_to_all_chunked(take_outgoing(), chunk);
-            }
-            ExchangePlan::Chunked(chunk) => {
-                // Heterogeneous layouts have asymmetric per-peer volumes:
-                // every source sends *me* my segments' parts (and tags).
-                let per_part = self.wire_blocks() + usize::from(self.validation.is_on());
-                let expected = vec![self.seg_counts[comm.rank()] * per_part; p.procs];
-                ws.incoming = comm.all_to_all_chunked_v(take_outgoing(), chunk, &expected);
-            }
-            ExchangePlan::Proxied(chunk) => {
-                assert!(
-                    self.uniform_layout(),
-                    "proxied exchange supports uniform segment layouts only"
-                );
-                let proxy = soifft_cluster::ProxyCore::new();
-                ws.incoming = comm.all_to_all_proxied(&proxy, take_outgoing(), chunk);
-            }
-            _ => comm.all_to_all_into(&mut ws.outgoing, &mut ws.incoming),
-        }
+        comm.all_to_all_into(&mut ws.outgoing, &mut ws.incoming);
         Ok(())
     }
 
@@ -1849,31 +1821,6 @@ impl SoiFft {
         }
     }
 
-    /// Per-segment exchange: segment `σ`'s recovery runs between exchanges
-    /// (the overlap structure of §6.1; wall-clock overlap needs async
-    /// transports, but the packet-size and interleaving structure is
-    /// faithful).
-    fn recover_per_segment(&self, comm: &mut Comm, ws: &mut SoiWorkspace, y: &mut [c64]) {
-        let m = self.params.m();
-        let mine = self.seg_counts[comm.rank()];
-        // All ranks must participate in every collective round, so the
-        // round count is the maximum segment count; ranks with fewer
-        // segments ship/receive empty buffers in the tail rounds.
-        let rounds = self.seg_counts.iter().copied().max().unwrap_or(0);
-        for sl in 0..rounds {
-            self.pack_into(comm, &ws.u, &mut ws.outgoing, false, |_, s| s == sl);
-            comm.all_to_all_into(&mut ws.outgoing, &mut ws.incoming);
-            if sl < mine {
-                let t = comm.stats_mut().phase_start();
-                self.recover_segment(ws, 0, &mut y[sl * m..(sl + 1) * m]);
-                comm.stats_mut().phase_end("local-fft", t);
-            }
-        }
-        for buf in ws.incoming.drain(..) {
-            comm.recycle_buffer(buf);
-        }
-    }
-
     /// Send-ahead + polling recovery: every segment's packets go out
     /// immediately (tagged by destination-local segment index); each owned
     /// segment is recovered as soon as all of its parts have arrived,
@@ -2080,13 +2027,7 @@ mod tests {
 
     #[test]
     fn f32_precision_tracks_reference_across_exchanges() {
-        for exchange in [
-            ExchangePlan::Monolithic,
-            ExchangePlan::Chunked(37),
-            ExchangePlan::PerSegment,
-            ExchangePlan::Overlapped,
-            ExchangePlan::Proxied(64),
-        ] {
+        for exchange in [ExchangePlan::Monolithic, ExchangePlan::Overlapped] {
             let (got, want) = run_precision(params(4, 2), exchange, Precision::F32);
             let snr = crate::accuracy::snr_db(&got, &want);
             assert!(snr > 100.0, "{exchange:?}: SNR {snr:.1} dB");
@@ -2095,13 +2036,7 @@ mod tests {
 
     #[test]
     fn split_precision_tracks_reference_across_exchanges() {
-        for exchange in [
-            ExchangePlan::Monolithic,
-            ExchangePlan::Chunked(37),
-            ExchangePlan::PerSegment,
-            ExchangePlan::Overlapped,
-            ExchangePlan::Proxied(64),
-        ] {
+        for exchange in [ExchangePlan::Monolithic, ExchangePlan::Overlapped] {
             let (got, want) = run_precision(params(4, 2), exchange, Precision::Split);
             let snr = crate::accuracy::snr_db(&got, &want);
             assert!(snr > 120.0, "{exchange:?}: SNR {snr:.1} dB");
@@ -2127,15 +2062,8 @@ mod tests {
     fn lowprec_exchange_plans_are_bit_identical() {
         for precision in [Precision::F32, Precision::Split] {
             let (mono, _) = run_precision(params(4, 4), ExchangePlan::Monolithic, precision);
-            for exchange in [
-                ExchangePlan::Chunked(53),
-                ExchangePlan::PerSegment,
-                ExchangePlan::Overlapped,
-                ExchangePlan::Proxied(96),
-            ] {
-                let (other, _) = run_precision(params(4, 4), exchange, precision);
-                assert_eq!(mono, other, "{precision:?} {exchange:?}");
-            }
+            let (other, _) = run_precision(params(4, 4), ExchangePlan::Overlapped, precision);
+            assert_eq!(mono, other, "{precision:?}");
         }
     }
 
@@ -2158,14 +2086,14 @@ mod tests {
     }
 
     #[test]
-    fn lowprec_heterogeneous_layout_chunked() {
+    fn lowprec_heterogeneous_layout_overlapped() {
         let p = params(4, 2);
         let x = signal(p.n);
         let inputs = scatter_input(&x, p.procs);
         let fft = SoiFft::new(p)
             .unwrap()
             .with_segment_counts(vec![1, 3, 1, 3])
-            .with_exchange(ExchangePlan::Chunked(41))
+            .with_exchange(ExchangePlan::Overlapped)
             .with_precision(Precision::Split);
         let mut outs = vec![Vec::new(); p.procs];
         let collected = Cluster::run(p.procs, |comm| fft.forward(comm, &inputs[comm.rank()]));
@@ -2198,15 +2126,6 @@ mod tests {
             let err = rel_l2(&got, &want);
             assert!(err < 1e-7, "P={procs} S={s}: err={err:.3e}");
         }
-    }
-
-    #[test]
-    fn per_segment_exchange_gives_identical_results() {
-        let p = params(4, 4);
-        let (mono, want) = run_distributed(p, ExchangePlan::Monolithic);
-        let (seg, _) = run_distributed(p, ExchangePlan::PerSegment);
-        assert_eq!(mono, seg);
-        assert!(rel_l2(&mono, &want) < 1e-7);
     }
 
     #[test]
@@ -2357,24 +2276,7 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_layout_with_chunked_exchange_falls_back_safely() {
-        let p = params(4, 2);
-        let counts = vec![1usize, 3, 1, 3];
-        let x = signal(p.n);
-        let inputs = scatter_input(&x, p.procs);
-        let fft = SoiFft::new(p)
-            .unwrap()
-            .with_segment_counts(counts)
-            .with_exchange(ExchangePlan::Chunked(64));
-        let got = gather_output(Cluster::run(p.procs, |comm| {
-            fft.forward(comm, &inputs[comm.rank()])
-        }));
-        let want = reference_fft(&x);
-        assert!(rel_l2(&got, &want) < 1e-7);
-    }
-
-    #[test]
-    fn heterogeneous_layout_with_per_segment_exchange() {
+    fn heterogeneous_layout_with_overlapped_exchange_and_an_empty_rank() {
         let p = params(4, 2);
         let counts = vec![2usize, 4, 0, 2]; // a rank may own none
         let x = signal(p.n);
@@ -2382,7 +2284,7 @@ mod tests {
         let fft = SoiFft::new(p)
             .unwrap()
             .with_segment_counts(counts)
-            .with_exchange(ExchangePlan::PerSegment);
+            .with_exchange(ExchangePlan::Overlapped);
         let outs = Cluster::run(p.procs, |comm| fft.forward(comm, &inputs[comm.rank()]));
         assert!(outs[2].is_empty());
         let got = gather_output(outs);

@@ -51,7 +51,7 @@ pub struct SoiFftLocal {
 impl SoiFftLocal {
     /// Plans a transform of length `n` split into `l` segments, with
     /// oversampling `mu` and convolution width `b`, using the default
-    /// Gaussian-sinc window and buffered convolution.
+    /// Gaussian-sinc window and interchanged convolution.
     pub fn new(
         n: usize,
         l: usize,
@@ -84,12 +84,12 @@ impl SoiFftLocal {
             demod_scale,
             window,
             params,
-            strategy: ConvStrategy::InterchangedBuffered,
+            strategy: ConvStrategy::Interchanged,
             pool: Pool::serial(),
         })
     }
 
-    /// Selects the convolution strategy (default: buffered interchange).
+    /// Selects the convolution strategy (default: interchanged).
     pub fn with_strategy(mut self, strategy: ConvStrategy) -> Self {
         self.strategy = strategy;
         self

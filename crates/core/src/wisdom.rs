@@ -132,7 +132,7 @@ mod tests {
 
         let exec = TunedExec {
             strategy: ConvStrategy::RowMajor,
-            exchange: ExchangePlan::PerSegment,
+            exchange: ExchangePlan::Overlapped,
             fused: true,
         };
         install(k, exec);

@@ -20,7 +20,9 @@
 //! * [`strided`] — strided gather/scatter copies,
 //! * [`factor`] — small integer factorization utilities used by FFT
 //!   planning,
-//! * [`error`] — error norms used by tests and the accuracy benches.
+//! * [`error`] — error norms used by tests and the accuracy benches,
+//! * [`fnv1a`] — the byte-wise FNV-1a hash behind the cluster wire
+//!   codec's header checksum and the tuner's wisdom-file checksum.
 //!
 //! # Safety posture
 //!
@@ -53,3 +55,26 @@ pub mod tridiag;
 pub use complex::{c32, c64, Complex};
 pub use real::Real;
 pub use soa::SoaComplex;
+
+/// 64-bit FNV-1a over `bytes`, one byte per step. The wire codec's frame
+/// header checksum and the wisdom file's body checksum are this function,
+/// so neither on-disk nor on-wire checksums depend on which crate computes
+/// them. (The word-wise payload digest `soifft_cluster::checksum` is a
+/// different hash.)
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x100_0000_01b3;
+    bytes
+        .iter()
+        .fold(SEED, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(super::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(super::fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+}

@@ -11,9 +11,7 @@
 //!     disjoint mutable chunks (the common FFT batch pattern),
 //!   * [`Pool::par_ranges`] — dynamically (atomically) chunked parallel loop
 //!     over an index range for irregular work,
-//!   * [`Pool::join`] — two-way fork-join,
-//! * [`WorkQueue`] — a persistent background worker for `'static` jobs,
-//!   used by the cluster runtime's pipelined all-to-all.
+//!   * [`Pool::join`] — two-way fork-join.
 //!
 //! All borrowed-data parallelism uses `std::thread::scope`, so the crate is
 //! 100 % safe Rust. When the pool has one thread (the default on a
@@ -27,8 +25,6 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Sender};
 
 /// Busy/idle accounting for an instrumented [`Pool`].
 ///
@@ -379,84 +375,6 @@ impl Pool {
     }
 }
 
-/// A persistent background worker executing `'static` jobs in FIFO order.
-///
-/// The cluster runtime uses one of these per rank to pipeline PCIe-style
-/// staging copies with "InfiniBand" sends (§5.1: "pcie transfer times ...
-/// hidden by pipelining"): the producer enqueues chunk jobs and later waits
-/// for the queue to drain.
-pub struct WorkQueue {
-    tx: Option<Sender<Job>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    pending: Arc<Pending>,
-}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-#[derive(Default)]
-struct Pending {
-    count: parking_lot::Mutex<usize>,
-    cv: parking_lot::Condvar,
-}
-
-impl WorkQueue {
-    /// Spawns the worker thread.
-    pub fn new(name: &str) -> Self {
-        let (tx, rx) = unbounded::<Job>();
-        let pending: Arc<Pending> = Arc::default();
-        let p2 = Arc::clone(&pending);
-        let handle = std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn(move || {
-                for job in rx {
-                    job();
-                    let mut n = p2.count.lock();
-                    *n -= 1;
-                    if *n == 0 {
-                        p2.cv.notify_all();
-                    }
-                }
-            })
-            .expect("failed to spawn worker thread");
-        WorkQueue {
-            tx: Some(tx),
-            handle: Some(handle),
-            pending,
-        }
-    }
-
-    /// Enqueues a job; returns immediately.
-    pub fn push(&self, job: impl FnOnce() + Send + 'static) {
-        {
-            let mut n = self.pending.count.lock();
-            *n += 1;
-        }
-        self.tx
-            .as_ref()
-            .expect("queue already shut down")
-            .send(Box::new(job))
-            .expect("worker thread died");
-    }
-
-    /// Blocks until every enqueued job has finished.
-    pub fn drain(&self) {
-        let mut n = self.pending.count.lock();
-        while *n != 0 {
-            self.pending.cv.wait(&mut n);
-        }
-    }
-}
-
-impl Drop for WorkQueue {
-    fn drop(&mut self) {
-        self.drain();
-        drop(self.tx.take());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,37 +542,6 @@ mod tests {
         let pool = Pool::new(4);
         let v = pool.par_reduce(3..3, 1, 42u32, |_| panic!("no work"), |a, _| a);
         assert_eq!(v, 42);
-    }
-
-    #[test]
-    fn work_queue_runs_jobs_in_order_and_drains() {
-        let q = WorkQueue::new("test-worker");
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        for i in 0..32 {
-            let log = Arc::clone(&log);
-            q.push(move || log.lock().push(i));
-        }
-        q.drain();
-        assert_eq!(*log.lock(), (0..32).collect::<Vec<_>>());
-        // Queue is reusable after a drain.
-        let log2 = Arc::clone(&log);
-        q.push(move || log2.lock().push(99));
-        q.drain();
-        assert_eq!(log.lock().last(), Some(&99));
-    }
-
-    #[test]
-    fn work_queue_drop_waits_for_jobs() {
-        let flag = Arc::new(AtomicUsize::new(0));
-        {
-            let q = WorkQueue::new("drop-test");
-            let f = Arc::clone(&flag);
-            q.push(move || {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                f.store(1, Ordering::SeqCst);
-            });
-        } // drop must block until the job ran
-        assert_eq!(flag.load(Ordering::SeqCst), 1);
     }
 
     #[test]

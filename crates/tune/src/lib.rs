@@ -9,8 +9,8 @@
 //!    `(S, µ, B)` that keep at least the baseline's accuracy exponent;
 //! 2. **ranks** candidates with the performance model as a prior
 //!    ([`PlanReport::predicted_phases`] plus the
-//!    [`soifft_model::schedule`] overlap timeline for pipelined
-//!    exchanges);
+//!    [`soifft_model::schedule`] overlap timeline for the overlapped
+//!    exchange);
 //! 3. **probes** the top-k candidates with short best-of-R measured runs
 //!    over the warm `forward_into` path ([`probe::MeasuredProber`]),
 //!    barrier-aligned exactly like the throughput bench;
@@ -356,9 +356,6 @@ const SHAPE_GRID: &[(usize, usize, usize)] = &[
 /// Segments-per-rank grid (§6.1 explores 1–32).
 const SEGMENT_GRID: &[usize] = &[1, 2, 4, 8, 16, 32];
 
-/// Chunk/proxy granularity probed for the pipelined exchanges.
-const CHUNK_ELEMS: usize = 8192;
-
 /// Tap-table size above which the chunk-outer convolution, which streams
 /// the whole table once per chunk, is penalized harder in the prior
 /// (nominal private-L2 bytes). The panel-outer orders keep one panel's
@@ -460,7 +457,7 @@ impl Tuner {
         Ok(Candidate {
             params,
             exec: registry::TunedExec {
-                strategy: ConvStrategy::InterchangedBuffered,
+                strategy: ConvStrategy::Interchanged,
                 exchange: ExchangePlan::Monolithic,
                 fused: false,
             },
@@ -511,13 +508,7 @@ impl Tuner {
             }
         }
 
-        let exchanges = [
-            ExchangePlan::Monolithic,
-            ExchangePlan::Chunked(CHUNK_ELEMS),
-            ExchangePlan::PerSegment,
-            ExchangePlan::Overlapped,
-            ExchangePlan::Proxied(CHUNK_ELEMS),
-        ];
+        let exchanges = [ExchangePlan::Monolithic, ExchangePlan::Overlapped];
         let mut out = Vec::new();
         let mut seen = HashSet::new();
         let mut push = |cand: Candidate, out: &mut Vec<Candidate>| {
@@ -577,8 +568,8 @@ impl Tuner {
     /// Model-predicted seconds for one candidate under the current
     /// rates: the per-phase breakdown from [`PlanReport`], adjusted for
     /// the candidate's execution knobs (strategy cache behaviour, fused
-    /// sweep saving, and the §6.1 overlap timeline for pipelined
-    /// exchanges via [`soifft_model::schedule`]).
+    /// sweep saving, and the §6.1 overlap timeline for the overlapped
+    /// exchange via [`soifft_model::schedule`]).
     pub fn prior_seconds(&self, cand: &Candidate) -> Result<f64, TuneError> {
         let report = PlanReport::new(cand.params).map_err(|(e, _)| TuneError::InvalidShape(e))?;
         let b = report.predicted_phases(&self.rates.to_sim());
@@ -586,8 +577,7 @@ impl Tuner {
         // Refit to the panel kernel (2-core AVX2 host, µ = 5/4, B = 72):
         // chunk-outer over an L2-resident table (L = 16, 92 KB) runs 1.3×
         // the panel-outer time, over a 2.9 MB table (L = 512) about 2×.
-        // The fused front end is chunk-outer too. The two interchanged
-        // variants are one loop nest.
+        // The fused front end is chunk-outer too.
         let chunk_outer = cand.exec.fused || cand.exec.strategy == ConvStrategy::RowMajor;
         let strategy_factor = match (chunk_outer, report.tap_bytes > TAP_CACHE_BYTES) {
             (false, _) => 1.0,
@@ -603,11 +593,7 @@ impl Tuner {
         let preamble = b.ghost_s + conv_s + seg_s;
 
         let s = cand.params.segments_per_proc as u32;
-        let overlapped = matches!(
-            cand.exec.exchange,
-            ExchangePlan::PerSegment | ExchangePlan::Overlapped
-        );
-        if overlapped && s > 1 {
+        if cand.exec.exchange == ExchangePlan::Overlapped && s > 1 {
             let t = soifft_model::schedule::try_overlapped_timeline(
                 preamble,
                 b.all_to_all_s / f64::from(s),

@@ -5,11 +5,11 @@
 //! and `diff` is an asset for a tuning artifact:
 //!
 //! ```text
-//! soifft-wisdom 1
+//! soifft-wisdom 2
 //! fingerprint avx2|8|x86_64|linux
 //! checksum 6ab34fd1c9e02b77
 //! rates fft=2.416e9 conv=5.1e9 net=3.9e9 lat=2.1e-6
-//! plan n=1048576 procs=8 precision=f64 s=8 mu=8/7 b=72 strategy=buffering exchange=per-segment fused=0 measured=1.94e-2
+//! plan n=1048576 procs=8 precision=f64 s=8 mu=8/7 b=72 strategy=interchange exchange=overlapped fused=0 measured=1.94e-2
 //! ```
 //!
 //! * line 1: magic + schema version — an unknown version is rejected
@@ -17,8 +17,8 @@
 //! * line 2: the machine fingerprint the wisdom was measured on; a
 //!   mismatch ([`WisdomError::ForeignFingerprint`]) means the plans are
 //!   someone else's measurements and must not be adopted;
-//! * line 3: FNV-1a over every byte after this line — truncation and
-//!   bit flips surface as [`WisdomError::ChecksumMismatch`];
+//! * line 3: [`soifft_num::fnv1a`] over every byte after this line —
+//!   truncation and bit flips surface as [`WisdomError::ChecksumMismatch`];
 //! * the body: the fitted [`RateModel`] and one `plan` line per tuned
 //!   shape.
 //!
@@ -34,8 +34,10 @@ use soifft_core::{ConvStrategy, ExchangePlan, Precision, Rational, SoiParams};
 
 use crate::RateModel;
 
-/// On-disk schema version; bump on any line-format change.
-pub const WISDOM_SCHEMA_VERSION: u32 = 1;
+/// On-disk schema version; bump on any line-format change. Version 2
+/// dropped the `buffering` strategy and the `chunked:`, `per-segment` and
+/// `proxied:` exchange labels; a v1 file is rejected whole.
+pub const WISDOM_SCHEMA_VERSION: u32 = 2;
 
 const MAGIC: &str = "soifft-wisdom";
 
@@ -159,43 +161,19 @@ pub fn machine_fingerprint() -> String {
     )
 }
 
-/// FNV-1a over `bytes` — the same cheap, dependency-free hash the
-/// cluster crate uses for checkpoint checksums.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-/// Stable text label for an exchange plan (`monolithic`,
-/// `chunked:<elems>`, `per-segment`, `overlapped`, `proxied:<elems>`).
-pub fn exchange_label(e: ExchangePlan) -> String {
+/// Stable text label for an exchange plan (`monolithic`, `overlapped`).
+pub fn exchange_label(e: ExchangePlan) -> &'static str {
     match e {
-        ExchangePlan::Monolithic => "monolithic".to_string(),
-        ExchangePlan::Chunked(c) => format!("chunked:{c}"),
-        ExchangePlan::PerSegment => "per-segment".to_string(),
-        ExchangePlan::Overlapped => "overlapped".to_string(),
-        ExchangePlan::Proxied(c) => format!("proxied:{c}"),
+        ExchangePlan::Monolithic => "monolithic",
+        ExchangePlan::Overlapped => "overlapped",
     }
 }
 
 fn parse_exchange(s: &str) -> Option<ExchangePlan> {
     match s {
         "monolithic" => Some(ExchangePlan::Monolithic),
-        "per-segment" => Some(ExchangePlan::PerSegment),
         "overlapped" => Some(ExchangePlan::Overlapped),
-        _ => {
-            if let Some(c) = s.strip_prefix("chunked:") {
-                return c.parse().ok().map(ExchangePlan::Chunked);
-            }
-            if let Some(c) = s.strip_prefix("proxied:") {
-                return c.parse().ok().map(ExchangePlan::Proxied);
-            }
-            None
-        }
+        _ => None,
     }
 }
 
@@ -283,7 +261,7 @@ impl WisdomFile {
         format!(
             "{MAGIC} {WISDOM_SCHEMA_VERSION}\nfingerprint {}\nchecksum {:016x}\n{body}",
             self.fingerprint,
-            fnv1a(body.as_bytes()),
+            soifft_num::fnv1a(body.as_bytes()),
         )
     }
 
@@ -330,7 +308,7 @@ impl WisdomFile {
                 line: 3,
                 what: "expected `checksum <16 hex digits>`".to_string(),
             })?;
-        let found = fnv1a(rest.as_bytes());
+        let found = soifft_num::fnv1a(rest.as_bytes());
         if found != expected {
             return Err(WisdomError::ChecksumMismatch { expected, found });
         }
@@ -487,8 +465,8 @@ mod tests {
                         conv_width: 72,
                     },
                     exec: TunedExec {
-                        strategy: ConvStrategy::InterchangedBuffered,
-                        exchange: ExchangePlan::PerSegment,
+                        strategy: ConvStrategy::Interchanged,
+                        exchange: ExchangePlan::Overlapped,
                         fused: false,
                     },
                     precision: Precision::F64,
@@ -504,7 +482,7 @@ mod tests {
                     },
                     exec: TunedExec {
                         strategy: ConvStrategy::RowMajor,
-                        exchange: ExchangePlan::Chunked(8192),
+                        exchange: ExchangePlan::Monolithic,
                         fused: true,
                     },
                     precision: Precision::Split,
@@ -535,7 +513,7 @@ mod tests {
     fn unknown_schema_is_rejected_whole() {
         let text = sample()
             .to_text()
-            .replace("soifft-wisdom 1", "soifft-wisdom 99");
+            .replace("soifft-wisdom 2", "soifft-wisdom 99");
         assert_eq!(
             WisdomFile::parse(&text),
             Err(WisdomError::UnsupportedSchema { found: 99 })

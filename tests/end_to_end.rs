@@ -76,11 +76,7 @@ fn soi_all_exchange_plans_agree() {
         mu: Rational::new(2, 1),
         conv_width: 16,
     };
-    for plan in [
-        ExchangePlan::Monolithic,
-        ExchangePlan::Chunked(100),
-        ExchangePlan::PerSegment,
-    ] {
+    for plan in [ExchangePlan::Monolithic, ExchangePlan::Overlapped] {
         let err = run_soi(params, WindowKind::GaussianSinc, plan);
         assert!(err < 1e-5, "{plan:?}: {err:.3e}");
     }
@@ -232,6 +228,8 @@ fn conv_strategy_choice_does_not_change_distributed_result() {
             fft.forward(comm, &inputs[comm.rank()])
         })));
     }
-    assert!(rel_l2(&results[1], &results[0]) < 1e-13);
-    assert!(rel_l2(&results[2], &results[0]) < 1e-13);
+    // One panel kernel under every loop order: the bits agree.
+    for other in &results[1..] {
+        assert_eq!(other, &results[0]);
+    }
 }

@@ -10,6 +10,11 @@
 //! `tests/simd_parity.rs` — so the digests do not depend on the host's
 //! instruction set; CI runs this file under `SOIFFT_FORCE_SCALAR=1` too.)
 //!
+//! The plain, overlapped and resilient runs are repeated over a loopback
+//! TCP mesh (`TcpSupervisor`, same parameters) and must land on the
+//! in-process digests: the exchange plans are schedules over one
+//! transport-agnostic collective, so the transport cannot change the bits.
+//!
 //! Four structural facts are asserted alongside the digests:
 //!
 //! * the bits do not depend on the front end: every convolution loop
@@ -29,9 +34,10 @@
 
 use std::collections::BTreeMap;
 
+use soifft::cluster::transport::tcp::{TcpConfig, TcpSupervisor};
 use soifft::cluster::{
-    checksum, Cluster, ClusterConfig, CrashSite, ExchangePolicy, FaultPlan, RecoveryOutcome,
-    RestartPolicy,
+    checksum, Cluster, ClusterConfig, Comm, CommError, CrashSite, ExchangePolicy, FaultPlan,
+    RankOutcome, RecoveryOutcome, RestartPolicy,
 };
 use soifft::num::c64;
 use soifft::soi::pipeline::{gather_output, scatter_input, ExchangePlan};
@@ -60,16 +66,13 @@ fn noise(n: usize) -> Vec<c64> {
     (0..n).map(|_| c64::new(next(), next())).collect()
 }
 
-const EXCHANGES: [(&str, ExchangePlan); 5] = [
+const EXCHANGES: [(&str, ExchangePlan); 2] = [
     ("mono", ExchangePlan::Monolithic),
-    ("chunked37", ExchangePlan::Chunked(37)),
-    ("perseg", ExchangePlan::PerSegment),
     ("overlap", ExchangePlan::Overlapped),
-    ("proxied96", ExchangePlan::Proxied(96)),
 ];
 
-/// The four front ends: three unfused convolution strategies plus the
-/// fused sweep (which forces `RowMajor`).
+/// The front ends: every unfused convolution strategy plus the fused
+/// sweep (which forces `RowMajor`).
 fn front_ends(base: &SoiFft) -> Vec<(&'static str, SoiFft)> {
     let mut v: Vec<(&'static str, SoiFft)> = ConvStrategy::ALL
         .iter()
@@ -105,6 +108,32 @@ fn forward_digest(fft: &SoiFft, inputs: &[Vec<c64>], what: &str) -> u64 {
     checksum(&warm)
 }
 
+/// The gathered spectrum of `rank_body` run on every rank of a fresh
+/// loopback TCP mesh, as a digest. No respawns: a plan that fails over
+/// TCP must fail here, not be papered over by a second epoch.
+fn tcp_digest(
+    procs: usize,
+    rank_body: impl Fn(&mut Comm) -> Result<Vec<c64>, CommError> + Sync,
+) -> u64 {
+    let config = TcpConfig {
+        restart: RestartPolicy::disabled(),
+        ..TcpConfig::default()
+    };
+    let run = TcpSupervisor::new(config)
+        .run(procs, |comm, _ctx| rank_body(comm))
+        .expect("loopback mesh launches");
+    let parts = run
+        .outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(rank, outcome)| match outcome {
+            RankOutcome::Ok(y) => y,
+            other => panic!("TCP rank {rank}: {other:?}"),
+        })
+        .collect();
+    checksum(&gather_output(parts))
+}
+
 /// Everything this file computes, keyed by a stable label.
 fn compute() -> BTreeMap<String, u64> {
     let p = params();
@@ -116,7 +145,7 @@ fn compute() -> BTreeMap<String, u64> {
 
     // forward / forward_into over the full grid, uniform layout. Neither
     // the exchange plan nor the front end changes the bits, so one table
-    // row per precision covers all twenty combinations.
+    // row per precision covers every combination.
     for precision in Precision::ALL {
         let mut row: Option<u64> = None;
         for (fe_label, fe) in front_ends(&base) {
@@ -139,18 +168,15 @@ fn compute() -> BTreeMap<String, u64> {
         }
         got.insert(
             format!("forward/{}", precision_label(precision)),
-            row.expect("twenty combinations ran"),
+            row.expect("every combination ran"),
         );
     }
 
-    // Heterogeneous layout (Proxied supports uniform layouts only).
+    // Heterogeneous layout.
     let hetero = base.clone().with_segment_counts(vec![1, 3, 1, 3]);
     for precision in Precision::ALL {
         let mut row: Option<u64> = None;
         for (ex_label, exchange) in EXCHANGES {
-            if matches!(exchange, ExchangePlan::Proxied(_)) {
-                continue;
-            }
             let fft = hetero
                 .clone()
                 .with_precision(precision)
@@ -165,7 +191,7 @@ fn compute() -> BTreeMap<String, u64> {
         }
         got.insert(
             format!("forward-hetero/{}", precision_label(precision)),
-            row.expect("four plans ran"),
+            row.expect("every plan ran"),
         );
     }
 
@@ -206,7 +232,7 @@ fn compute() -> BTreeMap<String, u64> {
             "{fe_label}: try_forward bits depend on the front end"
         );
     }
-    got.insert("try_forward".into(), row.expect("four front ends ran"));
+    got.insert("try_forward".into(), row.expect("every front end ran"));
     let gate = CancelGate::new();
     let y = gather_output(Cluster::run(p.procs, |comm| {
         let mut ws = base.make_workspace();
@@ -284,6 +310,18 @@ fn compute() -> BTreeMap<String, u64> {
         }
     }
 
+    // Transport parity: the same plans, and the resilient path, over TCP.
+    for (ex_label, exchange) in EXCHANGES {
+        let fft = base.clone().with_exchange(exchange);
+        let d = tcp_digest(p.procs, |comm| Ok(fft.forward(comm, &inputs[comm.rank()])));
+        got.insert(format!("tcp/forward/{ex_label}"), d);
+    }
+    let d = tcp_digest(p.procs, |comm| {
+        base.try_forward(comm, &inputs[comm.rank()], &policy)
+            .map_err(|e| e.error)
+    });
+    got.insert("tcp/try_forward".into(), d);
+
     // Segments of interest, uniform and heterogeneous.
     for (label, fft) in [("uniform", &base), ("hetero", &hetero)] {
         let wanted = [1usize, 4, 6];
@@ -317,6 +355,9 @@ fn pipeline_output_bits_match_the_recorded_digests() {
         }
     }
     assert_eq!(got["try_forward-hetero"], got["forward-hetero/f64"]);
+    for tcp in ["tcp/forward/mono", "tcp/forward/overlap", "tcp/try_forward"] {
+        assert_eq!(got[tcp], plain, "{tcp}: TCP bits differ from in-process");
+    }
 
     let want: BTreeMap<String, u64> = GOLDEN.iter().map(|&(k, v)| (k.to_string(), v)).collect();
     if got != want {
@@ -350,6 +391,9 @@ const GOLDEN: &[(&str, u64)] = &[
     ("recovered/fused/respawn", 0x2c91cb514575a6f5),
     ("segments/hetero", 0xacbc063975b115de),
     ("segments/uniform", 0xacbc063975b115de),
+    ("tcp/forward/mono", 0x2c91cb514575a6f5),
+    ("tcp/forward/overlap", 0x2c91cb514575a6f5),
+    ("tcp/try_forward", 0x2c91cb514575a6f5),
     ("try_forward", 0x2c91cb514575a6f5),
     ("try_forward-hetero", 0x2c91cb514575a6f5),
 ];

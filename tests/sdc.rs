@@ -24,7 +24,7 @@ use soifft::fft::Plan;
 use soifft::num::c64;
 use soifft::num::error::rel_l2;
 use soifft::soi::pipeline::{gather_output, scatter_input};
-use soifft::soi::{Rational, SoiFft, SoiParams, SoiRunError};
+use soifft::soi::{ExchangePlan, Rational, SoiFft, SoiParams, SoiRunError};
 
 const PROCS: usize = 4;
 const SEGMENTS_PER_PROC: usize = 2;
@@ -304,6 +304,68 @@ fn recover_repairs_a_gathered_flip_on_the_half_width_wire() {
     assert_eq!(got, clean, "repair must be bit-identical");
     assert!(ledgers[VICTIM].sdc_detected() >= 1);
     assert!(ledgers[VICTIM].sdc_repaired() >= 1);
+}
+
+// ---------------------------------------------------------------------
+// The overlapped exchange plan: validation is never silently off. Its
+// per-segment parts carry no checksum tags, so a validating plan runs
+// the tagged monolithic exchange instead.
+// ---------------------------------------------------------------------
+
+type PlainOutcome = RankOutcome<(Vec<c64>, CommStats)>;
+
+/// The plain (infallible) pipeline under the overlapped plan: each rank's
+/// spectrum and ledger.
+fn run_overlapped(plan: FaultPlan, validation: ValidationPolicy) -> Vec<PlainOutcome> {
+    let p = soi_params();
+    let inputs = scatter_input(&signal(p.n), p.procs);
+    let fft = SoiFft::new(p)
+        .expect("valid params")
+        .with_exchange(ExchangePlan::Overlapped)
+        .with_validation(validation);
+    run_cluster_with_faults(p.procs, plan, move |comm| {
+        let y = fft.forward(comm, &inputs[comm.rank()]);
+        (y, comm.stats().clone())
+    })
+}
+
+#[test]
+fn overlapped_plan_under_check_only_detects_a_gathered_flip() {
+    let plan = FaultPlan::new(308).bit_flip(VICTIM, BitFlipSite::GatheredSegment);
+    let outcomes = run_overlapped(plan, ValidationPolicy::CheckOnly);
+    // The infallible entry point escalates a detection as a rank panic.
+    match &outcomes[VICTIM] {
+        RankOutcome::Panicked(msg) => assert!(
+            msg.contains(&format!("silent data corruption detected on rank {VICTIM}")),
+            "{msg}"
+        ),
+        other => panic!("the victim must report the flip, got {other:?}"),
+    }
+}
+
+#[test]
+fn overlapped_plan_under_recover_repairs_a_gathered_flip_bit_identically() {
+    let spectrum = |outcomes: Vec<PlainOutcome>| -> (Vec<Vec<c64>>, Vec<CommStats>) {
+        outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(rank, o)| match o {
+                RankOutcome::Ok(pair) => pair,
+                other => panic!("rank {rank}: expected success, got {other:?}"),
+            })
+            .unzip()
+    };
+    // The genuinely overlapped run (validation off) is the reference.
+    let (clean, _) = spectrum(run_overlapped(FaultPlan::new(309), ValidationPolicy::Off));
+    let plan = FaultPlan::new(309).bit_flip(VICTIM, BitFlipSite::GatheredSegment);
+    let (got, ledgers) = spectrum(run_overlapped(plan, ValidationPolicy::Recover));
+    assert_eq!(
+        gather_output(got),
+        gather_output(clean),
+        "repair must be bit-identical"
+    );
+    assert!(ledgers[VICTIM].sdc_detected() >= 1, "detection counted");
+    assert!(ledgers[VICTIM].sdc_repaired() >= 1, "repair counted");
 }
 
 // ---------------------------------------------------------------------

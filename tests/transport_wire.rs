@@ -16,7 +16,7 @@ use soifft::cluster::transport::wire::{
     decode_frame, encode_frame, read_frame, Frame, FrameKind, WireError, HEADER_LEN,
     MAX_PAYLOAD_ELEMS,
 };
-use soifft::num::c64;
+use soifft::num::{c64, fnv1a};
 
 /// A `Read` whose returns follow a script of chunk sizes — an
 /// adversarial TCP socket that segments the stream however it likes
@@ -286,12 +286,23 @@ proptest! {
     }
 }
 
-/// Mirror of the codec's private header FNV (the hostile-peer test needs
-/// to forge a valid header checksum).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    bytes
-        .iter()
-        .fold(SEED, |h, &b| (h ^ b as u64).wrapping_mul(PRIME))
+/// The header checksum is `soifft_num::fnv1a` over the first 64 header
+/// bytes, and its value for a fixed frame is pinned: a change to the hash
+/// would make frames from other builds unreadable, so it must fail here.
+#[test]
+fn header_checksum_is_the_shared_fnv1a_and_unchanged() {
+    let frame = Frame {
+        kind: FrameKind::Data,
+        src: 3,
+        dst: 1,
+        tag: 0x1_0005,
+        seq: 42,
+        checksum: 0xDEAD_BEEF,
+        generation: 7,
+        payload: vec![c64::new(1.5, -2.0), c64::new(0.25, 8.0)],
+    };
+    let bytes = encode_frame(&frame);
+    let stored = u64::from_le_bytes(bytes[HEADER_LEN - 8..HEADER_LEN].try_into().unwrap());
+    assert_eq!(stored, fnv1a(&bytes[..HEADER_LEN - 8]));
+    assert_eq!(stored, 0xf5b3_374e_d9cb_2960);
 }

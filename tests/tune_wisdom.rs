@@ -42,8 +42,8 @@ fn sample_entry(n: usize, procs: usize) -> WisdomEntry {
             conv_width: 36,
         },
         exec: TunedExec {
-            strategy: ConvStrategy::InterchangedBuffered,
-            exchange: ExchangePlan::PerSegment,
+            strategy: ConvStrategy::Interchanged,
+            exchange: ExchangePlan::Overlapped,
             fused: false,
         },
         precision: Precision::F64,
@@ -93,27 +93,76 @@ fn golden_file() -> WisdomFile {
     }
 }
 
-/// Schema gate (run per-PR by ci.yml): the committed v1 fixture must
+fn fixture(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data")
+        .join(name)
+}
+
+/// Schema gate (run per-PR by ci.yml): the committed v2 fixture must
 /// keep parsing byte-for-byte. If the line format changes, this fails
 /// before any user's persisted wisdom does — bump
 /// `WISDOM_SCHEMA_VERSION`, regenerate with `SOIFFT_WRITE_GOLDEN=1`,
 /// and commit a new fixture alongside the old one's loader behaviour.
 #[test]
-fn golden_v1_wisdom_fixture_still_parses() {
-    let fixture =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/golden_v1.wisdom");
+fn golden_v2_wisdom_fixture_still_parses() {
+    let path = fixture("golden_v2.wisdom");
     let expected = golden_file();
     if std::env::var("SOIFFT_WRITE_GOLDEN").is_ok() {
-        std::fs::write(&fixture, expected.to_text()).unwrap();
+        std::fs::write(&path, expected.to_text()).unwrap();
     }
-    let loaded = WisdomFile::load(&fixture).unwrap_or_else(|e| {
+    let loaded = WisdomFile::load(&path).unwrap_or_else(|e| {
         panic!(
-            "golden v1 wisdom fixture no longer loads ({e}) — a schema \
+            "golden v2 wisdom fixture no longer loads ({e}) — a schema \
              change must bump WISDOM_SCHEMA_VERSION and add a new fixture"
         )
     });
     assert_eq!(loaded, expected);
-    assert_eq!(soifft::tune::WISDOM_SCHEMA_VERSION, 1);
+    assert_eq!(soifft::tune::WISDOM_SCHEMA_VERSION, 2);
+}
+
+/// The v1 fixture names a strategy (`buffering`) and an exchange plan
+/// (`per-segment`) that v2 dropped: it is the stale-schema input, and
+/// must be rejected whole — the tuner degrades to Estimate, never panics.
+/// Its recorded body checksum still verifies under the shared FNV-1a, so
+/// the checksum function itself did not change with the schema.
+#[test]
+fn golden_v1_wisdom_fixture_degrades_to_estimate() {
+    let text = std::fs::read_to_string(fixture("golden_v1.wisdom")).unwrap();
+    assert_eq!(
+        WisdomFile::parse(&text),
+        Err(WisdomError::UnsupportedSchema { found: 1 })
+    );
+    let mut lines = text.splitn(4, '\n');
+    let recorded = lines
+        .nth(2)
+        .and_then(|l| l.strip_prefix("checksum "))
+        .unwrap();
+    let body = lines.next().unwrap();
+    assert_eq!(
+        format!("{:016x}", soifft::num::fnv1a(body.as_bytes())),
+        recorded
+    );
+
+    // A private copy: a tuner owns the file it loaded from.
+    let dir = scratch_dir("golden-v1");
+    let path = dir.join("v1.wisdom");
+    std::fs::write(&path, &text).unwrap();
+    let mut tuner = Tuner::with_wisdom_file(&path);
+    assert_eq!(
+        tuner.degraded(),
+        Some(&WisdomError::UnsupportedSchema { found: 1 })
+    );
+    assert!(tuner.entries().is_empty());
+    let out = tuner
+        .plan(
+            &TuneRequest::new(7 << 11, 2),
+            Tier::Estimate,
+            &mut MeasuredProber::new(),
+        )
+        .unwrap();
+    assert_eq!(out.source, PlanSource::Estimated);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -142,13 +191,13 @@ fn stale_schema_degrades_to_estimate() {
     let path = dir.join("w.wisdom");
     let text = sample_file(&machine_fingerprint())
         .to_text()
-        .replace("soifft-wisdom 1", "soifft-wisdom 2");
+        .replace("soifft-wisdom 2", "soifft-wisdom 1");
     std::fs::write(&path, text).unwrap();
 
     let mut tuner = Tuner::with_wisdom_file(&path);
     assert_eq!(
         tuner.degraded(),
-        Some(&WisdomError::UnsupportedSchema { found: 2 })
+        Some(&WisdomError::UnsupportedSchema { found: 1 })
     );
     assert!(tuner.entries().is_empty());
     // Degraded, not dead: Estimate-tier planning still works...
@@ -331,18 +380,18 @@ fn registry_feeds_sofft_construction_and_serve_engine() {
 
     // Untuned: the construction defaults.
     let cold = SoiFft::new(params).unwrap();
-    assert_eq!(cold.strategy(), ConvStrategy::InterchangedBuffered);
+    assert_eq!(cold.strategy(), ConvStrategy::Interchanged);
     assert_eq!(cold.exchange(), ExchangePlan::Monolithic);
 
     let exec = TunedExec {
-        strategy: ConvStrategy::Interchanged,
-        exchange: ExchangePlan::Chunked(1024),
+        strategy: ConvStrategy::RowMajor,
+        exchange: ExchangePlan::Overlapped,
         fused: false,
     };
     registry::install(key, exec);
     let warm = SoiFft::new(params).unwrap();
-    assert_eq!(warm.strategy(), ConvStrategy::Interchanged);
-    assert_eq!(warm.exchange(), ExchangePlan::Chunked(1024));
+    assert_eq!(warm.strategy(), ConvStrategy::RowMajor);
+    assert_eq!(warm.exchange(), ExchangePlan::Overlapped);
     assert!(!warm.fused_segment_fft());
 
     // The tuned plan still transforms correctly end to end.
