@@ -4,7 +4,9 @@
 //! [`SoiFft::forward_into`] calls and proves the default configuration's
 //! hot path never touches the heap: every per-call buffer lives in the
 //! planned [`soifft::soi::SoiWorkspace`] and every exchange payload cycles
-//! through the communicator's buffer pool. The resilient path
+//! through the communicator's buffer pool. The Cooley–Tukey baseline's
+//! warm `forward_into` runs through the same harness to the same zero.
+//! The resilient path
 //! ([`SoiFft::try_forward_into`]) is held to a *bounded* budget instead —
 //! its consensus and retransmit staging legitimately allocate, but never
 //! the pipeline's working set. A final sweep pins `forward_into` (and
@@ -21,7 +23,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use soifft::cluster::{tags, Cluster, ExchangePolicy};
+use soifft::cluster::{tags, Cluster, Comm, ExchangePolicy};
+use soifft::ct::DistributedCtFft;
 use soifft::num::c64;
 use soifft::soi::pipeline::{gather_output, scatter_input, ExchangePlan};
 use soifft::soi::{ConvStrategy, Rational, SoiFft, SoiParams};
@@ -97,27 +100,21 @@ const MEASURED: usize = 4;
 /// the window so the ledger never regrows inside it).
 const RECORDS_PER_CALL: usize = 64;
 
-/// The tentpole claim: after warmup, the default configuration's
-/// `forward_into` makes **zero** heap allocations — across *all* ranks,
-/// since the ledger is process-global and the window is fenced by
-/// cluster-wide barriers.
-#[test]
-fn forward_into_steady_state_allocates_nothing() {
-    let _window = window();
-    let params = params();
-    let x = signal(params.n);
-    let inputs = scatter_input(&x, params.procs);
-    let fft = SoiFft::new(params).expect("valid params");
-
-    let deltas = Cluster::run(params.procs, |comm| {
-        let me = &inputs[comm.rank()];
-        let mut ws = fft.make_workspace();
-        let mut y = vec![c64::ZERO; fft.output_len(comm.rank())];
-        // Warm the workspace, the communicator's buffer pool, and the
-        // pending-message map (two calls: the first grows everything, the
-        // second settles the pool's acquire/recycle cycle).
+/// Heap calls each rank makes across [`MEASURED`] warm `call`s on
+/// `procs` ranks, each rank with the state `setup` plans for it. The
+/// window opens after three warming calls (the first grows the workspace,
+/// the buffer pool and the pending-message map; the next settle the pool's
+/// acquire/recycle cycle) and is fenced by cluster-wide barriers, so it
+/// sees the allocations of *all* ranks of this cluster.
+fn steady_state_allocs<S>(
+    procs: usize,
+    setup: impl Fn(&mut Comm) -> S + Sync,
+    call: impl Fn(&mut Comm, &mut S) + Sync,
+) -> Vec<u64> {
+    Cluster::run(procs, |comm| {
+        let mut state = setup(comm);
         for _ in 0..3 {
-            fft.forward_into(comm, me, &mut ws, &mut y);
+            call(comm, &mut state);
         }
         // Push every inbox ring buffer to a depth no measured superstep
         // can reach (ranks drift at most one call apart, a dozen or so
@@ -145,7 +142,7 @@ fn forward_into_steady_state_allocates_nothing() {
         comm.barrier();
         let calls_before = HEAP_CALLS.load(Ordering::SeqCst);
         for _ in 0..MEASURED {
-            fft.forward_into(comm, me, &mut ws, &mut y);
+            call(comm, &mut state);
         }
         let delta = HEAP_CALLS.load(Ordering::SeqCst) - calls_before;
         // Hold every rank until all have snapshotted: the launcher's
@@ -153,16 +150,44 @@ fn forward_into_steady_state_allocates_nothing() {
         // a slower rank's still-open window.
         comm.barrier();
         delta
-    });
+    })
+}
 
+/// Fails unless every rank's window in `deltas` counted zero heap calls.
+fn assert_allocation_free(what: &str, deltas: &[u64]) {
     for (rank, delta) in deltas.iter().enumerate() {
         assert_eq!(
             *delta, 0,
             "rank {rank} observed {delta} heap allocations across {MEASURED} \
-             warm forward_into calls; the steady-state hot path must not \
-             touch the allocator"
+             warm {what} calls; the steady-state hot path must not touch \
+             the allocator"
         );
     }
+}
+
+/// The warm SOI `forward_into` calls of `fft`, heap calls per rank.
+fn soi_forward_into_allocs(fft: &SoiFft) -> Vec<u64> {
+    let params = fft.params();
+    let inputs = scatter_input(&signal(params.n), params.procs);
+    steady_state_allocs(
+        params.procs,
+        |comm| {
+            let y = vec![c64::ZERO; fft.output_len(comm.rank())];
+            (fft.make_workspace(), y)
+        },
+        |comm, (ws, y)| fft.forward_into(comm, &inputs[comm.rank()], ws, y),
+    )
+}
+
+/// The tentpole claim: after warmup, the default configuration's
+/// `forward_into` makes **zero** heap allocations — across *all* ranks,
+/// since the ledger is process-global and the window is fenced by
+/// cluster-wide barriers.
+#[test]
+fn forward_into_steady_state_allocates_nothing() {
+    let _window = window();
+    let fft = SoiFft::new(params()).expect("valid params");
+    assert_allocation_free("forward_into", &soi_forward_into_allocs(&fft));
 }
 
 /// The half-width data path earns its bandwidth win without paying it
@@ -175,60 +200,30 @@ fn lowprec_forward_into_steady_state_allocates_nothing() {
     let _window = window();
     use soifft::soi::Precision;
 
-    let params = params();
-    let x = signal(params.n);
-    let inputs = scatter_input(&x, params.procs);
-
     for precision in [Precision::F32, Precision::Split] {
-        let fft = SoiFft::new(params)
+        let fft = SoiFft::new(params())
             .expect("valid params")
             .with_precision(precision);
-
-        let deltas = Cluster::run(params.procs, |comm| {
-            let me = &inputs[comm.rank()];
-            let mut ws = fft.make_workspace();
-            let mut y = vec![c64::ZERO; fft.output_len(comm.rank())];
-            for _ in 0..3 {
-                fft.forward_into(comm, me, &mut ws, &mut y);
-            }
-            // Same inbox flood as the f64 test: pre-stretch every ring
-            // buffer past what scheduling jitter can queue mid-window.
-            const FLOOD: usize = 16;
-            for _ in 0..FLOOD {
-                for dst in 0..comm.size() {
-                    let mut burst = comm.acquire_buffer(16);
-                    burst.resize(16, c64::ZERO);
-                    comm.send(dst, tags::USER, burst);
-                }
-            }
-            comm.barrier();
-            for _ in 0..FLOOD {
-                for src in 0..comm.size() {
-                    let drained = comm.recv(src, tags::USER);
-                    comm.recycle_buffer(drained);
-                }
-            }
-            comm.stats_mut()
-                .reserve_records(MEASURED * RECORDS_PER_CALL);
-            comm.barrier();
-            let calls_before = HEAP_CALLS.load(Ordering::SeqCst);
-            for _ in 0..MEASURED {
-                fft.forward_into(comm, me, &mut ws, &mut y);
-            }
-            let delta = HEAP_CALLS.load(Ordering::SeqCst) - calls_before;
-            comm.barrier();
-            delta
-        });
-
-        for (rank, delta) in deltas.iter().enumerate() {
-            assert_eq!(
-                *delta, 0,
-                "rank {rank} observed {delta} heap allocations across {MEASURED} \
-                 warm {precision:?} forward_into calls; the half-width steady \
-                 state must not touch the allocator"
-            );
-        }
+        let what = format!("{precision:?} forward_into");
+        assert_allocation_free(&what, &soi_forward_into_allocs(&fft));
     }
+}
+
+/// The Cooley–Tukey baseline's `forward_into` is held to the same zero:
+/// its pack slots and received payloads cycle through the communicator's
+/// pool around all three transposes.
+#[test]
+fn ct_forward_into_steady_state_allocates_nothing() {
+    let _window = window();
+    let (n, procs) = (1 << 14, 4);
+    let inputs = scatter_input(&signal(n), procs);
+    let fft = DistributedCtFft::new(n, procs).expect("P² divides N");
+    let deltas = steady_state_allocs(
+        procs,
+        |_| (fft.make_workspace(), vec![c64::ZERO; n / procs]),
+        |comm, (ws, y)| fft.forward_into(comm, &inputs[comm.rank()], ws, y),
+    );
+    assert_allocation_free("CT forward_into", &deltas);
 }
 
 /// The fault-tolerant path may allocate (consensus votes, retransmit

@@ -29,6 +29,12 @@
 //! * every resilient / cancellable / recovered / degraded path at F64
 //!   lands on the digest of the plain `forward_into` run.
 //!
+//! The Cooley–Tukey baseline gets its own rows on the same input: every
+//! entry point (`forward`, a warm `forward_into`, `try_forward`,
+//! `try_forward_recoverable` clean and after a crash + respawn, a
+//! `Recover`-validated run, and a loopback TCP run) must land on one CT
+//! digest.
+//!
 //! When a digest legitimately changes, the failure message prints the
 //! whole freshly computed table in source form.
 
@@ -37,8 +43,9 @@ use std::collections::BTreeMap;
 use soifft::cluster::transport::tcp::{TcpConfig, TcpSupervisor};
 use soifft::cluster::{
     checksum, Cluster, ClusterConfig, Comm, CommError, CrashSite, ExchangePolicy, FaultPlan,
-    RankOutcome, RecoveryOutcome, RestartPolicy,
+    RankOutcome, RecoveryOutcome, RestartPolicy, Supervisor, ValidationPolicy,
 };
+use soifft::ct::DistributedCtFft;
 use soifft::num::c64;
 use soifft::soi::pipeline::{gather_output, scatter_input, ExchangePlan};
 use soifft::soi::{CancelGate, ConvStrategy, Precision, Rational, SoiFft, SoiParams};
@@ -338,7 +345,75 @@ fn compute() -> BTreeMap<String, u64> {
         got.insert(format!("segments/{label}"), checksum(&flat));
     }
 
+    compute_ct(&inputs, &policy, &mut got);
     got
+}
+
+/// The Cooley–Tukey rows, on the SOI rows' input and rank count.
+fn compute_ct(inputs: &[Vec<c64>], policy: &ExchangePolicy, got: &mut BTreeMap<String, u64>) {
+    let procs = inputs.len();
+    let n = procs * inputs[0].len();
+    let ct = DistributedCtFft::new(n, procs).expect("P² divides N");
+
+    let fresh = gather_output(Cluster::run(procs, |comm| {
+        ct.forward(comm, &inputs[comm.rank()])
+    }));
+    let warm = gather_output(Cluster::run(procs, |comm| {
+        let me = &inputs[comm.rank()];
+        let mut ws = ct.make_workspace();
+        let mut y = vec![c64::ZERO; me.len()];
+        ct.forward_into(comm, me, &mut ws, &mut y);
+        ct.forward_into(comm, me, &mut ws, &mut y);
+        y
+    }));
+    assert_eq!(fresh, warm, "ct: warm forward_into != forward");
+    got.insert("ct/forward".into(), checksum(&warm));
+
+    let y = gather_output(Cluster::run(procs, |comm| {
+        ct.try_forward(comm, &inputs[comm.rank()], policy)
+            .expect("healthy cluster")
+    }));
+    got.insert("ct/try_forward".into(), checksum(&y));
+    let recover = DistributedCtFft::new(n, procs)
+        .expect("P² divides N")
+        .with_validation(ValidationPolicy::Recover);
+    let y = gather_output(Cluster::run(procs, |comm| {
+        recover
+            .try_forward(comm, &inputs[comm.rank()], policy)
+            .expect("healthy cluster")
+    }));
+    got.insert("ct/try_forward/recover".into(), checksum(&y));
+
+    // Supervised: clean, and rank 3 dying entering its n2-point FFTs.
+    for (name, config, restarts) in [
+        ("clean", ClusterConfig::default(), 0),
+        (
+            "respawn",
+            ClusterConfig::with_faults(FaultPlan::new(52).crash(3, CrashSite::Phase("ct-fft-2"))),
+            1,
+        ),
+    ] {
+        let run = Supervisor::new(config, RestartPolicy::default()).run(procs, |comm, ctx| {
+            ct.try_forward_recoverable(comm, &inputs[comm.rank()], policy, ctx)
+        });
+        assert_eq!(run.restarts, restarts, "ct/recoverable/{name}");
+        let parts = run
+            .outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(rank, outcome)| match outcome {
+                RankOutcome::Ok(Ok(y)) => y,
+                other => panic!("ct/recoverable/{name}: rank {rank}: {other:?}"),
+            })
+            .collect();
+        got.insert(
+            format!("ct/recoverable/{name}"),
+            checksum(&gather_output(parts)),
+        );
+    }
+
+    let d = tcp_digest(procs, |comm| Ok(ct.forward(comm, &inputs[comm.rank()])));
+    got.insert("ct/tcp/forward".into(), d);
 }
 
 #[test]
@@ -358,6 +433,10 @@ fn pipeline_output_bits_match_the_recorded_digests() {
     for tcp in ["tcp/forward/mono", "tcp/forward/overlap", "tcp/try_forward"] {
         assert_eq!(got[tcp], plain, "{tcp}: TCP bits differ from in-process");
     }
+    let ct = got["ct/forward"];
+    for (k, v) in got.iter().filter(|(k, _)| k.starts_with("ct/")) {
+        assert_eq!(*v, ct, "{k}: CT bits differ from ct/forward");
+    }
 
     let want: BTreeMap<String, u64> = GOLDEN.iter().map(|&(k, v)| (k.to_string(), v)).collect();
     if got != want {
@@ -373,8 +452,16 @@ fn pipeline_output_bits_match_the_recorded_digests() {
 /// `φ·Σ ±env·x` with fused multiply-adds, a reassociation of the former
 /// complex `Σ w·x` (SNR against the oracle unchanged; the f32 row did not
 /// move at all). Identical under AVX2 and `SOIFFT_FORCE_SCALAR=1`.
+/// The `ct/` rows were recorded against the Cooley–Tukey baseline's
+/// three hand-written superstep bodies, before they became one executor.
 const GOLDEN: &[(&str, u64)] = &[
     ("cancellable/open-gate", 0x2c91cb514575a6f5),
+    ("ct/forward", 0xc2f6b9bc8fca5f43),
+    ("ct/recoverable/clean", 0xc2f6b9bc8fca5f43),
+    ("ct/recoverable/respawn", 0xc2f6b9bc8fca5f43),
+    ("ct/tcp/forward", 0xc2f6b9bc8fca5f43),
+    ("ct/try_forward", 0xc2f6b9bc8fca5f43),
+    ("ct/try_forward/recover", 0xc2f6b9bc8fca5f43),
     ("forward-hetero/f32", 0xbfc6dd7f17580b86),
     ("forward-hetero/f64", 0x2c91cb514575a6f5),
     ("forward-hetero/split", 0xf860c83c1e23cdfa),
