@@ -49,10 +49,14 @@
 //!   globally committed phase. Every wire message carries the sender
 //!   incarnation's *generation*, so in-flight traffic from a dead epoch is
 //!   discarded on arrival instead of corrupting the retry.
+//! * Stage-boundary hooks ([`abft`]) — the silent-corruption guard loop and
+//!   checkpoint restore / write-verified save, one copy that both
+//!   distributed executors call.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod abft;
 pub mod checkpoint;
 pub mod fault;
 pub mod resilience;

@@ -74,21 +74,6 @@ pub fn alias_bound(window: &Window, params: &SoiParams, samples: usize, r_max: i
     worst
 }
 
-/// Relative tolerance for an energy-conservation (Parseval) check across an
-/// unnormalized FFT of length `len`.
-///
-/// In exact arithmetic an unnormalized `len`-point DFT multiplies total
-/// energy by exactly `len`; in floating point the relative drift grows with
-/// the number of butterfly stages, roughly `ε·log2(len)` with a modest
-/// constant. The returned bound is ~two orders above worst-case roundoff so
-/// a healthy transform never trips it, yet ~ten orders below the energy
-/// shift of a single high-exponent bit flip, which it therefore always
-/// catches.
-pub fn energy_tolerance(len: usize) -> f64 {
-    let stages = (len.max(2) as f64).log2();
-    1e-12 * stages
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,23 +131,6 @@ mod tests {
                 "B={b}: measured {measured:.3e} vs bound {bound:.3e}"
             );
         }
-    }
-
-    #[test]
-    fn energy_tolerance_scales_with_depth_and_clears_roundoff() {
-        assert!(energy_tolerance(1 << 16) > energy_tolerance(1 << 4));
-        // Measured Parseval drift of a healthy FFT must sit far below the
-        // tolerance for that length.
-        let n = 1 << 10;
-        let plan = Plan::new(n);
-        let mut data: Vec<c64> = (0..n)
-            .map(|i| c64::new((0.31 * i as f64).sin(), (0.17 * i as f64).cos()))
-            .collect();
-        let e_in: f64 = data.iter().map(|z| z.norm_sqr()).sum();
-        plan.forward(&mut data);
-        let e_out: f64 = data.iter().map(|z| z.norm_sqr()).sum();
-        let drift = ((e_out - e_in * n as f64) / (e_in * n as f64)).abs();
-        assert!(drift < energy_tolerance(n) / 10.0, "drift {drift:.3e}");
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! | typed errors + bounded retry | `try_*` (an [`ExchangePolicy`]) | `ghost`, `exchange` |
 //! | cancellation | [`CancelGate`] | `gate`, before each collective |
 //! | crash points | a fault plan | `front`, at each phase entry |
-//! | checkpoint restore-or-run-then-save | a [`RecoveryCtx`] | `restore` / `save` around every stage |
-//! | ABFT guard → verify → repair | [`ValidationPolicy`] | `guarded` (phase buffers), `verify_incoming` (gathered parts), `save` (snapshot images) |
+//! | checkpoint restore-or-run-then-save | a [`RecoveryCtx`] | [`abft::restore`] / [`abft::save`] around every stage |
+//! | ABFT guard → verify → repair | [`ValidationPolicy`] | [`abft::guarded`] (phase buffers), `verify_incoming` (gathered parts), [`abft::save`] (snapshot images) |
 //! | precision | [`Precision`] | the wire format of `pack_tile` / `recover_segment` |
 //! | tracing | the communicator | the spans and phase records above |
 
@@ -36,9 +36,9 @@ use std::sync::Arc;
 
 use soifft_cluster::stats::PhaseToken;
 use soifft_cluster::{
-    checksum, BitFlipSite, CheckpointStore, Cluster, ClusterConfig, Comm, CommError, CommStats,
-    ExchangePolicy, RankOutcome, RecoveryCtx, RecoveryOutcome, RestartPolicy, Supervisor,
-    ValidationPolicy,
+    abft, checksum, BitFlipSite, CheckpointStore, Cluster, ClusterConfig, Comm, CommError,
+    CommStats, ExchangePolicy, RankOutcome, RecoveryCtx, RecoveryOutcome, RestartPolicy,
+    Supervisor, ValidationPolicy,
 };
 use soifft_fft::{batch, Plan, SixStepFft, SixStepScratch, SixStepVariant};
 use soifft_num::{c32, c64};
@@ -971,7 +971,7 @@ impl SoiFft {
                 self.verify_incoming(comm, &mut ws.incoming)?;
                 if run.ckpt.is_some() {
                     let flat: Vec<c64> = ws.incoming.iter().flatten().copied().collect();
-                    self.save(comm, run, phases::ALL_TO_ALL, &flat)?;
+                    self.checkpoint(comm, run, phases::ALL_TO_ALL, &flat)?;
                 }
                 self.recover_all(comm, ws, y);
             }
@@ -1005,7 +1005,7 @@ impl SoiFft {
                 .map_err(|e| SoiRunError::at(comm, "ghost", e))?,
             None => comm.exchange_ghost(x, len),
         };
-        self.save(comm, run, phases::GHOST, &ghost)?;
+        self.checkpoint(comm, run, phases::GHOST, &ghost)?;
         Ok(Some(ghost))
     }
 
@@ -1019,7 +1019,7 @@ impl SoiFft {
     /// Crash points named after the phases fire at each phase entry, so
     /// [`CrashSite::Phase`](soifft_cluster::CrashSite::Phase) plans can
     /// kill a rank mid-front-end; each phase output is
-    /// [guarded](SoiFft::guarded) the moment it exists, then snapshotted.
+    /// [guarded](abft::guarded) the moment it exists, then snapshotted.
     /// The fused form has no standalone convolution boundary: it exposes
     /// only the `"convolution"` crash point, and one checksum guards its
     /// whole front end under the block-DFT site and phase key.
@@ -1037,14 +1037,14 @@ impl SoiFft {
         let fused = self.fuse_segment_fft;
         let seg_fft_flops = p.blocks_per_rank() as f64 * soifft_fft::fft_flops(l);
 
-        if let Some(u) = self.restore(comm, run, phases::SEGMENT_FFT) {
+        if let Ok(u) = abft::restore(comm, run.ckpt, phases::SEGMENT_FFT) {
             ws.u = u;
             return Ok(());
         }
         let rows = if fused {
             None
         } else {
-            self.restore(comm, run, phases::CONVOLUTION)
+            abft::restore(comm, run.ckpt, phases::CONVOLUTION).ok()
         };
         // Rows resumed from a snapshot cannot be rebuilt by re-running the
         // convolution (its input was never staged): a repairing run keeps
@@ -1068,7 +1068,7 @@ impl SoiFft {
 
             comm.crash_point(phases::CONVOLUTION);
             let t = comm.stats_mut().phase_start();
-            self.convolve_rows(ws);
+            self.convolve_rows(&ws.input_ext, &mut ws.u, &mut ws.conv);
             let conv_flops = p.conv_flops() / p.procs as f64;
             let fft_flops = if fused { seg_fft_flops } else { 0.0 };
             self.end_phase(comm, "convolution", t, conv_flops, fft_flops);
@@ -1077,10 +1077,15 @@ impl SoiFft {
             } else {
                 (phases::CONVOLUTION, BitFlipSite::ConvBuffer)
             };
-            let sum = validate.then(|| checksum(&ws.u));
+            let SoiWorkspace {
+                input_ext, u, conv, ..
+            } = ws;
+            let sum = validate.then(|| checksum(u));
             let intact = |u: &[c64]| Some(checksum(u)) == sum;
-            self.guarded(comm, ws, (phase, site), intact, |ws| self.convolve_rows(ws))?;
-            self.save(comm, run, phase, &ws.u)?;
+            let redo = |u: &mut [c64]| self.convolve_rows(input_ext, u, conv);
+            abft::guarded(comm, self.validation, site, u, intact, redo)
+                .map_err(|e| SoiRunError::at(comm, phase, e))?;
+            self.checkpoint(comm, run, phase, &ws.u)?;
         }
         if fused {
             return Ok(());
@@ -1094,52 +1099,46 @@ impl SoiFft {
         // keeping a frontier-sized clone off the fault-free hot path.
         let e_in = validate.then(|| verify::energy(&ws.u));
         let t = comm.stats_mut().phase_start();
-        self.fft_rows(ws);
+        self.fft_rows(&mut ws.u, &mut ws.seg_workers);
         self.end_phase(comm, "segment-fft", t, 0.0, seg_fft_flops);
         let tol = verify::energy_tolerance(l);
         let intact =
             |u: &[c64]| e_in.is_some_and(|e| verify::parseval_ok(e, verify::energy(u), l, tol));
-        let redo = |ws: &mut SoiWorkspace| {
+        let SoiWorkspace {
+            input_ext,
+            u,
+            conv,
+            seg_workers,
+            ..
+        } = ws;
+        let redo = |u: &mut [c64]| {
             match &resumed_rows {
-                Some(rows) => ws.u.copy_from_slice(rows),
-                None => self.convolve_rows(ws),
+                Some(rows) => u.copy_from_slice(rows),
+                None => self.convolve_rows(input_ext, u, conv),
             }
-            self.fft_rows(ws);
+            self.fft_rows(u, seg_workers);
         };
-        let site = (phases::SEGMENT_FFT, BitFlipSite::LocalFftBuffer);
-        self.guarded(comm, ws, site, intact, redo)?;
-        self.save(comm, run, phases::SEGMENT_FFT, &ws.u)
+        let site = BitFlipSite::LocalFftBuffer;
+        abft::guarded(comm, self.validation, site, u, intact, redo)
+            .map_err(|e| SoiRunError::at(comm, phases::SEGMENT_FFT, e))?;
+        self.checkpoint(comm, run, phases::SEGMENT_FFT, &ws.u)
     }
 
-    /// `ws.u ← W · ws.input_ext` in the planned strategy, with the block
-    /// DFTs fused into the sweep when planned.
-    fn convolve_rows(&self, ws: &mut SoiWorkspace) {
+    /// `u ← W · input_ext` in the planned strategy, with the block DFTs
+    /// fused into the sweep when planned.
+    fn convolve_rows(&self, input_ext: &[c64], u: &mut [c64], conv: &mut ConvScratch) {
+        let (p, w, pool) = (&self.params, &self.window, &self.pool);
         if self.fuse_segment_fft {
-            convolve_fused_fft_with_scratch(
-                &self.params,
-                &self.window,
-                &ws.input_ext,
-                &mut ws.u,
-                &self.plan_l,
-                &self.pool,
-                &mut ws.conv,
-            );
+            convolve_fused_fft_with_scratch(p, w, input_ext, u, &self.plan_l, pool, conv);
         } else {
-            convolve_with_scratch(
-                &self.params,
-                &self.window,
-                self.strategy,
-                &ws.input_ext,
-                &mut ws.u,
-                &self.pool,
-                &mut ws.conv,
-            );
+            convolve_with_scratch(p, w, self.strategy, input_ext, u, pool, conv);
         }
     }
 
-    /// The block DFTs `I ⊗ F_L` over `ws.u`, in place.
-    fn fft_rows(&self, ws: &mut SoiWorkspace) {
-        batch::forward_rows_parallel_with(&self.plan_l, &self.pool, &mut ws.u, &mut ws.seg_workers);
+    /// The block DFTs `I ⊗ F_L` over `u`, in place, one scratch per
+    /// pool worker.
+    fn fft_rows(&self, u: &mut [c64], workers: &mut [Vec<c64>]) {
+        batch::forward_rows_parallel_with(&self.plan_l, &self.pool, u, workers);
     }
 
     /// Closes a compute phase record of `conv` convolution and `fft` FFT
@@ -1152,56 +1151,6 @@ impl SoiFft {
             }
             None => comm.stats_mut().phase_end(name, t),
         }
-    }
-
-    /// ABFT hook for a phase output held in `ws.u` — the detection model
-    /// for memory corruption that never crosses a wire. The caller takes
-    /// its guard (a checksum, an input energy) the moment the buffer is
-    /// produced; any planned flip is injected here, *after* the guard, and
-    /// `intact` re-verifies before the next phase consumes the buffer.
-    /// Under `Recover` a violation re-executes only this phase (`redo`),
-    /// up to [`verify::RETRY_BUDGET`] times, before escalating.
-    fn guarded(
-        &self,
-        comm: &mut Comm,
-        ws: &mut SoiWorkspace,
-        (phase, site): (&'static str, BitFlipSite),
-        intact: impl Fn(&[c64]) -> bool,
-        redo: impl Fn(&mut SoiWorkspace),
-    ) -> Result<(), SoiRunError> {
-        comm.inject_bit_flip(site, &mut ws.u);
-        if !self.validation.is_on() {
-            return Ok(());
-        }
-        comm.stats_mut().span_open("sdc-verify");
-        let mut attempts = 0u32;
-        let verdict = loop {
-            if intact(&ws.u) {
-                break Ok(());
-            }
-            // Re-evaluate before acting: a disturbed invariant
-            // *evaluation* over clean data is a detector false positive,
-            // not data corruption.
-            if intact(&ws.u) {
-                comm.stats_mut().note_sdc_false_positive();
-                break Ok(());
-            }
-            comm.stats_mut().note_sdc_detected();
-            if !self.validation.recovers() || attempts >= verify::RETRY_BUDGET {
-                break Err(self.sdc_error(comm, phase, None));
-            }
-            attempts += 1;
-            comm.stats_mut().span_open("sdc-repair");
-            redo(ws);
-            // A stuck-at fault corrupts the re-execution too.
-            comm.inject_bit_flip(site, &mut ws.u);
-            comm.stats_mut().span_close("sdc-repair");
-        };
-        if verdict.is_ok() && attempts > 0 {
-            comm.stats_mut().note_sdc_repaired();
-        }
-        comm.stats_mut().span_close("sdc-verify");
-        verdict
     }
 
     /// Supervised forward transform: runs the whole cluster under a
@@ -1391,10 +1340,10 @@ impl SoiFft {
                 ghost.unwrap_or_else(|_| inputs[(q + 1) % p.procs][..p.ghost_len()].to_vec());
             ws.input_ext.extend_from_slice(&inputs[q]);
             ws.input_ext.extend_from_slice(&ghost);
-            self.convolve_rows(&mut ws);
+            self.convolve_rows(&ws.input_ext, &mut ws.u, &mut ws.conv);
         }
         if !self.fuse_segment_fft {
-            self.fft_rows(&mut ws);
+            self.fft_rows(&mut ws.u, &mut ws.seg_workers);
         }
         ws.u
     }
@@ -1654,17 +1603,7 @@ impl SoiFft {
         verdict
     }
 
-    /// Checkpoint hook, restore side: this rank's snapshot of `phase`, if
-    /// a recovery context is installed and its store holds an intact one.
-    fn restore(&self, comm: &mut Comm, run: Run, phase: &'static str) -> Option<Vec<c64>> {
-        let ctx = run.ckpt?;
-        comm.stats_mut().span_open("checkpoint-restore");
-        let result = ctx.store().restore(comm.rank(), phase);
-        comm.stats_mut().span_close("checkpoint-restore");
-        result.ok()
-    }
-
-    /// [`SoiFft::restore`] of state the resume cannot proceed without: a
+    /// [`abft::restore`] of state the resume cannot proceed without: a
     /// missing or corrupt snapshot is a `"checkpoint"` failure.
     fn restore_committed(
         &self,
@@ -1672,56 +1611,20 @@ impl SoiFft {
         run: Run,
         phase: &'static str,
     ) -> Result<Vec<c64>, SoiRunError> {
-        let rank = comm.rank();
-        self.restore(comm, run, phase).ok_or_else(|| {
-            SoiRunError::at(comm, "checkpoint", CommError::CheckpointCorrupt { rank })
-        })
+        abft::restore(comm, run.ckpt, phase).map_err(|e| SoiRunError::at(comm, "checkpoint", e))
     }
 
-    /// Checkpoint hook, save side (a no-op without a recovery context),
-    /// with write-time verification: when validation is on, the committed
-    /// checksum is read back and compared against the *live* buffer. This
-    /// catches a flip that landed on the snapshot image before the store
-    /// hashed it: such an image is self-consistent, so the store's
-    /// restore-time check (and its commit-time scrub) can never see it.
-    /// Under `Recover` a flagged save is redone from the live buffer.
-    fn save(
+    /// [`abft::save`] of this rank's `phase` snapshot: a corrupt write it
+    /// cannot repair is a `"checkpoint"` failure.
+    fn checkpoint(
         &self,
         comm: &mut Comm,
         run: Run,
         phase: &'static str,
         data: &[c64],
     ) -> Result<(), SoiRunError> {
-        let Some(ctx) = run.ckpt else { return Ok(()) };
-        let (store, epoch, rank) = (ctx.store(), ctx.epoch(), comm.rank());
-        comm.stats_mut().span_open("checkpoint-save");
-        let mut attempts = 0u32;
-        let verdict = loop {
-            if comm.flip_planned(BitFlipSite::CheckpointImage) {
-                // Flip a private copy so the planned fault corrupts the
-                // stored bytes, not the live pipeline buffer.
-                let mut image = data.to_vec();
-                comm.inject_bit_flip(BitFlipSite::CheckpointImage, &mut image);
-                store.save(rank, phase, epoch, &image);
-            } else {
-                store.save(rank, phase, epoch, data);
-            }
-            if !self.validation.is_on()
-                || store.stored_checksum(rank, phase) == Some(checksum(data))
-            {
-                break Ok(());
-            }
-            comm.stats_mut().note_sdc_detected();
-            if !self.validation.recovers() || attempts >= verify::RETRY_BUDGET {
-                break Err(self.sdc_error(comm, "checkpoint", None));
-            }
-            attempts += 1;
-        };
-        if verdict.is_ok() && attempts > 0 {
-            comm.stats_mut().note_sdc_repaired();
-        }
-        comm.stats_mut().span_close("checkpoint-save");
-        verdict
+        abft::save(comm, run.ckpt, self.validation, phase, data)
+            .map_err(|e| SoiRunError::at(comm, "checkpoint", e))
     }
 
     /// Once-per-run FFT machinery check: verifies `F(x+αr) = F(x)+αF(r)`

@@ -28,42 +28,23 @@
 //! [`soifft_cluster::CommError::SilentCorruption`] immediately, and
 //! `Recover` re-executes only the flagged segment or phase on the owning
 //! rank (bounded by [`RETRY_BUDGET`]) before escalating.
+//!
+//! The energy balance, the retry budget, and the guard loop and
+//! checkpoint hooks that apply them live in [`soifft_cluster::abft`],
+//! shared with the Cooley–Tukey baseline; the invariants are re-exported
+//! here.
 
 use soifft_fft::Plan;
 use soifft_num::c64;
 use soifft_num::error::rel_l2;
 
-pub use crate::accuracy::energy_tolerance;
+pub use soifft_cluster::abft::{energy, energy_tolerance, parseval_ok, RETRY_BUDGET};
 pub use soifft_cluster::ValidationPolicy;
-
-/// Localized re-execution attempts a `Recover` pipeline makes per detected
-/// corruption before escalating to
-/// [`soifft_cluster::CommError::SilentCorruption`]. Two retries distinguish
-/// a transient flip (first re-execution already yields a clean invariant)
-/// from stuck-at corruption (every re-execution re-fails), without letting a
-/// permanently faulty rank spin.
-pub const RETRY_BUDGET: u32 = 2;
 
 /// Relative tolerance of the [`linearity_probe`]: the probe compares two
 /// `O(ε·log n)`-accurate transforms of `O(1)`-magnitude data, so anything
 /// below ~1e-9 that still clears roundoff by orders of magnitude works.
 pub const PROBE_TOLERANCE: f64 = 1e-11;
-
-/// Total energy `Σ |z|²` of a buffer — the quantity conserved (up to the
-/// transform length factor) by an unnormalized DFT.
-pub fn energy(data: &[c64]) -> f64 {
-    data.iter().map(|z| z.norm_sqr()).sum()
-}
-
-/// Parseval check across an unnormalized `len`-point DFT (or a batch of
-/// them over the same total data): accepts when the post-transform energy
-/// `e_out` matches `len · e_in` to within relative tolerance `tol`.
-/// A non-finite `e_out` (a flip that produced NaN/Inf) always rejects.
-pub fn parseval_ok(e_in: f64, e_out: f64, len: usize, tol: f64) -> bool {
-    let expect = e_in * len as f64;
-    let scale = expect.abs().max(f64::MIN_POSITIVE);
-    e_out.is_finite() && ((e_out - expect) / scale).abs() <= tol
-}
 
 /// Packs an FNV-1a checksum into a complex element so it can travel through
 /// the all-to-all alongside the payload it covers. The bit pattern is
@@ -156,9 +137,16 @@ mod tests {
     }
 
     #[test]
-    fn parseval_rejects_nan_energy() {
-        assert!(!parseval_ok(1.0, f64::NAN, 8, 1e-9));
-        assert!(!parseval_ok(1.0, f64::INFINITY, 8, 1e-9));
+    fn energy_tolerance_clears_the_roundoff_of_a_healthy_fft() {
+        let n = 1 << 10;
+        let plan = Plan::new(n);
+        let mut data: Vec<c64> = (0..n)
+            .map(|i| c64::new((0.31 * i as f64).sin(), (0.17 * i as f64).cos()))
+            .collect();
+        let e_in = energy(&data);
+        plan.forward(&mut data);
+        let drift = ((energy(&data) - e_in * n as f64) / (e_in * n as f64)).abs();
+        assert!(drift < energy_tolerance(n) / 10.0, "drift {drift:.3e}");
     }
 
     #[test]

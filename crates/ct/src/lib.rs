@@ -11,10 +11,15 @@
 //!
 //! 1. all-to-all transpose → each rank owns `n2/P` columns as rows,
 //! 2. local `n1`-point FFTs + twiddle `W_N^{bc}` (fused, dynamic-block
-//!    tables),
+//!    tables), under the Parseval guard of the plan's [`ValidationPolicy`],
 //! 3. all-to-all transpose back → each rank owns `n1/P` result rows,
 //! 4. local `n2`-point FFTs,
 //! 5. all-to-all transpose → natural-order output distribution.
+//!
+//! Every entry point configures one private executor over a [`CtWorkspace`]:
+//! plain or round-retrying exchange, checkpoint restore-or-run-then-save,
+//! through the guard and checkpoint hooks SOI uses ([`soifft_cluster::abft`]).
+//! Each transpose's pack and unpack sweeps are `pack` spans in the ledger.
 //!
 //! Constraints: `P | n1` and `P | n2`. Input and output are block
 //! distributed in natural order (rank `r` holds elements
@@ -26,19 +31,13 @@
 #![warn(missing_docs)]
 
 use soifft_cluster::{
-    BitFlipSite, CheckpointStore, Comm, CommError, ExchangePolicy, RecoveryCtx, ValidationPolicy,
+    abft, BitFlipSite, Comm, CommError, ExchangePolicy, RecoveryCtx, ValidationPolicy,
 };
 use soifft_fft::batch;
 use soifft_fft::twiddle::DynamicBlock;
 use soifft_fft::Plan;
 use soifft_num::c64;
 use soifft_num::factor::balanced_split;
-
-/// Localized re-execution attempts per detected silent corruption before
-/// escalating (mirrors the SOI pipeline's retry budget in
-/// `soifft_core::verify` — the ct crate deliberately does not depend on
-/// core).
-const SDC_RETRY_BUDGET: u32 = 2;
 
 /// A planned distributed Cooley–Tukey transform.
 #[derive(Debug)]
@@ -100,18 +99,31 @@ impl std::fmt::Display for CtError {
 
 impl std::error::Error for CtError {}
 
-/// Checkpoint keys of the recoverable CT pipeline
-/// ([`DistributedCtFft::try_forward_recoverable`]) — prefixed `ct-` so a
-/// shared [`CheckpointStore`] can never confuse them with the SOI phases.
-mod ct_phases {
-    /// Result of the first all-to-all transpose.
-    pub const TRANSPOSE_1: &str = "ct-transpose-1";
-    /// Columns after the `n1`-point FFTs + twiddle.
-    pub const FFT_1: &str = "ct-fft-1";
-    /// Result of the second all-to-all transpose.
-    pub const TRANSPOSE_2: &str = "ct-transpose-2";
-    /// Rows after the `n2`-point FFTs.
-    pub const FFT_2: &str = "ct-fft-2";
+/// Checkpoint key of the first transpose's result. The four keys are
+/// `ct-`-prefixed so a shared store never confuses them with the SOI
+/// phases; the two FFT keys also name those stages' crash points.
+const TRANSPOSE_1: &str = "ct-transpose-1";
+/// Columns after the `n1`-point FFTs + twiddle.
+const FFT_1: &str = "ct-fft-1";
+/// Result of the second all-to-all transpose.
+const TRANSPOSE_2: &str = "ct-transpose-2";
+/// Rows after the `n2`-point FFTs.
+const FFT_2: &str = "ct-fft-2";
+
+/// The hooks one superstep runs with; all `None` is the plain transform.
+#[derive(Clone, Copy, Default)]
+struct Run<'a> {
+    /// Exchange through the typed, round-retrying collective.
+    policy: Option<&'a ExchangePolicy>,
+    /// Snapshot into, and resume from, this checkpoint context.
+    ckpt: Option<&'a RecoveryCtx>,
+}
+
+impl Run<'_> {
+    /// Whether `phase` had committed when this epoch launched.
+    fn committed(&self, phase: &'static str) -> bool {
+        self.ckpt.is_some_and(|ctx| ctx.committed(phase))
+    }
 }
 
 impl DistributedCtFft {
@@ -146,14 +158,12 @@ impl DistributedCtFft {
         }
     }
 
-    /// Selects the silent-data-corruption defense level for the resilient
-    /// pipelines ([`DistributedCtFft::try_forward`] and
-    /// [`DistributedCtFft::try_forward_recoverable`]): the first local FFT
-    /// stage is guarded by the Parseval energy balance `E_out = n1·E_in`
-    /// (exact because the fused twiddles have unit modulus), with
-    /// `CheckOnly` surfacing a violation as
-    /// [`CommError::SilentCorruption`] and `Recover` re-executing the
-    /// stage from its pre-FFT columns up to the retry budget first.
+    /// Selects the silent-data-corruption defense: the first local FFT
+    /// stage is guarded by the Parseval balance `E_out = n1·E_in` and
+    /// checkpoint saves are read back. `CheckOnly` surfaces a violation as
+    /// [`CommError::SilentCorruption`] (a panic on the infallible entry
+    /// points); `Recover` first redoes the stage or the save, up to
+    /// [`abft::RETRY_BUDGET`] times.
     pub fn with_validation(mut self, validation: ValidationPolicy) -> Self {
         self.validation = validation;
         self
@@ -188,14 +198,11 @@ impl DistributedCtFft {
     }
 
     /// Computes this rank's slice of `y = F_N x` (natural order in and
-    /// out; three all-to-alls, matching Fig 1). Plans a fresh workspace
-    /// per call; iterated transforms should hold a
-    /// [`CtWorkspace`] and call [`DistributedCtFft::forward_into`].
+    /// out; three all-to-alls, matching Fig 1) through a fresh workspace;
+    /// iterated transforms should use [`DistributedCtFft::forward_into`].
     pub fn forward(&self, comm: &mut Comm, local_input: &[c64]) -> Vec<c64> {
-        let mut ws = self.make_workspace();
-        let mut y = vec![c64::ZERO; self.n / self.procs];
-        self.forward_into(comm, local_input, &mut ws, &mut y);
-        y
+        self.run_fresh(comm, local_input, None, None)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`DistributedCtFft::forward`] against a caller-held workspace and
@@ -208,62 +215,8 @@ impl DistributedCtFft {
         ws: &mut CtWorkspace,
         y: &mut [c64],
     ) {
-        assert_eq!(comm.size(), self.procs, "cluster size != planned procs");
-        assert_eq!(local_input.len(), self.n / self.procs, "wrong local length");
-        assert_eq!(y.len(), self.n / self.procs, "wrong output length");
-        let (n1, n2) = (self.n1, self.n2);
-        let per = self.n / self.procs;
-        comm.stats_mut().span_open("superstep");
-        if ws.outgoing.len() != self.procs {
-            ws.outgoing.resize_with(self.procs, Vec::new);
-        }
-        ws.cols.resize(per, c64::ZERO);
-        ws.rows.resize(per, c64::ZERO);
-
-        // Step 1: all-to-all transpose (n1×n2 → n2×n1). Local rows: a ∈
-        // [r·n1/P, ...); after: rows b ∈ [r·n2/P, ...), length n1.
-        transpose_pooled(
-            comm,
-            local_input,
-            n1,
-            n2,
-            &mut ws.outgoing,
-            &mut ws.incoming,
-            &mut ws.cols,
-        );
-
-        // Step 2+3: local n1-point FFTs over rows, fused twiddle W_N^{bc}.
-        self.fft1_twiddle_with(comm, &mut ws.cols, &mut ws.s1);
-
-        // Step 4: all-to-all transpose back (n2×n1 → n1×n2): rank owns
-        // rows c ∈ [r·n1/P, ...), length n2.
-        transpose_pooled(
-            comm,
-            &ws.cols,
-            n2,
-            n1,
-            &mut ws.outgoing,
-            &mut ws.incoming,
-            &mut ws.rows,
-        );
-
-        // Step 5: local n2-point FFTs over rows.
-        let t = comm.stats_mut().phase_start();
-        batch::forward_rows_with(&self.plan2, &mut ws.rows, &mut ws.s2);
-        comm.stats_mut().phase_end("local-fft", t);
-
-        // Step 6: final all-to-all transpose (n1×n2 → n2×n1): output rows
-        // are d-major, i.e. natural order y[d·n1 + c].
-        transpose_pooled(
-            comm,
-            &ws.rows,
-            n1,
-            n2,
-            &mut ws.outgoing,
-            &mut ws.incoming,
-            y,
-        );
-        comm.stats_mut().span_close("superstep");
+        self.execute(comm, local_input, ws, y, Run::default())
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Throughput mode: `B` back-to-back transforms through one warm
@@ -294,64 +247,29 @@ impl DistributedCtFft {
         }
     }
 
-    /// Fault-tolerant forward transform: same three-transpose algorithm as
-    /// [`DistributedCtFft::forward`], but every all-to-all runs through the
-    /// consensus-checked [`Comm::all_to_all_resilient`] under `policy`, so
-    /// transient faults are retried and permanent failures surface as a
-    /// typed [`CommError`] instead of a panic or a hang. Collective: every
-    /// rank passes the same `policy`.
+    /// Fault-tolerant [`DistributedCtFft::forward`]: every all-to-all runs
+    /// through the consensus-checked [`Comm::all_to_all_resilient`] under
+    /// `policy`, so transient faults are retried and permanent failures
+    /// surface as a typed [`CommError`] instead of a panic or a hang.
+    /// Collective: every rank passes the same `policy`.
     pub fn try_forward(
         &self,
         comm: &mut Comm,
         local_input: &[c64],
         policy: &ExchangePolicy,
     ) -> Result<Vec<c64>, CommError> {
-        assert_eq!(comm.size(), self.procs, "cluster size != planned procs");
-        assert_eq!(local_input.len(), self.n / self.procs, "wrong local length");
-
-        comm.stats_mut().span_open("superstep");
-        let result = self.try_forward_body(comm, local_input, policy);
-        comm.stats_mut().span_close("superstep");
-        result
+        self.run_fresh(comm, local_input, Some(policy), None)
     }
 
-    /// [`DistributedCtFft::try_forward`]'s pipeline body, split out so the
-    /// `"superstep"` trace span closes on the error path too.
-    fn try_forward_body(
-        &self,
-        comm: &mut Comm,
-        local_input: &[c64],
-        policy: &ExchangePolicy,
-    ) -> Result<Vec<c64>, CommError> {
-        let (n1, n2) = (self.n1, self.n2);
-
-        let mut cols = distributed_transpose_resilient(comm, local_input, n1, n2, policy)?;
-        self.fft1_checked(comm, &mut cols)?;
-
-        let mut rows = distributed_transpose_resilient(comm, &cols, n2, n1, policy)?;
-        drop(cols);
-
-        let t = comm.stats_mut().phase_start();
-        batch::forward_rows(&self.plan2, &mut rows);
-        comm.stats_mut().phase_end("local-fft", t);
-
-        distributed_transpose_resilient(comm, &rows, n1, n2, policy)
-    }
-
-    /// Checkpointing fault-tolerant forward transform for supervised runs:
-    /// the [`DistributedCtFft::try_forward`] pipeline, but each of the four
-    /// intermediate stages snapshots into the supervisor's
-    /// [`CheckpointStore`] (under `ct-`-prefixed keys), and a respawned
-    /// epoch skips every globally committed transpose and resumes local
-    /// work from this rank's own deepest snapshot — so a crash between the
-    /// baseline's three all-to-alls does not repeat the exchanges the
-    /// collective already completed. Run it under
+    /// Checkpointing [`DistributedCtFft::try_forward`] for supervised runs:
+    /// each of the four intermediate stages snapshots into the
+    /// supervisor's [`soifft_cluster::CheckpointStore`] (under
+    /// `ct-`-prefixed keys), and a respawned epoch skips every globally
+    /// committed transpose and resumes local work from this rank's own
+    /// deepest snapshot. Run it under
     /// [`Supervisor::run`](soifft_cluster::Supervisor::run) with the
-    /// [`RecoveryCtx`] the supervisor hands each rank.
-    ///
-    /// A restore that finds its snapshot missing or corrupt returns
-    /// [`CommError::CheckpointCorrupt`]. Collective: the committed-phase
-    /// list is frozen per epoch, so every rank takes the same resume path.
+    /// [`RecoveryCtx`] it hands each rank. A missing or corrupt snapshot
+    /// the resume needs returns [`CommError::CheckpointCorrupt`].
     pub fn try_forward_recoverable(
         &self,
         comm: &mut Comm,
@@ -359,149 +277,131 @@ impl DistributedCtFft {
         policy: &ExchangePolicy,
         ctx: &RecoveryCtx,
     ) -> Result<Vec<c64>, CommError> {
+        self.run_fresh(comm, local_input, Some(policy), Some(ctx))
+    }
+
+    /// [`DistributedCtFft::execute`] with these hooks, through a fresh
+    /// workspace into a fresh output.
+    fn run_fresh(
+        &self,
+        comm: &mut Comm,
+        x: &[c64],
+        policy: Option<&ExchangePolicy>,
+        ckpt: Option<&RecoveryCtx>,
+    ) -> Result<Vec<c64>, CommError> {
+        let mut ws = self.make_workspace();
+        let mut y = vec![c64::ZERO; self.n / self.procs];
+        self.execute(comm, x, &mut ws, &mut y, Run { policy, ckpt })?;
+        Ok(y)
+    }
+
+    /// The one superstep every entry point configures: asserts and the
+    /// `"superstep"` span (closed on errors too) around the stages.
+    fn execute(
+        &self,
+        comm: &mut Comm,
+        x: &[c64],
+        ws: &mut CtWorkspace,
+        y: &mut [c64],
+        run: Run,
+    ) -> Result<(), CommError> {
+        let per = self.n / self.procs;
         assert_eq!(comm.size(), self.procs, "cluster size != planned procs");
-        assert_eq!(local_input.len(), self.n / self.procs, "wrong local length");
+        assert_eq!(x.len(), per, "wrong local length");
+        assert_eq!(y.len(), per, "wrong output length");
+        let parties = run.ckpt.map_or(self.procs, |ctx| ctx.store().parties());
         assert_eq!(
-            ctx.store().parties(),
-            self.procs,
+            parties, self.procs,
             "checkpoint store sized for a different cluster"
         );
-        let (n1, n2) = (self.n1, self.n2);
-        let rank = comm.rank();
-        let store: &CheckpointStore = ctx.store();
-        let epoch = ctx.epoch();
-        let restore = |phase: &'static str| {
-            store
-                .restore(rank, phase)
-                .map_err(|_| CommError::CheckpointCorrupt { rank })
-        };
+        comm.stats_mut().span_open("superstep");
+        let result = self.stages(comm, x, ws, y, run);
+        comm.stats_mut().span_close("superstep");
+        result
+    }
 
-        // The frozen committed list decides which transposes re-run (a
-        // collective decision every rank resolves identically); local FFT
-        // stages resume from this rank's own deepest snapshot, committed
-        // or not. A rank restores stage k only when it holds no k+1
-        // snapshot, and k is pruned only once k+1 commits — which needs
-        // this rank's own k+1 save — so restores never race prunes.
-        if ctx.committed(ct_phases::FFT_2) {
-            let rows = restore(ct_phases::FFT_2)?;
-            return distributed_transpose_resilient(comm, &rows, n1, n2, policy);
-        }
-
-        let rows = if ctx.committed(ct_phases::TRANSPOSE_2) {
-            if let Ok(rows) = restore(ct_phases::FFT_2) {
-                rows
-            } else {
-                let mut rows = restore(ct_phases::TRANSPOSE_2)?;
-                comm.crash_point(ct_phases::FFT_2);
-                let t = comm.stats_mut().phase_start();
-                batch::forward_rows(&self.plan2, &mut rows);
-                comm.stats_mut().phase_end("local-fft", t);
-                store.save(rank, ct_phases::FFT_2, epoch, &rows);
-                rows
+    /// The stage sequence. The frozen committed-phase list decides which
+    /// transposes re-run, identically on every rank; a local FFT stage
+    /// resumes from this rank's own snapshot, else from its transpose's.
+    /// Stage `k` is pruned only once `k+1` commits, which needs this
+    /// rank's own `k+1` save — so restores never race prunes.
+    fn stages(
+        &self,
+        comm: &mut Comm,
+        x: &[c64],
+        ws: &mut CtWorkspace,
+        y: &mut [c64],
+        run: Run,
+    ) -> Result<(), CommError> {
+        let (n1, n2, v) = (self.n1, self.n2, self.validation);
+        let fresh_t2 = !run.committed(TRANSPOSE_2) && !run.committed(FFT_2);
+        if fresh_t2 {
+            // n1×n2 → n2×n1: this rank's rows b ∈ [r·n2/P, ...).
+            let fresh_t1 = !run.committed(TRANSPOSE_1);
+            if fresh_t1 {
+                let slots = (&mut ws.outgoing, &mut ws.incoming);
+                transpose(comm, run.policy, x, (n1, n2), slots, &mut ws.cols)?;
+                abft::save(comm, run.ckpt, v, TRANSPOSE_1, &ws.cols)?;
             }
+            if let Ok(cols) = abft::restore(comm, run.ckpt, FFT_1) {
+                ws.cols = cols;
+            } else {
+                if !fresh_t1 {
+                    ws.cols = abft::restore(comm, run.ckpt, TRANSPOSE_1)?;
+                }
+                comm.crash_point(FFT_1);
+                self.fft1_guarded(comm, ws)?;
+                abft::save(comm, run.ckpt, v, FFT_1, &ws.cols)?;
+            }
+            // n2×n1 → n1×n2: rows c ∈ [r·n1/P, ...).
+            let slots = (&mut ws.outgoing, &mut ws.incoming);
+            transpose(comm, run.policy, &ws.cols, (n2, n1), slots, &mut ws.rows)?;
+            abft::save(comm, run.ckpt, v, TRANSPOSE_2, &ws.rows)?;
+        }
+        if let Ok(rows) = abft::restore(comm, run.ckpt, FFT_2) {
+            ws.rows = rows;
         } else {
-            // The second transpose must re-run, which needs this rank's
-            // post-FFT columns — own snapshot first, else recompute.
-            let fresh_t1 = if ctx.committed(ct_phases::TRANSPOSE_1) {
-                None
-            } else {
-                let cols = distributed_transpose_resilient(comm, local_input, n1, n2, policy)?;
-                store.save(rank, ct_phases::TRANSPOSE_1, epoch, &cols);
-                Some(cols)
-            };
-            let cols = if let Ok(cols) = restore(ct_phases::FFT_1) {
-                cols
-            } else {
-                let mut cols = match fresh_t1 {
-                    Some(cols) => cols,
-                    None => restore(ct_phases::TRANSPOSE_1)?,
-                };
-                comm.crash_point(ct_phases::FFT_1);
-                self.fft1_checked(comm, &mut cols)?;
-                store.save(rank, ct_phases::FFT_1, epoch, &cols);
-                cols
-            };
-            let fresh_t2 = distributed_transpose_resilient(comm, &cols, n2, n1, policy)?;
-            store.save(rank, ct_phases::TRANSPOSE_2, epoch, &fresh_t2);
-            if let Ok(rows) = restore(ct_phases::FFT_2) {
-                rows // own snapshot from an earlier epoch — FFTs already done
-            } else {
-                let mut rows = fresh_t2;
-                comm.crash_point(ct_phases::FFT_2);
-                let t = comm.stats_mut().phase_start();
-                batch::forward_rows(&self.plan2, &mut rows);
-                comm.stats_mut().phase_end("local-fft", t);
-                store.save(rank, ct_phases::FFT_2, epoch, &rows);
-                rows
+            if !fresh_t2 {
+                ws.rows = abft::restore(comm, run.ckpt, TRANSPOSE_2)?;
             }
-        };
-
-        distributed_transpose_resilient(comm, &rows, n1, n2, policy)
+            comm.crash_point(FFT_2);
+            let t = comm.stats_mut().phase_start();
+            batch::forward_rows_with(&self.plan2, &mut ws.rows, &mut ws.s2);
+            comm.stats_mut().phase_end("local-fft", t);
+            abft::save(comm, run.ckpt, v, FFT_2, &ws.rows)?;
+        }
+        // n1×n2 → n2×n1: output rows are d-major, i.e. natural order
+        // y[d·n1 + c].
+        let slots = (&mut ws.outgoing, &mut ws.incoming);
+        transpose(comm, run.policy, &ws.rows, (n1, n2), slots, y)
     }
 
-    /// [`DistributedCtFft::fft1_twiddle`] under the ABFT guard used by the
-    /// resilient pipelines. The invariant: an unnormalized `n1`-point DFT
-    /// scales total energy by exactly `n1`, and the fused twiddles
-    /// `W_N^{bc}` have unit modulus, so across the whole stage
-    /// `E_out = n1·E_in` to roundoff. The energy is captured *before* the
-    /// stage, any planned [`BitFlipSite::LocalFftBuffer`] flip is injected
-    /// after it (memory corruption the link layer never observes), and
-    /// the balance is re-verified before the next transpose ships the
-    /// buffer. `Recover` re-executes the stage from its pre-FFT columns up
-    /// to [`SDC_RETRY_BUDGET`] times; then (or immediately under
-    /// `CheckOnly`) escalates as [`CommError::SilentCorruption`].
-    fn fft1_checked(&self, comm: &mut Comm, cols: &mut [c64]) -> Result<(), CommError> {
-        let validate = self.validation.is_on();
-        let energy = |data: &[c64]| -> f64 { data.iter().map(|z| z.norm_sqr()).sum() };
-        let e_in = energy(cols);
-        let pre = (validate && self.validation.recovers()).then(|| cols.to_vec());
-        self.fft1_twiddle(comm, cols);
-        comm.inject_bit_flip(BitFlipSite::LocalFftBuffer, cols);
-        if !validate {
-            return Ok(());
-        }
-        // Roundoff grows with the butterfly depth; ~two orders above
-        // worst-case drift, ~ten below a high-exponent flip.
-        let tol = 1e-12 * (self.n1.max(2) as f64).log2();
-        let expect = e_in * self.n1 as f64;
-        let scale = expect.abs().max(f64::MIN_POSITIVE);
-        let balanced = |e_out: f64| e_out.is_finite() && ((e_out - expect) / scale).abs() <= tol;
-        let mut attempts = 0u32;
-        while !balanced(energy(cols)) {
-            comm.stats_mut().note_sdc_detected();
-            if !self.validation.recovers() || attempts >= SDC_RETRY_BUDGET {
-                return Err(CommError::SilentCorruption {
-                    rank: comm.rank(),
-                    segment: None,
-                });
-            }
-            attempts += 1;
-            let pre = pre.as_ref().expect("Recover keeps the pre-FFT columns");
-            cols.copy_from_slice(pre);
-            self.fft1_twiddle(comm, cols);
-            // A stuck-at fault corrupts the re-execution too.
-            comm.inject_bit_flip(BitFlipSite::LocalFftBuffer, cols);
-        }
-        if attempts > 0 {
-            comm.stats_mut().note_sdc_repaired();
-        }
-        Ok(())
-    }
-
-    /// Steps 2+3 shared by every forward variant: local `n1`-point FFTs
-    /// over the transposed rows with the fused twiddle `W_N^{bc}` (exponent
-    /// stepped incrementally — no per-element modulo). Records the
-    /// `"local-fft"` phase.
-    fn fft1_twiddle(&self, comm: &mut Comm, cols: &mut [c64]) {
-        let mut scratch = self.plan1.make_scratch();
-        self.fft1_twiddle_with(comm, cols, &mut scratch);
-    }
-
-    /// [`DistributedCtFft::fft1_twiddle`] against caller-owned component
-    /// scratch — the allocation-free form the workspace pipeline uses.
-    fn fft1_twiddle_with(&self, comm: &mut Comm, cols: &mut [c64], scratch: &mut [c64]) {
-        let b0 = comm.rank() * (self.n2 / self.procs);
+    /// The `n1`-FFT + twiddle stage over `ws.cols` under [`abft::guarded`]:
+    /// an unnormalized `n1`-point DFT scales energy by exactly `n1` and the
+    /// twiddles have unit modulus, so `E_out = n1·E_in` to roundoff. A
+    /// repair redoes the stage from a copy of the pre-FFT columns.
+    fn fft1_guarded(&self, comm: &mut Comm, ws: &mut CtWorkspace) -> Result<(), CommError> {
+        let (rank, n1, v) = (comm.rank(), self.n1, self.validation);
+        let CtWorkspace { cols, s1, .. } = ws;
+        let e_in = v.is_on().then(|| abft::energy(cols));
+        let pre = v.recovers().then(|| cols.clone());
         let t = comm.stats_mut().phase_start();
+        self.fft1(rank, cols, s1);
+        comm.stats_mut().phase_end("local-fft", t);
+        let tol = abft::energy_tolerance(n1);
+        let intact =
+            |c: &[c64]| e_in.is_some_and(|e| abft::parseval_ok(e, abft::energy(c), n1, tol));
+        let redo = |c: &mut [c64]| {
+            c.copy_from_slice(pre.as_deref().expect("Recover keeps the pre-FFT columns"));
+            self.fft1(rank, c, s1);
+        };
+        abft::guarded(comm, v, BitFlipSite::LocalFftBuffer, cols, intact, redo)
+    }
+
+    /// Local `n1`-point FFTs over `rank`'s transposed rows with the fused
+    /// twiddle `W_N^{bc}` (exponent stepped incrementally, no modulo).
+    fn fft1(&self, rank: usize, cols: &mut [c64], scratch: &mut [c64]) {
+        let b0 = rank * (self.n2 / self.procs);
         for (i, row) in cols.chunks_exact_mut(self.n1).enumerate() {
             self.plan1.forward_with_scratch(row, scratch);
             let step = (b0 + i) % self.n;
@@ -514,7 +414,6 @@ impl DistributedCtFft {
                 }
             }
         }
-        comm.stats_mut().phase_end("local-fft", t);
     }
 }
 
@@ -524,46 +423,33 @@ impl DistributedCtFft {
 ///
 /// Requires `P | rows` and `P | cols`.
 pub fn distributed_transpose(comm: &mut Comm, local: &[c64], rows: usize, cols: usize) -> Vec<c64> {
-    let outgoing = pack_transpose(comm.size(), local, rows, cols);
-    let incoming = comm.all_to_all(outgoing);
-    unpack_transpose(comm.size(), &incoming, rows, cols)
+    let mut out = vec![c64::ZERO; local.len()];
+    let slots = (&mut vec![Vec::new(); comm.size()], &mut Vec::new());
+    transpose(comm, None, local, (rows, cols), slots, &mut out).unwrap_or_else(|e| panic!("{e}"));
+    out
 }
 
-/// Fault-tolerant [`distributed_transpose`]: the exchange runs through
-/// [`Comm::all_to_all_resilient`] under `policy`, so transient faults are
-/// retried round-by-round and permanent failures return a typed
-/// [`CommError`].
-pub fn distributed_transpose_resilient(
+/// The transpose stage: packs to rank `q` this rank's columns
+/// `[q·out_rows, (q+1)·out_rows)`, pre-transposed, in a pooled slot;
+/// exchanges (round-retrying under a `policy`); unpacks into `out`; and
+/// recycles what arrived, so iterated transposes never allocate. Both
+/// reshuffles are `pack` spans.
+fn transpose(
     comm: &mut Comm,
+    policy: Option<&ExchangePolicy>,
     local: &[c64],
-    rows: usize,
-    cols: usize,
-    policy: &ExchangePolicy,
-) -> Result<Vec<c64>, CommError> {
-    let outgoing = pack_transpose(comm.size(), local, rows, cols);
-    let incoming = comm.all_to_all_resilient(&outgoing, policy)?;
-    Ok(unpack_transpose(comm.size(), &incoming, rows, cols))
-}
-
-/// [`distributed_transpose`] through recycled buffers: pack slots come
-/// from the communicator's buffer pool, the exchange runs in place over
-/// `outgoing`/`incoming`, and received payloads go back to the pool after
-/// the unpack — so iterated transposes of one shape never allocate.
-fn transpose_pooled(
-    comm: &mut Comm,
-    local: &[c64],
-    rows: usize,
-    cols: usize,
-    outgoing: &mut [Vec<c64>],
-    incoming: &mut Vec<Vec<c64>>,
+    (rows, cols): (usize, usize),
+    (outgoing, incoming): (&mut Vec<Vec<c64>>, &mut Vec<Vec<c64>>),
     out: &mut [c64],
-) {
+) -> Result<(), CommError> {
     let p = comm.size();
     assert_eq!(rows % p, 0, "P must divide rows");
     assert_eq!(cols % p, 0, "P must divide cols");
-    let my_rows = rows / p;
-    let out_rows = cols / p;
+    let (my_rows, out_rows) = (rows / p, cols / p);
     assert_eq!(local.len(), my_rows * cols, "local shape mismatch");
+    assert_eq!(out.len(), out_rows * rows, "output shape mismatch");
+
+    comm.stats_mut().span_open("pack");
     for (q, slot) in outgoing.iter_mut().enumerate() {
         let c0 = q * out_rows;
         let mut buf = comm.acquire_buffer(out_rows * my_rows);
@@ -575,57 +461,23 @@ fn transpose_pooled(
         }
         *slot = buf;
     }
-    comm.all_to_all_into(outgoing, incoming);
-    unpack_transpose_into(p, incoming, rows, cols, out);
-    for buf in incoming.drain(..) {
-        comm.recycle_buffer(buf);
-    }
-}
+    comm.stats_mut().span_close("pack");
 
-/// Pack: to rank q goes my block of columns [q·out_rows, (q+1)·out_rows),
-/// already transposed so the receiver can place it contiguously:
-/// buffer[(col_local)·my_rows + row_local].
-fn pack_transpose(p: usize, local: &[c64], rows: usize, cols: usize) -> Vec<Vec<c64>> {
-    assert_eq!(rows % p, 0, "P must divide rows");
-    assert_eq!(cols % p, 0, "P must divide cols");
-    let my_rows = rows / p;
-    let out_rows = cols / p;
-    assert_eq!(local.len(), my_rows * cols, "local shape mismatch");
-    (0..p)
-        .map(|q| {
-            let c0 = q * out_rows;
-            let mut buf = vec![c64::ZERO; out_rows * my_rows];
-            for (rl, row) in local.chunks_exact(cols).enumerate() {
-                for cl in 0..out_rows {
-                    buf[cl * my_rows + rl] = row[c0 + cl];
-                }
+    match policy {
+        Some(policy) => {
+            *incoming = comm.all_to_all_resilient(outgoing, policy)?;
+            // The resilient exchange borrows the outgoing buffers (it may
+            // retransmit them across rounds); recycle them once it returns.
+            for slot in outgoing.iter_mut() {
+                comm.recycle_buffer(std::mem::take(slot));
             }
-            buf
-        })
-        .collect()
-}
+        }
+        None => comm.all_to_all_into(outgoing, incoming),
+    }
 
-/// Unpack: from rank q come my out_rows × (rows/P) tiles covering
-/// original rows [q·my_rows, ...), i.e. transposed columns.
-fn unpack_transpose(p: usize, incoming: &[Vec<c64>], rows: usize, cols: usize) -> Vec<c64> {
-    let out_rows = cols / p;
-    let mut out = vec![c64::ZERO; out_rows * rows];
-    unpack_transpose_into(p, incoming, rows, cols, &mut out);
-    out
-}
-
-/// [`unpack_transpose`] into a caller-owned slice (every element is
-/// written, so stale contents are fine).
-fn unpack_transpose_into(
-    p: usize,
-    incoming: &[Vec<c64>],
-    rows: usize,
-    cols: usize,
-    out: &mut [c64],
-) {
-    let my_rows = rows / p;
-    let out_rows = cols / p;
-    debug_assert_eq!(out.len(), out_rows * rows);
+    // From rank q come my out_rows × my_rows tiles covering original rows
+    // [q·my_rows, ...), i.e. transposed columns.
+    comm.stats_mut().span_open("pack");
     for (q, part) in incoming.iter().enumerate() {
         let r0 = q * my_rows;
         for cl in 0..out_rows {
@@ -633,6 +485,11 @@ fn unpack_transpose_into(
             out[cl * rows + r0..cl * rows + r0 + my_rows].copy_from_slice(src);
         }
     }
+    comm.stats_mut().span_close("pack");
+    for buf in incoming.drain(..) {
+        comm.recycle_buffer(buf);
+    }
+    Ok(())
 }
 
 /// A distributed 2D FFT (`rows × cols`, row-distributed), included to
@@ -819,6 +676,39 @@ mod tests {
         });
         for s in &stats {
             assert_eq!(s.count_of("local-fft"), 2);
+        }
+    }
+
+    #[test]
+    fn traced_forward_into_records_every_reshuffle_as_a_pack_span() {
+        // Each transpose's pack and unpack sweep is a `pack` span around
+        // its exchange; the flat phase records stay the five stages.
+        let p = 4;
+        let n = 1 << 10;
+        let parts = scatter(&signal(n), p);
+        let fft = DistributedCtFft::new(n, p).unwrap();
+        let stats = Cluster::run(p, |comm| {
+            let mut ws = fft.make_workspace();
+            let mut y = vec![c64::ZERO; n / p];
+            comm.stats_mut().enable_trace(std::time::Instant::now());
+            fft.forward_into(comm, &parts[comm.rank()], &mut ws, &mut y);
+            comm.stats().clone()
+        });
+        let (a2a, fft_) = ("all-to-all", "local-fft");
+        for s in &stats {
+            let records: Vec<&str> = s.records().iter().map(|r| r.name).collect();
+            assert_eq!(records, [a2a, fft_, a2a, fft_, a2a]);
+            let events: Vec<&str> = s.trace_events().iter().map(|e| e.name).collect();
+            let transpose = ["pack", a2a, "pack"];
+            let want = [
+                &transpose[..],
+                &[fft_],
+                &transpose,
+                &[fft_],
+                &transpose,
+                &["superstep"],
+            ];
+            assert_eq!(events, want.concat());
         }
     }
 

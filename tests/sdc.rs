@@ -1,6 +1,8 @@
 //! Silent-data-corruption (SDC) suite: the ABFT invariant checks of
-//! `soifft_core::verify` against seeded bit flips at every compute-side
-//! fault site the link layer provably cannot observe.
+//! `soifft_core::verify` and the shared guard and checkpoint hooks of
+//! `soifft_cluster::abft` against seeded bit flips at every compute-side
+//! fault site the link layer provably cannot observe — through the SOI
+//! pipeline, and through the Cooley–Tukey baseline's checkpoint saves.
 //!
 //! The contract, per [`BitFlipSite`] and [`ValidationPolicy`]:
 //!
@@ -18,8 +20,10 @@ use std::time::Duration;
 
 use soifft::cluster::{
     run_cluster_with_faults, BitFlipSite, ClusterConfig, CommError, CommStats, CrashSite,
-    ExchangePolicy, FaultPlan, RankOutcome, RecoveryOutcome, RestartPolicy, ValidationPolicy,
+    ExchangePolicy, FaultPlan, RankOutcome, RecoveryCtx, RecoveryOutcome, RestartPolicy,
+    ValidationPolicy,
 };
+use soifft::ct::DistributedCtFft;
 use soifft::fft::Plan;
 use soifft::num::c64;
 use soifft::num::error::rel_l2;
@@ -589,7 +593,7 @@ fn block_dfts_resumed_from_a_snapshot_are_guarded_too() {
     // resumes from that snapshot and the flip lands on the resumed
     // stage's output — detected, repaired from the resumed rows,
     // bit-identical to the fault-free run.
-    use soifft::cluster::{CheckpointStore, RecoveryCtx};
+    use soifft::cluster::CheckpointStore;
     use std::sync::Arc;
 
     let p = soi_params();
@@ -626,6 +630,80 @@ fn block_dfts_resumed_from_a_snapshot_are_guarded_too() {
     assert_eq!(ledgers[VICTIM].count_of("convolution"), 0, "resumed");
     assert!(ledgers[VICTIM].sdc_detected() >= 1);
     assert!(ledgers[VICTIM].sdc_repaired() >= 1);
+}
+
+// ---------------------------------------------------------------------
+// The Cooley–Tukey baseline's checkpoint saves run the same hook.
+// ---------------------------------------------------------------------
+
+type CtOutcome = RankOutcome<(Result<Vec<c64>, CommError>, CommStats)>;
+
+/// The CT baseline's checkpointing transform, one epoch over a fresh
+/// store, under `plan` and `validation`: each rank's result and ledger.
+fn run_ct_recoverable(
+    plan: FaultPlan,
+    validation: ValidationPolicy,
+    policy: ExchangePolicy,
+) -> Vec<CtOutcome> {
+    let n = soi_params().n;
+    let inputs = scatter_input(&signal(n), PROCS);
+    let fft = DistributedCtFft::new(n, PROCS)
+        .expect("P² divides N")
+        .with_validation(validation);
+    let ctx = RecoveryCtx::fresh(PROCS);
+    run_cluster_with_faults(PROCS, plan, move |comm| {
+        let res = fft.try_forward_recoverable(comm, &inputs[comm.rank()], &policy, &ctx);
+        (res, comm.stats().clone())
+    })
+}
+
+#[test]
+fn ct_check_only_catches_the_checkpoint_flip_at_write_time() {
+    let plan = FaultPlan::new(315).bit_flip(VICTIM, BitFlipSite::CheckpointImage);
+    let outcomes = run_ct_recoverable(plan, ValidationPolicy::CheckOnly, short_policy());
+    match &outcomes[VICTIM] {
+        RankOutcome::Ok((Err(e), stats)) => {
+            assert_eq!(
+                *e,
+                CommError::SilentCorruption {
+                    rank: VICTIM,
+                    segment: None
+                }
+            );
+            assert_eq!(stats.sdc_detected(), 1);
+            assert_eq!(stats.sdc_repaired(), 0, "CheckOnly never repairs");
+        }
+        other => panic!("the victim must report the flip, got {other:?}"),
+    }
+}
+
+#[test]
+fn ct_recover_rewrites_the_flipped_checkpoint_bit_identically() {
+    let outputs = |outcomes: Vec<CtOutcome>| -> (Vec<c64>, Vec<CommStats>) {
+        let (parts, ledgers): (Vec<Vec<c64>>, Vec<CommStats>) = outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(rank, o)| match o {
+                RankOutcome::Ok((Ok(y), stats)) => (y, stats),
+                other => panic!("rank {rank}: expected success, got {other:?}"),
+            })
+            .unzip();
+        (gather_output(parts), ledgers)
+    };
+    let (clean, _) = outputs(run_ct_recoverable(
+        FaultPlan::new(316),
+        ValidationPolicy::Recover,
+        policy(),
+    ));
+    let plan = FaultPlan::new(316).bit_flip(VICTIM, BitFlipSite::CheckpointImage);
+    let (got, ledgers) = outputs(run_ct_recoverable(
+        plan,
+        ValidationPolicy::Recover,
+        policy(),
+    ));
+    assert_eq!(got, clean, "repair must be bit-identical");
+    assert!(ledgers[VICTIM].sdc_detected() >= 1, "detection counted");
+    assert!(ledgers[VICTIM].sdc_repaired() >= 1, "repair counted");
 }
 
 // ---------------------------------------------------------------------
