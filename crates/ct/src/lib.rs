@@ -19,7 +19,11 @@
 //! Every entry point configures one private executor over a [`CtWorkspace`]:
 //! plain or round-retrying exchange, checkpoint restore-or-run-then-save,
 //! through the guard and checkpoint hooks SOI uses ([`soifft_cluster::abft`]).
-//! Each transpose's pack and unpack sweeps are `pack` spans in the ledger.
+//! Each transpose packs with a contiguous copy (every local row's slice
+//! of a peer's columns, in row order) and the receiver does the actual
+//! transposition, one page-blocked [`transpose_strided`] sweep per arrived
+//! part straight into place; both reshuffles are `pack` spans in the
+//! ledger.
 //!
 //! Constraints: `P | n1` and `P | n2`. Input and output are block
 //! distributed in natural order (rank `r` holds elements
@@ -38,6 +42,7 @@ use soifft_fft::twiddle::DynamicBlock;
 use soifft_fft::Plan;
 use soifft_num::c64;
 use soifft_num::factor::balanced_split;
+use soifft_num::transpose::transpose_strided;
 
 /// A planned distributed Cooley–Tukey transform.
 #[derive(Debug)]
@@ -399,20 +404,12 @@ impl DistributedCtFft {
     }
 
     /// Local `n1`-point FFTs over `rank`'s transposed rows with the fused
-    /// twiddle `W_N^{bc}` (exponent stepped incrementally, no modulo).
+    /// twiddle `W_N^{bc}` (dynamic-block tables, division-free walk).
     fn fft1(&self, rank: usize, cols: &mut [c64], scratch: &mut [c64]) {
         let b0 = rank * (self.n2 / self.procs);
         for (i, row) in cols.chunks_exact_mut(self.n1).enumerate() {
             self.plan1.forward_with_scratch(row, scratch);
-            let step = (b0 + i) % self.n;
-            let mut tt = 0usize;
-            for v in row.iter_mut() {
-                *v *= self.tw.get(tt);
-                tt += step;
-                if tt >= self.n {
-                    tt -= self.n;
-                }
-            }
+            self.tw.mul_powers(row, b0 + i);
         }
     }
 }
@@ -430,10 +427,15 @@ pub fn distributed_transpose(comm: &mut Comm, local: &[c64], rows: usize, cols: 
 }
 
 /// The transpose stage: packs to rank `q` this rank's columns
-/// `[q·out_rows, (q+1)·out_rows)`, pre-transposed, in a pooled slot;
-/// exchanges (round-retrying under a `policy`); unpacks into `out`; and
-/// recycles what arrived, so iterated transposes never allocate. Both
-/// reshuffles are `pack` spans.
+/// `[q·out_rows, (q+1)·out_rows)` as a contiguous copy of each local row's
+/// column range into a pooled slot; exchanges (round-retrying under a
+/// `policy`); transposes each arrived part straight into `out` at column
+/// offset `q·my_rows`; and recycles what arrived, so iterated transposes
+/// never allocate. Both reshuffles are `pack` spans.
+///
+/// A part is therefore the sender's `my_rows × out_rows` block in the
+/// sender's row-major order (the receiver transposes); message count,
+/// sizes, tags and order are unchanged: one all-to-all of `P` equal parts.
 fn transpose(
     comm: &mut Comm,
     policy: Option<&ExchangePolicy>,
@@ -453,11 +455,8 @@ fn transpose(
     for (q, slot) in outgoing.iter_mut().enumerate() {
         let c0 = q * out_rows;
         let mut buf = comm.acquire_buffer(out_rows * my_rows);
-        buf.resize(out_rows * my_rows, c64::ZERO);
-        for (rl, row) in local.chunks_exact(cols).enumerate() {
-            for cl in 0..out_rows {
-                buf[cl * my_rows + rl] = row[c0 + cl];
-            }
+        for row in local.chunks_exact(cols) {
+            buf.extend_from_slice(&row[c0..c0 + out_rows]);
         }
         *slot = buf;
     }
@@ -475,15 +474,12 @@ fn transpose(
         None => comm.all_to_all_into(outgoing, incoming),
     }
 
-    // From rank q come my out_rows × my_rows tiles covering original rows
-    // [q·my_rows, ...), i.e. transposed columns.
+    // From rank q come its rows [q·my_rows, ...) restricted to my columns:
+    // they become columns [q·my_rows, ...) of my out_rows × rows block.
     comm.stats_mut().span_open("pack");
     for (q, part) in incoming.iter().enumerate() {
-        let r0 = q * my_rows;
-        for cl in 0..out_rows {
-            let src = &part[cl * my_rows..(cl + 1) * my_rows];
-            out[cl * rows + r0..cl * rows + r0 + my_rows].copy_from_slice(src);
-        }
+        let dst = &mut out[q * my_rows..];
+        transpose_strided(part, out_rows, dst, rows, my_rows, out_rows);
     }
     comm.stats_mut().span_close("pack");
     for buf in incoming.drain(..) {
@@ -575,7 +571,19 @@ mod tests {
 
     #[test]
     fn distributed_transpose_matches_local() {
-        for &(rows, cols, p) in &[(8, 12, 4), (12, 8, 4), (6, 6, 3), (4, 4, 1), (16, 4, 2)] {
+        // Parts of 300 and 350 rows span more than one 256-row band of
+        // the receiver's transposing sweep; P=3 shapes have ragged sides.
+        let shapes = [
+            (8, 12, 4),
+            (12, 8, 4),
+            (6, 6, 3),
+            (4, 4, 1),
+            (16, 4, 2),
+            (600, 8, 2),
+            (21, 15, 3),
+            (1050, 9, 3),
+        ];
+        for &(rows, cols, p) in &shapes {
             let m = signal(rows * cols);
             let parts = scatter(&m, p);
             let out = Cluster::run(p, |comm| {

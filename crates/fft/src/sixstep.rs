@@ -32,7 +32,7 @@
 
 use soifft_num::c64;
 use soifft_num::factor::balanced_split;
-use soifft_num::transpose::{transpose, transpose_tile, TILE};
+use soifft_num::transpose::{transpose, transpose_strided, transpose_tile, TILE};
 use soifft_par::Pool;
 
 use crate::plan::Plan;
@@ -93,28 +93,26 @@ enum TwiddleStore {
 }
 
 impl TwiddleStore {
-    /// `w^t` for an already-reduced index `t < n`.
-    #[inline(always)]
-    fn get(&self, t: usize) -> c64 {
-        match self {
-            TwiddleStore::Full(tw) => tw.get(t),
-            TwiddleStore::Dynamic(tw) => tw.get(t),
-        }
-    }
-
-    /// Multiplies `row[c] *= w^{b·c}` for all `c`, stepping the exponent
-    /// incrementally (`t += b` with a conditional subtract) instead of a
-    /// division/modulo per element — the twiddle pass is bandwidth-critical
-    /// and a per-element `u128` modulo would dominate it.
+    /// Multiplies `row[c] *= w^{b·c}` for all `c` without a division or
+    /// modulo per element — the twiddle pass is bandwidth-critical and a
+    /// per-element `u128` modulo would dominate it. The full table steps
+    /// its index incrementally (`t += b` with a conditional subtract); the
+    /// dynamic-block tables keep their two indices the same way
+    /// ([`DynamicBlock::mul_powers`]).
     fn scale_row(&self, row: &mut [c64], b: usize, n: usize) {
-        let step = b % n;
-        let mut t = 0usize;
-        for v in row.iter_mut() {
-            *v *= self.get(t);
-            t += step;
-            if t >= n {
-                t -= n;
+        match self {
+            TwiddleStore::Full(tw) => {
+                let step = b % n;
+                let mut t = 0usize;
+                for v in row.iter_mut() {
+                    *v *= tw.get(t);
+                    t += step;
+                    if t >= n {
+                        t -= n;
+                    }
+                }
             }
+            TwiddleStore::Dynamic(tw) => tw.mul_powers(row, b),
         }
     }
 }
@@ -367,12 +365,7 @@ impl SixStepFft {
         while b0 < n2 {
             let g = TILE.min(n2 - b0);
             // Gather columns b0..b0+g: buf[gg·cs + a] = data[a·n2 + b0+gg].
-            let mut a0 = 0;
-            while a0 < n1 {
-                let rows = TILE.min(n1 - a0);
-                transpose_tile(&data[a0 * n2 + b0..], n2, &mut buf[a0..], cs, rows, g);
-                a0 += rows;
-            }
+            transpose_strided(&data[b0..], n2, buf, cs, n1, g);
             // FFT each gathered column, then twiddle in-cache (steps 2+3
             // fused).
             for gg in 0..g {
@@ -382,12 +375,7 @@ impl SixStepFft {
             }
             // Permuted write-back into the c-major intermediate:
             // aux[c·n2 + b0+gg] = buf[gg·cs + c], via 8×8 tiles.
-            let mut c0 = 0;
-            while c0 < n1 {
-                let cols = TILE.min(n1 - c0);
-                transpose_tile(&buf[c0..], cs, &mut aux[c0 * n2 + b0..], n2, g, cols);
-                c0 += cols;
-            }
+            transpose_strided(buf, cs, &mut aux[b0..], n2, g, n1);
             b0 += g;
         }
 
@@ -657,16 +645,21 @@ mod tests {
 
     #[test]
     fn incremental_twiddle_stepping_matches_direct() {
-        // scale_row steps t += b with conditional subtract; verify against
-        // direct modular products across wrap-arounds.
+        // scale_row steps its indices with conditional subtracts; verify
+        // both stores against direct modular products across wrap-arounds.
         let n = 96;
-        let tw = TwiddleStore::Full(crate::twiddle::Twiddles::new(n));
-        for b in [0usize, 1, 7, 48, 95, 96, 100] {
-            let mut row = vec![c64::ONE; 33];
-            tw.scale_row(&mut row, b, n);
-            for (c, v) in row.iter().enumerate() {
-                let want = c64::root_of_unity(n, (b * c) as i64);
-                assert!((*v - want).abs() < 1e-12, "b={b} c={c}");
+        let stores = [
+            TwiddleStore::Full(crate::twiddle::Twiddles::new(n)),
+            TwiddleStore::Dynamic(DynamicBlock::new(n)),
+        ];
+        for tw in &stores {
+            for b in [0usize, 1, 7, 48, 95, 96, 100] {
+                let mut row = vec![c64::ONE; 33];
+                tw.scale_row(&mut row, b, n);
+                for (c, v) in row.iter().enumerate() {
+                    let want = c64::root_of_unity(n, (b * c) as i64);
+                    assert!((*v - want).abs() < 1e-12, "b={b} c={c}");
+                }
             }
         }
     }

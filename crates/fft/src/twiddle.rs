@@ -181,6 +181,37 @@ impl DynamicBlock {
         let t = ((j as u128 * k as u128) % self.n as u128) as usize;
         self.get(t)
     }
+
+    /// `row[c] *= w^{c·step mod n}` for every `c`: the twiddle pass over
+    /// one row, bit-identical to multiplying by [`DynamicBlock::get`]
+    /// (same table entries, same product) without its two divisions per
+    /// element. The exponent `t` is kept as its table indices
+    /// `(t / s, t % s)`: each step adds `(step / s, step % s)` with a
+    /// carry, and a wrap past `n` subtracts `(n / s, n % s)` with a borrow.
+    pub fn mul_powers(&self, row: &mut [c64], step: usize) {
+        let (n, s) = (self.n, self.s);
+        let step = step % n;
+        let (step_hi, step_lo) = (step / s, step % s);
+        let (n_hi, n_lo) = (n / s, n % s);
+        let (mut hi, mut lo) = (0, 0);
+        for v in row {
+            *v *= self.hi[hi] * self.lo[lo];
+            hi += step_hi;
+            lo += step_lo;
+            if lo >= s {
+                lo -= s;
+                hi += 1;
+            }
+            if (hi, lo) >= (n_hi, n_lo) {
+                if lo < n_lo {
+                    lo += s;
+                    hi -= 1;
+                }
+                lo -= n_lo;
+                hi -= n_hi;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -271,6 +302,38 @@ mod tests {
             assert!((db.get(t) - full.get(t)).abs() < 1e-14);
         }
         assert_eq!(db.table_entries(), 10 + 100);
+    }
+
+    #[test]
+    fn mul_powers_equals_get_bit_for_bit() {
+        for n in [777usize, 5 << 15, 1 << 21] {
+            let db = DynamicBlock::new(n);
+            let s = db.s;
+            let len = (2 * n).min(1 << 13);
+            let row: Vec<c64> = (0..len)
+                .map(|c| c64::new((0.37 * c as f64).sin(), (0.11 * c as f64).cos()))
+                .collect();
+            for step in [0, 1, s - 1, s, n - 1, n, n + 3, 3 * n + s] {
+                let mut got = row.clone();
+                db.mul_powers(&mut got, step);
+                for (c, (g, x)) in got.iter().zip(&row).enumerate() {
+                    let t = ((c as u128 * step as u128) % n as u128) as usize;
+                    let want = *x * db.get(t);
+                    let bits = |z: &c64| (z.re.to_bits(), z.im.to_bits());
+                    assert_eq!(bits(g), bits(&want), "n={n} step={step} c={c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mul_powers_handles_a_split_wider_than_n() {
+        let db = DynamicBlock::with_split(10, 16);
+        let mut got = vec![c64::ONE; 25];
+        db.mul_powers(&mut got, 7);
+        for (c, g) in got.iter().enumerate() {
+            assert_eq!(*g, c64::ONE * db.get(7 * c), "c={c}");
+        }
     }
 
     #[test]

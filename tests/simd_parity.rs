@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use soifft::num::kernels;
 use soifft::num::simd;
-use soifft::num::{c32, c64};
+use soifft::num::{c32, c64, Complex, Real};
 
 /// Deterministic finite values in [-1, 1); same xorshift as the bench
 /// signal generator so failures reproduce from `(len, seed)` alone.
@@ -246,6 +246,62 @@ proptest! {
         );
         prop_assert_eq!(bits32(&a32), bits32(&b32));
     }
+
+    /// The page-blocked transpose walk (`transpose_strided`, and
+    /// `transpose` as its dense case) == `transpose_naive`, both widths:
+    /// ragged sides, blocks taller than one band (256 `c64` / 512 `c32`
+    /// rows), strides wider than the block, and padding left untouched.
+    #[test]
+    fn transpose_walk_matches_naive(
+        tall in prop::sample::select(vec![false, true]),
+        short_rows in 1usize..40,
+        tall_rows in 250usize..1100,
+        cols in 1usize..30,
+        src_pad in 0usize..4,
+        dst_pad in 0usize..4,
+        seed in proptest::prelude::any::<u64>(),
+    ) {
+        let rows = if tall { tall_rows } else { short_rows };
+        let (ss, ds) = (cols + src_pad, rows + dst_pad);
+        let (shape, len) = ((rows, cols, ss, ds), rows * ss + cols * ds);
+        let [(a, b), (c, d)] = walk_vs_naive(shape, vec_c64(len, seed));
+        prop_assert_eq!(bits64(&a), bits64(&b));
+        prop_assert_eq!(bits64(&c), bits64(&d));
+        let [(a, b), (c, d)] = walk_vs_naive(shape, vec_c32(len, seed));
+        prop_assert_eq!(bits32(&a), bits32(&b));
+        prop_assert_eq!(bits32(&c), bits32(&d));
+    }
+}
+
+/// A walk's output and its reference.
+type GotWant<T> = (Vec<Complex<T>>, Vec<Complex<T>>);
+
+/// `[(strided, naive), (dense, naive)]` for one `rows × cols` block
+/// embedded at strides `(ss, ds)`, source then destination filled from
+/// `pool` (`rows·ss + cols·ds` distinct values). The strided
+/// reference is `transpose_naive` of the extracted block, written back
+/// row by row over the same padded destination.
+fn walk_vs_naive<T: Real>(
+    (rows, cols, ss, ds): (usize, usize, usize, usize),
+    pool: Vec<Complex<T>>,
+) -> [GotWant<T>; 2] {
+    use soifft::num::transpose::{transpose, transpose_naive, transpose_strided};
+    let (src, fill) = pool.split_at(rows * ss);
+    let fill = fill.to_vec();
+    let mut strided = fill.clone();
+    transpose_strided(src, ss, &mut strided, ds, rows, cols);
+
+    let block: Vec<_> = src.chunks(ss).flat_map(|r| &r[..cols]).copied().collect();
+    let mut t = block.clone();
+    transpose_naive(&block, &mut t, rows, cols);
+    let mut want = fill;
+    for (dst_row, t_row) in want.chunks_mut(ds).zip(t.chunks_exact(rows)) {
+        dst_row[..rows].copy_from_slice(t_row);
+    }
+
+    let mut dense = block.clone();
+    transpose(&block, &mut dense, rows, cols);
+    [(strided, want), (dense, t)]
 }
 
 /// The generic hot-kernel entry points (`kernels::dot`, `::mul_pointwise`,
