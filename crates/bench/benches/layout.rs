@@ -1,33 +1,10 @@
-//! Criterion bench behind §5.2.4: data-layout and transposition kernels —
-//! AoS↔SoA conversion (blocked vs simple) and the cache-blocked transpose
-//! vs the naive one.
+//! Criterion bench behind §5.2.4's data movement: the cache-blocked
+//! transpose vs the naive one.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use soifft_bench::signal;
-use soifft_fft::{Plan, PlanarFft};
 use soifft_num::c64;
-use soifft_num::soa::{deinterleave_blocked, SoaComplex};
 use soifft_num::transpose::{transpose, transpose_naive};
-
-fn bench_layout(c: &mut Criterion) {
-    let n = 1 << 16;
-    let aos = signal(n, 31);
-    let mut g = c.benchmark_group("layout");
-    g.sample_size(20);
-
-    let mut re = vec![0.0; n];
-    let mut im = vec![0.0; n];
-    g.bench_function("deinterleave_simple", |b| {
-        b.iter(|| {
-            let s = SoaComplex::from_aos(&aos);
-            criterion::black_box(s.len())
-        });
-    });
-    g.bench_function("deinterleave_blocked", |b| {
-        b.iter(|| deinterleave_blocked(&aos, &mut re, &mut im, 512));
-    });
-    g.finish();
-}
 
 fn bench_transpose(c: &mut Criterion) {
     let (rows, cols) = (512usize, 512usize);
@@ -44,39 +21,5 @@ fn bench_transpose(c: &mut Criterion) {
     g.finish();
 }
 
-/// §5.2.4's actual claim: butterflies on planar (SoA) data vectorize
-/// without shuffles. Compare the same radix-2-class transform in both
-/// layouts.
-fn bench_fft_layouts(c: &mut Criterion) {
-    let n = 1 << 14;
-    let aos = signal(n, 51);
-    let mut g = c.benchmark_group("fft_layout");
-    g.sample_size(10);
-
-    let plan = Plan::new(n);
-    let mut data = aos.clone();
-    let mut scratch = plan.make_scratch();
-    g.bench_function("interleaved_aos", |b| {
-        b.iter(|| {
-            data.copy_from_slice(&aos);
-            plan.forward_with_scratch(&mut data, &mut scratch);
-        });
-    });
-
-    let planar = PlanarFft::new(n);
-    let soa0 = SoaComplex::from_aos(&aos);
-    let mut soa = soa0.clone();
-    let mut sre = vec![0.0; n];
-    let mut sim = vec![0.0; n];
-    g.bench_function("planar_soa", |b| {
-        b.iter(|| {
-            soa.clone_from(&soa0);
-            let (re, im) = soa.parts_mut();
-            planar.forward(re, im, &mut sre, &mut sim);
-        });
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_layout, bench_transpose, bench_fft_layouts);
+criterion_group!(benches, bench_transpose);
 criterion_main!(benches);

@@ -84,47 +84,5 @@ fn bench_fused_demod(c: &mut Criterion) {
     g.finish();
 }
 
-/// Engine comparison: scratch-free iterative vs depth-first recursive at
-/// small (cache-resident) and larger sizes.
-fn bench_engines(c: &mut Criterion) {
-    use soifft_fft::IterativeFft;
-    let mut g = c.benchmark_group("engine");
-    g.sample_size(10);
-    for &n in &[1usize << 9, 1 << 14, 1 << 17] {
-        let x = signal(n, 9);
-        let plan = Plan::new(n);
-        let mut data = x.clone();
-        let mut scratch = plan.make_scratch();
-        g.bench_with_input(BenchmarkId::new("recursive", n), &n, |b, _| {
-            b.iter(|| {
-                data.copy_from_slice(&x);
-                plan.forward_with_scratch(&mut data, &mut scratch);
-            });
-        });
-        let it = IterativeFft::new(n);
-        g.bench_with_input(BenchmarkId::new("iterative", n), &n, |b, _| {
-            b.iter(|| {
-                data.copy_from_slice(&x);
-                it.forward(&mut data);
-            });
-        });
-        let st = soifft_fft::StockhamFft::new(n);
-        let mut st_scratch = vec![soifft_num::c64::ZERO; n];
-        g.bench_with_input(BenchmarkId::new("stockham", n), &n, |b, _| {
-            b.iter(|| {
-                data.copy_from_slice(&x);
-                st.forward(&mut data, &mut st_scratch);
-            });
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_plan,
-    bench_sixstep_ladder,
-    bench_fused_demod,
-    bench_engines
-);
+criterion_group!(benches, bench_plan, bench_sixstep_ladder, bench_fused_demod);
 criterion_main!(benches);

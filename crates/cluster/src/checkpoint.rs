@@ -4,9 +4,9 @@
 //! state (the SOI phase boundaries: `ghost` / `convolution` /
 //! `segment-fft` / `all-to-all`; the CT baseline uses its own names).
 //! Each snapshot is tagged with the epoch that produced it and carries an
-//! FNV-1a checksum ([`checksum`](crate::resilience::checksum), the same
-//! function the wire layer uses) so a restore can detect corruption
-//! instead of silently recomputing from bad state.
+//! FNV-1a checksum ([`checksum`], the same function the wire layer uses)
+//! so a restore can detect corruption instead of silently recomputing
+//! from bad state.
 //!
 //! A phase **commits globally** once *all* ranks have saved it; committed
 //! phases are the resume points a respawned rank may rejoin at (the

@@ -149,8 +149,8 @@ struct BufferPool {
 /// dropped (bounds pool memory under bursty exchanges).
 const POOL_BIN_DEPTH: usize = 32;
 
-/// Default ceiling on the capacity bytes a rank's [`BufferPool`] retains
-/// (64 MiB). Generous for any single transform shape; what it actually
+/// Default ceiling on the capacity bytes a rank's transport buffer pool
+/// retains (64 MiB). Generous for any single transform shape; what it actually
 /// bounds is the *accumulation across shapes* under churn.
 pub const POOL_MAX_RETAINED_BYTES: usize = 64 << 20;
 
@@ -862,9 +862,9 @@ impl Comm {
     }
 
     /// Fault-tolerant all-to-all: the exchange runs in *rounds* on fresh
-    /// tags, each round one [`Comm::post_collect`]; after each round the
-    /// ranks run a small consensus (max-reduce of a failure flag) and, if
-    /// anyone failed, everyone retries — up to
+    /// tags, each round one post-to-all / collect-from-all pass; after each
+    /// round the ranks run a small consensus (max-reduce of a failure flag)
+    /// and, if anyone failed, everyone retries — up to
     /// [`ExchangePolicy::max_rounds`] rounds, each under
     /// [`ExchangePolicy::deadline`]. Absorbs transient faults that outlive
     /// the link-layer retransmit budget; structural failures (a dead peer)

@@ -3,8 +3,8 @@
 //! The resilience stack — sequence numbers, checksums, duplicate
 //! filtering, retransmit budgets, generations — was already
 //! transport-shaped; this module draws the boundary explicitly. A
-//! [`Transport`] moves opaque [`Message`](crate::Message)s between ranks
-//! and answers liveness questions; everything above it (the pending map,
+//! [`Transport`] moves opaque [`Message`]s between ranks and answers
+//! liveness questions; everything above it (the pending map,
 //! fault injection, retry, the buffer pool, statistics) lives in
 //! [`Comm`](crate::Comm) and is backend-agnostic.
 //!
@@ -19,15 +19,15 @@
 //!   [`wire`] codec, optionally with a per-rank inbound [`shm`] ring as
 //!   the same-host data plane. Peer death is *real* (`kill -9`) and is
 //!   detected by connection teardown or heartbeat staleness, surfacing
-//!   as [`CommError::PeerDown`](crate::CommError::PeerDown).
+//!   as [`CommError::PeerDown`].
 //! * [`TcpTransport`](tcp::TcpTransport) — a full mesh of per-peer TCP
 //!   connections speaking the same [`wire`] codec, suitable for ranks
 //!   on separate hosts. Transient link drops heal by
 //!   reconnect-with-backoff inside the staleness budget; longer
-//!   partitions escalate through the same
-//!   [`CommError::PeerDown`](crate::CommError::PeerDown) ladder. The
-//!   [`netchaos`] module puts a deterministic fault proxy (partitions,
-//!   resets, latency, bandwidth caps, slow-loris) in front of it.
+//!   partitions escalate through the same [`CommError::PeerDown`]
+//!   ladder. The [`netchaos`] module puts a deterministic fault proxy
+//!   (partitions, resets, latency, bandwidth caps, slow-loris) in front
+//!   of it.
 
 pub mod netchaos;
 #[cfg(unix)]

@@ -10,8 +10,7 @@
 //! reading a `B·L`-sample input window that advances by `d_µ·L` per chunk
 //! (`n_µ` blocks). The paper counts this as `8BµN` flops — the extra
 //! arithmetic SOI pays for removing two all-to-alls. Because the window is
-//! a real envelope on a carrier of period `2L`
-//! ([`Window`](crate::window::Window)), each tap is
+//! a real envelope on a carrier of period `2L` ([`Window`]), each tap is
 //! `(−1)^b·φ(j,p)·env`, so what actually runs is
 //!
 //! ```text

@@ -740,7 +740,7 @@ mod tests {
     }
 
     #[test]
-    fn distributed_2d_matches_local_plan2d_and_uses_one_alltoall() {
+    fn distributed_2d_matches_row_column_reference_and_uses_one_alltoall() {
         let (rows, cols, p) = (16usize, 24usize, 4usize);
         let x = signal(rows * cols);
         let per = rows / p * cols;
@@ -754,12 +754,14 @@ mod tests {
         // transform's 3 above).
         assert!(runs.iter().all(|(_, a2a)| *a2a == 1));
 
-        // Assemble the (transposed) distributed result and compare with
-        // the node-local 2D plan.
+        // Assemble the (transposed) distributed result and compare with a
+        // node-local row-column 2D FFT: rows, transpose, then the columns
+        // (now rows), which leaves the spectrum transposed as well.
         let mut want = x.clone();
-        soifft_fft::Plan2d::new(rows, cols).forward(&mut want);
+        batch::forward_rows(&Plan::new(cols), &mut want);
         let mut want_t = vec![c64::ZERO; rows * cols];
         soifft_num::transpose::transpose(&want, &mut want_t, rows, cols);
+        batch::forward_rows(&Plan::new(rows), &mut want_t);
         let got: Vec<c64> = runs.iter().flat_map(|(y, _)| y.iter().copied()).collect();
         assert!(rel_linf(&got, &want_t) < 1e-10);
     }

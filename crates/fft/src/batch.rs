@@ -33,16 +33,6 @@ pub fn forward_rows_with<T: Real>(
     }
 }
 
-/// Inverse-transforms every row in place (normalized), serially.
-pub fn inverse_rows<T: Real>(plan: &Plan<T>, data: &mut [Complex<T>]) {
-    let n = plan.len();
-    assert_eq!(data.len() % n, 0, "data is not a whole number of rows");
-    let mut scratch = plan.make_scratch();
-    for row in data.chunks_exact_mut(n) {
-        plan.inverse_with_scratch(row, &mut scratch);
-    }
-}
-
 /// Forward-transforms every row in place, with rows statically partitioned
 /// over the pool's threads. Each partition allocates one scratch buffer;
 /// steady-state callers should plan worker scratch once and use
@@ -76,24 +66,6 @@ pub fn forward_rows_parallel_with<T: Real>(
             plan.forward_with_scratch(row, scratch);
         }
     });
-}
-
-/// Forward-transforms each row and then multiplies element `(r, c)` by
-/// `scale(r, c)` in the same pass over the row — the loop-fusion pattern of
-/// Fig 4(b) (step 2 + step 3 without an intermediate memory sweep).
-pub fn forward_rows_scaled<T: Real, F>(plan: &Plan<T>, data: &mut [Complex<T>], scale: F)
-where
-    F: Fn(usize, usize) -> Complex<T>,
-{
-    let n = plan.len();
-    assert_eq!(data.len() % n, 0, "data is not a whole number of rows");
-    let mut scratch = plan.make_scratch();
-    for (r, row) in data.chunks_exact_mut(n).enumerate() {
-        plan.forward_with_scratch(row, &mut scratch);
-        for (c, v) in row.iter_mut().enumerate() {
-            *v *= scale(r, c);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -138,38 +110,6 @@ mod tests {
             forward_rows_parallel(&plan, &pool, &mut par);
             assert_eq!(par, serial, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn inverse_rows_round_trip() {
-        let (rows, n) = (5, 20);
-        let plan = Plan::new(n);
-        let src = rows_signal(rows, n);
-        let mut data = src.clone();
-        forward_rows(&plan, &mut data);
-        inverse_rows(&plan, &mut data);
-        assert!(rel_linf(&data, &src) < 1e-11);
-    }
-
-    #[test]
-    fn scaled_rows_fuse_twiddle_multiplication() {
-        let (rows, n) = (4, 16);
-        let plan = Plan::new(n);
-        let src = rows_signal(rows, n);
-        // Fused path.
-        let mut fused = src.clone();
-        forward_rows_scaled(&plan, &mut fused, |r, c| {
-            c64::root_of_unity(rows * n, (r * c) as i64)
-        });
-        // Separate passes.
-        let mut separate = src.clone();
-        forward_rows(&plan, &mut separate);
-        for r in 0..rows {
-            for c in 0..n {
-                separate[r * n + c] *= c64::root_of_unity(rows * n, (r * c) as i64);
-            }
-        }
-        assert!(rel_linf(&fused, &separate) < 1e-13);
     }
 
     #[test]

@@ -54,22 +54,11 @@ pub fn shared_plan(n: usize) -> Arc<Plan> {
     GLOBAL.get_or_init(PlanCache::new).get(n)
 }
 
-/// Fallible twin of [`shared_plan`]: surfaces [`PlanError`] (zero length)
-/// instead of panicking, for plan sizes derived from untrusted input.
-pub fn try_shared_plan(n: usize) -> Result<Arc<Plan>, PlanError> {
-    GLOBAL.get_or_init(PlanCache::new).try_get(n)
-}
-
 /// Returns the single-precision plan for `n` from the process-wide `f32`
 /// cache, building it on first use (the `f32` data path's counterpart of
 /// [`shared_plan`]).
 pub fn shared_plan_f32(n: usize) -> Arc<Plan<f32>> {
     GLOBAL_F32.get_or_init(PlanCache::new).get(n)
-}
-
-/// Fallible twin of [`shared_plan_f32`].
-pub fn try_shared_plan_f32(n: usize) -> Result<Arc<Plan<f32>>, PlanError> {
-    GLOBAL_F32.get_or_init(PlanCache::new).try_get(n)
 }
 
 /// Snapshot of the `f64` global cache's counters (see
@@ -303,9 +292,6 @@ mod tests {
         let cache = PlanCache::<f64>::new();
         assert_eq!(cache.try_get(0).unwrap_err(), PlanError::ZeroLength);
         assert!(cache.is_empty(), "failed build must not populate the cache");
-        assert!(try_shared_plan(0).is_err());
-        assert!(try_shared_plan_f32(0).is_err());
-        assert_eq!(try_shared_plan(32).unwrap().len(), 32);
     }
 
     #[test]

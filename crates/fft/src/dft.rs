@@ -1,5 +1,4 @@
-//! Direct O(n²) discrete Fourier transform and Goertzel single-bin
-//! evaluation.
+//! Direct O(n²) discrete Fourier transform.
 //!
 //! These are the *reference* implementations: every fast path in this crate
 //! (and the SOI pipeline above it) is tested against them. They are also
@@ -36,30 +35,6 @@ pub fn idft(input: &[c64]) -> Vec<c64> {
         *o = acc / n as f64;
     }
     out
-}
-
-/// Evaluates a single DFT bin `y_k` of `input` by the Goertzel recurrence —
-/// O(n) per bin with one trig evaluation, numerically a second opinion
-/// against the table-driven fast paths.
-pub fn goertzel(input: &[c64], k: usize) -> c64 {
-    let n = input.len();
-    assert!(k < n, "bin out of range");
-    let theta = 2.0 * std::f64::consts::PI * (k as f64) / (n as f64);
-    let coeff = 2.0 * theta.cos();
-    // Run the real recurrence on both components at once by treating the
-    // complex samples directly: s_j = x_j + coeff·s_{j-1} − s_{j-2}.
-    let mut s1 = c64::ZERO;
-    let mut s2 = c64::ZERO;
-    for &x in input {
-        let s0 = x + coeff * s1 - s2;
-        s2 = s1;
-        s1 = s0;
-    }
-    // The recurrence yields s1 − e^{−iθ}s2 = Σ_j x_j e^{+iθ(n−1−j)};
-    // multiplying by e^{−iθ(n−1)} converts to the forward-sign bin
-    // Σ_j x_j e^{−iθj}.
-    let w = c64::cis(theta);
-    (s1 - w.conj() * s2) * c64::cis(-theta * (n as f64 - 1.0))
 }
 
 #[cfg(test)]
@@ -121,21 +96,5 @@ mod tests {
         let ex: f64 = x.iter().map(|z| z.norm_sqr()).sum();
         let ey: f64 = y.iter().map(|z| z.norm_sqr()).sum::<f64>() / x.len() as f64;
         assert!((ex - ey).abs() / ex < 1e-12);
-    }
-
-    #[test]
-    fn goertzel_matches_dft_bins() {
-        let x: Vec<c64> = (0..25)
-            .map(|i| c64::new((0.3 * i as f64).cos(), (0.11 * i as f64).sin()))
-            .collect();
-        let y = dft(&x);
-        for k in [0, 1, 7, 12, 24] {
-            let g = goertzel(&x, k);
-            assert!(
-                (g - y[k]).abs() < 1e-9 * (1.0 + y[k].abs()),
-                "bin {k}: {g} vs {}",
-                y[k]
-            );
-        }
     }
 }

@@ -199,23 +199,6 @@ impl<T: Real> Plan<T> {
         }
     }
 
-    /// Forward transform, out of place (`input` is left untouched).
-    pub fn forward_oop(&self, input: &[Complex<T>], output: &mut [Complex<T>]) {
-        assert_eq!(input.len(), self.n, "input length != plan length");
-        assert_eq!(output.len(), self.n, "output length != plan length");
-        match &self.kind {
-            Kind::Identity => output.copy_from_slice(input),
-            Kind::CooleyTukey { factors, tw } => {
-                ct_recursive(input, 0, 1, output, self.n, factors, tw, self.n);
-            }
-            Kind::Bluestein(b) => {
-                output.copy_from_slice(input);
-                let mut scratch = self.make_scratch();
-                b.forward(output, &mut scratch);
-            }
-        }
-    }
-
     /// Inverse transform, in place, normalized by `1/n` so that
     /// `inverse(forward(x)) == x`.
     pub fn inverse(&self, data: &mut [Complex<T>]) {
@@ -630,18 +613,6 @@ mod tests {
         plan.inverse(&mut d);
         let want = idft(&x);
         assert!(rel_linf(&d, &want) < 1e-11);
-    }
-
-    #[test]
-    fn oop_matches_in_place_and_preserves_input() {
-        let n = 192;
-        let x = signal(n);
-        let plan = Plan::new(n);
-        let mut out = vec![c64::ZERO; n];
-        plan.forward_oop(&x, &mut out);
-        let mut inplace = x.clone();
-        plan.forward(&mut inplace);
-        assert_eq!(out, inplace);
     }
 
     #[test]

@@ -16,37 +16,7 @@
 //! (`sin_cos` then demote), so an `f32` table is correctly rounded rather
 //! than carrying single-precision trig error.
 
-use std::fmt;
-
 use soifft_num::{c64, Complex, Real};
-
-/// Error returned by [`Twiddles::get_checked`] for an index that was not
-/// reduced into `[0, n)`.
-///
-/// The unchecked [`Twiddles::get`] would fail such an index as an opaque
-/// slice out-of-bounds panic in release builds (or, worse, alias a valid
-/// entry if a caller "reduced" with the wrong modulus that happens to land
-/// in range); this error carries the context needed to find the broken
-/// reduction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TwiddleIndexError {
-    /// The offending index.
-    pub index: usize,
-    /// The table length the index must be reduced into.
-    pub n: usize,
-}
-
-impl fmt::Display for TwiddleIndexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "twiddle index {} not reduced into [0, {}) — caller must take j mod n before get()",
-            self.index, self.n
-        )
-    }
-}
-
-impl std::error::Error for TwiddleIndexError {}
 
 /// Full-size twiddle table for a transform of length `n`.
 #[derive(Clone, Debug)]
@@ -84,8 +54,7 @@ impl<T: Real> Twiddles<T> {
     /// Callers on hot paths pre-reduce `j` (usually as `j·k·stride % n`);
     /// the debug assertion catches a missing or wrong reduction at the
     /// call site with context instead of an opaque out-of-bounds panic
-    /// deeper in release code. Use [`Twiddles::get_checked`] on cold paths
-    /// that want the same protection in release builds.
+    /// deeper in release code.
     #[inline(always)]
     pub fn get(&self, j: usize) -> Complex<T> {
         debug_assert!(
@@ -94,16 +63,6 @@ impl<T: Real> Twiddles<T> {
             self.n
         );
         self.table[j]
-    }
-
-    /// Checked variant of [`Twiddles::get`]: returns an error carrying the
-    /// offending index and the table length instead of panicking.
-    #[inline]
-    pub fn get_checked(&self, j: usize) -> Result<Complex<T>, TwiddleIndexError> {
-        self.table.get(j).copied().ok_or(TwiddleIndexError {
-            index: j,
-            n: self.n,
-        })
     }
 
     /// `w^{jk mod n}` computed with 128-bit intermediate so large `j·k`
@@ -252,17 +211,6 @@ mod tests {
             assert!((want - want2).abs() < 1e-12);
             assert!((tw.get_prod(j, k) - want2).abs() < 1e-14, "{j},{k}");
         }
-    }
-
-    #[test]
-    fn get_checked_reports_unreduced_index_with_context() {
-        let tw = Twiddles::<f64>::new(16);
-        assert_eq!(tw.get_checked(15), Ok(tw.get(15)));
-        let err = tw.get_checked(16).unwrap_err();
-        assert_eq!(err, TwiddleIndexError { index: 16, n: 16 });
-        let msg = err.to_string();
-        assert!(msg.contains("16"), "{msg}");
-        assert!(msg.contains("not reduced"), "{msg}");
     }
 
     #[test]

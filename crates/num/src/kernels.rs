@@ -82,25 +82,6 @@ pub fn mul_pointwise_scalar<T: Real>(data: &mut [Complex<T>], scale: &[Complex<T
     }
 }
 
-/// `data[i] *= s` for a real scalar (normalization passes). The scalar is
-/// supplied in `f64` and demoted once, so an `f32` normalization factor is
-/// correctly rounded rather than computed in single precision.
-#[inline]
-pub fn scale_real<T: Real>(data: &mut [Complex<T>], s: f64) {
-    let s = T::from_f64(s);
-    for d in data.iter_mut() {
-        *d = d.scale(s);
-    }
-}
-
-/// Conjugates in place (the inverse-via-conjugation wrapper's passes).
-#[inline]
-pub fn conj_in_place<T: Real>(data: &mut [Complex<T>]) {
-    for d in data.iter_mut() {
-        *d = d.conj();
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Split precision: f32 operands, f64 accumulation.
 // ---------------------------------------------------------------------------
@@ -155,27 +136,12 @@ mod tests {
     }
 
     #[test]
-    fn pointwise_and_scale() {
+    fn pointwise_multiply() {
         let mut d = v(6, 1.0);
         let s = v(6, -2.0);
         let expect: Vec<c64> = d.iter().zip(&s).map(|(&a, &b)| a * b).collect();
         mul_pointwise(&mut d, &s);
         assert_eq!(d, expect);
-
-        let mut d = v(5, 3.0);
-        let expect: Vec<c64> = d.iter().map(|&z| z * 0.5).collect();
-        scale_real(&mut d, 0.5);
-        assert_eq!(d, expect);
-    }
-
-    #[test]
-    fn conj_in_place_is_involution() {
-        let orig = v(8, 0.9);
-        let mut d = orig.clone();
-        conj_in_place(&mut d);
-        assert!(d.iter().zip(&orig).all(|(a, b)| *a == b.conj()));
-        conj_in_place(&mut d);
-        assert_eq!(d, orig);
     }
 
     #[test]

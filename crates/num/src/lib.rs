@@ -8,16 +8,19 @@
 //!   precision, 8 bytes per element — the half-payload data path),
 //! * [`real`] — the sealed [`Real`] trait (`f64` and `f32`) that threads
 //!   precision through every layer above,
+//! * [`kernels`] — the precision-generic complex micro-kernels (AXPY,
+//!   inner products, pointwise multiply) the convolution, demodulation and
+//!   twiddle passes are built from,
 //! * [`simd`] — runtime-detected AVX2 kernels for the hot loops, with
 //!   bit-identical scalar fallbacks,
-//! * [`SoaComplex`] — "Struct of Arrays" complex storage plus conversions to
-//!   and from the interleaved "Array of Structs" layout (paper §5.2.4),
 //! * [`special`] — the special functions needed by the SOI window design
 //!   (`erf`, `erfc`, the modified Bessel function `I₀`, `sinc`),
+//! * [`tridiag`] and [`dpss`] — the symmetric tridiagonal eigensolver and
+//!   the discrete prolate spheroidal sequences the prolate window is
+//!   built on,
 //! * [`transpose`] — cache-blocked matrix transposition kernels (the
 //!   workhorse of the 6-step local FFT and of the local permutation that
 //!   precedes the all-to-all),
-//! * [`strided`] — strided gather/scatter copies,
 //! * [`factor`] — small integer factorization utilities used by FFT
 //!   planning,
 //! * [`error`] — error norms used by tests and the accuracy benches,
@@ -46,15 +49,12 @@ pub mod kernels;
 pub mod real;
 #[allow(unsafe_code)]
 pub mod simd;
-pub mod soa;
 pub mod special;
-pub mod strided;
 pub mod transpose;
 pub mod tridiag;
 
 pub use complex::{c32, c64, Complex};
 pub use real::Real;
-pub use soa::SoaComplex;
 
 /// 64-bit FNV-1a over `bytes`, one byte per step. The wire codec's frame
 /// header checksum and the wisdom file's body checksum are this function,

@@ -187,8 +187,7 @@ pub fn mul_pointwise_c32(data: &mut [c32], scale: &[c32]) {
 /// Planar (SoA) pointwise multiply: `(a_re, a_im) *= (b_re, b_im)`
 /// element-wise, operating on split real/imaginary arrays. The planar
 /// layout needs no shuffles at all — each vector op is 4 (f64) or 8
-/// (f32) independent lanes — which is why [`crate::soa::SoaComplex`]
-/// exists.
+/// (f32) independent lanes.
 #[inline]
 pub fn mul_pointwise_planar_f64(are: &mut [f64], aim: &mut [f64], bre: &[f64], bim: &[f64]) {
     let n = are.len();

@@ -742,7 +742,8 @@ pub struct ServeReport {
 ///
 /// While waiting, the ticket doubles as the job's deadline watchdog: if
 /// the deadline passes mid-flight, the waiter cancels the job's
-/// [`CancelGate`] so the ranks shed it at the next collective boundary.
+/// [`soifft_core::CancelGate`] so the ranks shed it at the next
+/// collective boundary.
 #[must_use = "a ticket is the only way to observe the job's result"]
 pub struct JobTicket {
     shared: Arc<EngineShared>,

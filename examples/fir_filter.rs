@@ -1,4 +1,4 @@
-//! FFT-accelerated FIR filtering (overlap–save) with the real-input FFT.
+//! FFT-accelerated FIR filtering (overlap–save) with the node-local FFT.
 //!
 //! ```sh
 //! cargo run --release --example fir_filter
@@ -7,10 +7,11 @@
 //! A classic downstream use of the node-local FFT library: filter a long
 //! real signal with a 129-tap low-pass FIR by multiplying in the frequency
 //! domain, block by block (overlap–save), and verify against direct
-//! time-domain convolution. Demonstrates `RealFft` (r2c/c2r) and shows the
-//! O(N log N) vs O(N·taps) advantage.
+//! time-domain convolution. Each real block runs through a complex `Plan`
+//! with a zero imaginary part, and the real part of the inverse is the
+//! filtered block. Shows the O(N log N) vs O(N·taps) advantage.
 
-use soifft::fft::RealFft;
+use soifft::fft::Plan;
 use soifft::num::c64;
 use soifft::num::special::sinc;
 
@@ -42,26 +43,35 @@ fn convolve_direct(x: &[f64], h: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Overlap–save fast convolution via the real FFT.
+/// Overlap–save fast convolution via the complex FFT.
 fn convolve_fft(x: &[f64], h: &[f64], block: usize) -> Vec<f64> {
     let k = h.len();
     assert!(block.is_power_of_two() && block > 2 * k, "block too small");
     let step = block - (k - 1);
-    let plan = RealFft::new(block);
+    let plan = Plan::new(block);
+    let mut scratch = plan.make_scratch();
 
     // Frequency response of the zero-padded filter.
-    let mut h_pad = vec![0.0; block];
-    h_pad[..k].copy_from_slice(h);
-    let h_spec = plan.forward(&h_pad);
+    let mut h_spec = vec![c64::ZERO; block];
+    for (s, &hj) in h_spec.iter_mut().zip(h) {
+        *s = c64::real(hj);
+    }
+    plan.forward_with_scratch(&mut h_spec, &mut scratch);
 
+    let mut buf = vec![c64::ZERO; block];
     let mut out = Vec::with_capacity(x.len());
     let mut pos = 0;
     while pos + block <= x.len() {
-        let spec = plan.forward(&x[pos..pos + block]);
-        let prod: Vec<c64> = spec.iter().zip(&h_spec).map(|(&a, &b)| a * b).collect();
-        let y = plan.inverse(&prod);
+        for (b, &v) in buf.iter_mut().zip(&x[pos..pos + block]) {
+            *b = c64::real(v);
+        }
+        plan.forward_with_scratch(&mut buf, &mut scratch);
+        for (b, &hs) in buf.iter_mut().zip(&h_spec) {
+            *b *= hs;
+        }
+        plan.inverse_with_scratch(&mut buf, &mut scratch);
         // First k−1 samples of each block are circular garbage: discard.
-        out.extend_from_slice(&y[k - 1..k - 1 + step.min(y.len() - (k - 1))]);
+        out.extend(buf[k - 1..k - 1 + step].iter().map(|z| z.re));
         pos += step;
     }
     out

@@ -156,52 +156,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Real-input FFT round trip and Hermitian symmetry for random even
-    /// lengths and data.
-    #[test]
-    fn real_fft_round_trip(
-        half in 2usize..200,
-        seed in 0u64..500,
-    ) {
-        let n = half * 2;
-        let x: Vec<f64> = seeded(n, seed).iter().map(|z| z.re).collect();
-        let plan = soifft::fft::RealFft::new(n);
-        let spec = plan.forward(&x);
-        // DC and Nyquist must be (numerically) real.
-        prop_assert!(spec[0].im.abs() < 1e-9 * (1.0 + spec[0].re.abs()));
-        prop_assert!(spec[half].im.abs() < 1e-9 * (1.0 + spec[half].re.abs()));
-        let back = plan.inverse(&spec);
-        let err = x
-            .iter()
-            .zip(&back)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        prop_assert!(err < 1e-9, "n={} err={:.3e}", n, err);
-    }
-
-    /// 2D plan separability: transforming rows then columns by hand equals
-    /// the plan, for arbitrary shapes.
-    #[test]
-    fn plan2d_separability(
-        rows in 1usize..12,
-        cols in 1usize..12,
-        seed in 0u64..200,
-    ) {
-        use soifft::num::transpose::transpose;
-        let x = seeded(rows * cols, seed);
-        let mut got = x.clone();
-        soifft::fft::Plan2d::new(rows, cols).forward(&mut got);
-
-        let mut want = x;
-        soifft::fft::batch::forward_rows(&Plan::new(cols), &mut want);
-        let mut t = vec![c64::ZERO; rows * cols];
-        transpose(&want, &mut t, rows, cols);
-        soifft::fft::batch::forward_rows(&Plan::new(rows), &mut t);
-        let mut back = vec![c64::ZERO; rows * cols];
-        transpose(&t, &mut back, cols, rows);
-        prop_assert!(rel_linf(&got, &back) < 1e-11);
-    }
-
     /// Kernel primitives agree with naive loops on arbitrary data.
     #[test]
     fn kernels_match_naive(len in 0usize..64, seed in 0u64..300) {
@@ -225,24 +179,6 @@ proptest! {
         prop_assert!(rel_linf(&d, &expect) < 1e-13 || len == 0);
     }
 
-    /// The iterative engine equals the recursive plan on random pow2 data.
-    #[test]
-    fn iterative_equals_recursive(
-        log2n in 0u32..12,
-        seed in 0u64..300,
-    ) {
-        let n = 1usize << log2n;
-        let x = seeded(n, seed);
-        let mut a = x.clone();
-        soifft::fft::IterativeFft::new(n).forward(&mut a);
-        let mut st = x.clone();
-        let mut scratch = vec![c64::ZERO; n];
-        soifft::fft::StockhamFft::new(n).forward(&mut st, &mut scratch);
-        let mut b = x;
-        Plan::new(n).forward(&mut b);
-        prop_assert!(rel_linf(&a, &b) < 1e-10);
-        prop_assert!(rel_linf(&st, &b) < 1e-10);
-    }
 }
 
 /// Deterministic pseudo-random data parameterized by a seed (so proptest
