@@ -46,7 +46,9 @@ use soifft::cluster::{
     RankOutcome, RecoveryOutcome, RestartPolicy, Supervisor, ValidationPolicy,
 };
 use soifft::ct::DistributedCtFft;
-use soifft::num::c64;
+use soifft::fft::{Plan, SixStepFft, SixStepVariant};
+use soifft::num::{c32, c64};
+use soifft::par::Pool;
 use soifft::soi::pipeline::{gather_output, scatter_input, ExchangePlan};
 use soifft::soi::{CancelGate, ConvStrategy, Precision, Rational, SoiFft, SoiParams};
 
@@ -483,4 +485,92 @@ const GOLDEN: &[(&str, u64)] = &[
     ("tcp/try_forward", 0x2c91cb514575a6f5),
     ("try_forward", 0x2c91cb514575a6f5),
     ("try_forward-hetero", 0x2c91cb514575a6f5),
+];
+
+/// Digests of the node-local transforms on their own, at shapes the
+/// pipeline rows above never reach: `M' = 2048` there is a power of two
+/// and one column group. Here `Plan` runs the radix-3/5/7/11/13 and
+/// generic combines in both precisions, and the 6-step runs several
+/// column groups and row bands with ragged last ones.
+fn compute_local() -> BTreeMap<String, u64> {
+    let mut got = BTreeMap::new();
+    for n in [12usize, 20, 48, 1024, 1232, 1280, 2184, 5 << 14] {
+        let x = noise(n);
+        let mut y = x.clone();
+        Plan::<f64>::new(n).forward(&mut y);
+        got.insert(format!("plan/f64/{n}"), checksum(&y));
+        let mut y32: Vec<c32> = x.iter().map(|&z| c32::from_c64(z)).collect();
+        Plan::<f32>::new(n).forward(&mut y32);
+        let y: Vec<c64> = y32.iter().map(|z| z.to_c64()).collect();
+        got.insert(format!("plan/f32/{n}"), checksum(&y));
+    }
+    for (n1, n2) in [(1024usize, 200usize), (512, 300), (40, 64)] {
+        let n = n1 * n2;
+        let x = noise(n);
+        let scale: Vec<c64> = (0..n)
+            .map(|k| c64::new(1.0 / (1.0 + k as f64), 1e-3 * (k % 97) as f64))
+            .collect();
+        for variant in [
+            SixStepVariant::Naive,
+            SixStepVariant::Fused,
+            SixStepVariant::FusedDynamic,
+        ] {
+            let fft = SixStepFft::with_split(n, n1, n2, variant, Pool::serial());
+            let mut y = x.clone();
+            let mut aux = vec![c64::ZERO; n];
+            fft.forward_scaled(&mut y, &mut aux, &scale);
+            got.insert(
+                format!("sixstep/{}/{n1}x{n2}", variant.label()),
+                checksum(&y),
+            );
+        }
+    }
+    got
+}
+
+#[test]
+fn local_fft_bits_match_the_recorded_digests() {
+    let got = compute_local();
+    let want: BTreeMap<String, u64> = LOCAL_GOLDEN
+        .iter()
+        .map(|&(k, v)| (k.to_string(), v))
+        .collect();
+    if got != want {
+        let mut table = String::new();
+        for (k, v) in &got {
+            table.push_str(&format!("    (\"{k}\", {v:#018x}),\n"));
+        }
+        panic!("local FFT digests changed; freshly computed table:\n{table}");
+    }
+}
+
+/// Recorded against the `Plan` that indexed one full-size twiddle table
+/// at stride `N/n` and the 6-step that gathered 8-column groups; the
+/// per-stage tables and page-blocked groups must reproduce it exactly.
+const LOCAL_GOLDEN: &[(&str, u64)] = &[
+    ("plan/f32/1024", 0x7e0fb0a90dc79386),
+    ("plan/f32/12", 0x1082b9aea5dd94ee),
+    ("plan/f32/1232", 0xaa4d180ba0ba27a6),
+    ("plan/f32/1280", 0x80424a637a17dd86),
+    ("plan/f32/20", 0x46a38461860f891e),
+    ("plan/f32/2184", 0xe6d05e41e8e36c96),
+    ("plan/f32/48", 0x23afa527e5d7b266),
+    ("plan/f32/81920", 0xdadfb4003ab1ab86),
+    ("plan/f64/1024", 0x34ddcf623b067446),
+    ("plan/f64/12", 0xdd8df3b19743d223),
+    ("plan/f64/1232", 0x36bcb0521d8761e2),
+    ("plan/f64/1280", 0xfc9abd7a0b8d1786),
+    ("plan/f64/20", 0x04a0a36114510956),
+    ("plan/f64/2184", 0xa9cbc590eb9a9000),
+    ("plan/f64/48", 0x4d88597bcea45f96),
+    ("plan/f64/81920", 0x60a14319264ed618),
+    ("sixstep/+locality/1024x200", 0x573f3bf6334a20c5),
+    ("sixstep/+locality/40x64", 0xceb23bdc2f182bda),
+    ("sixstep/+locality/512x300", 0x4b4bfbe8a1afd184),
+    ("sixstep/6-step-naive/1024x200", 0xf7a9f4892a0d4cca),
+    ("sixstep/6-step-naive/40x64", 0xe61fbdc9fbcef7fe),
+    ("sixstep/6-step-naive/512x300", 0xcc292f643d6fcd28),
+    ("sixstep/6-step-opt/1024x200", 0xf7a9f4892a0d4cca),
+    ("sixstep/6-step-opt/40x64", 0xe61fbdc9fbcef7fe),
+    ("sixstep/6-step-opt/512x300", 0xcc292f643d6fcd28),
 ];
