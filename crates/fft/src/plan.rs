@@ -17,7 +17,10 @@
 //! The recursion reads the (conceptually strided) input depth-first and
 //! writes contiguous output, which keeps each combine pass within the
 //! subarray produced by its children — the cache-oblivious layout that the
-//! 6-step algorithm then scales past LLC sizes.
+//! 6-step algorithm then scales past LLC sizes. Each level of the factor
+//! tree owns one contiguous twiddle slice in the order its combine reads
+//! it, so the hot path reduces no index modulo anything; over all levels
+//! the slices hold fewer entries than `n`.
 
 use std::fmt;
 
@@ -25,7 +28,6 @@ use soifft_num::factor::factorize;
 use soifft_num::{Complex, Real};
 
 use crate::bluestein::BluesteinPlan;
-use crate::twiddle::Twiddles;
 
 /// Largest prime handled by the generic Cooley–Tukey butterfly; larger
 /// prime factors route the whole transform to Bluestein.
@@ -74,10 +76,7 @@ pub struct Plan<T: Real = f64> {
 #[derive(Clone, Debug)]
 enum Kind<T: Real> {
     Identity,
-    CooleyTukey {
-        factors: Vec<usize>,
-        tw: Twiddles<T>,
-    },
+    CooleyTukey(Vec<Stage<T>>),
     Bluestein(Box<BluesteinPlan<T>>),
 }
 
@@ -133,10 +132,7 @@ impl<T: Real> Plan<T> {
             }
             Ok(Plan {
                 n,
-                kind: Kind::CooleyTukey {
-                    factors,
-                    tw: Twiddles::new(n),
-                },
+                kind: Kind::CooleyTukey(stages(n, &factors)),
             })
         } else {
             Ok(Plan {
@@ -167,7 +163,7 @@ impl<T: Real> Plan<T> {
     pub fn scratch_len(&self) -> usize {
         match &self.kind {
             Kind::Identity => 0,
-            Kind::CooleyTukey { .. } => self.n,
+            Kind::CooleyTukey(_) => self.n,
             Kind::Bluestein(b) => b.scratch_len(),
         }
     }
@@ -190,10 +186,10 @@ impl<T: Real> Plan<T> {
         assert_eq!(data.len(), self.n, "data length != plan length");
         match &self.kind {
             Kind::Identity => {}
-            Kind::CooleyTukey { factors, tw } => {
+            Kind::CooleyTukey(stages) => {
                 let (src, _) = scratch.split_at_mut(self.n);
                 src.copy_from_slice(data);
-                ct_recursive(src, 0, 1, data, self.n, factors, tw, self.n);
+                ct_recursive(src, 0, 1, data, self.n, stages);
             }
             Kind::Bluestein(b) => b.forward(data, scratch),
         }
@@ -223,22 +219,70 @@ impl<T: Real> Plan<T> {
     }
 }
 
+/// One level of the factor tree: its radix and the twiddles its combine
+/// reads, stored in the order the combine reads them.
+#[derive(Clone, Debug)]
+struct Stage<T: Real> {
+    radix: usize,
+    /// `tw[k·(r−1) + j−1] = w_N^{j·k·N/n}` for `k < m = n/r` and
+    /// `1 ≤ j < r`, where `N` is the root length and `n` this level's.
+    tw: Vec<Complex<T>>,
+    /// `w_N^{q·N/r}` for `q < r`: the generic butterfly's `r`-point DFT
+    /// roots (empty for the specialized radices).
+    roots: Vec<Complex<T>>,
+}
+
+/// The per-level twiddle tables of the factor tree for `factors` at root
+/// length `big_n`, down to the first unrolled leaf (`n ∈ {1, 2, 4}`),
+/// which needs none. Over all levels they hold `Σ (r−1)·m ≤ big_n − 1`
+/// entries. Every entry comes from the same
+/// [`Complex::root_of_unity`]`(big_n, ·)` call the full table
+/// [`crate::twiddle::Twiddles`] makes, so the bits equal the ones a
+/// full table indexed at stride `big_n / n` would give.
+fn stages<T: Real>(big_n: usize, factors: &[usize]) -> Vec<Stage<T>> {
+    let mut stages = Vec::new();
+    let mut n = big_n;
+    for &r in factors {
+        if matches!(n, 1 | 2 | 4) {
+            break;
+        }
+        let m = n / r;
+        let ts = big_n / n;
+        // j·k·ts < r·m·ts = big_n: no reduction needed.
+        let mut tw = Vec::with_capacity((r - 1) * m);
+        for k in 0..m {
+            tw.extend((1..r).map(|j| Complex::root_of_unity(big_n, (j * k * ts) as i64)));
+        }
+        let roots = if matches!(r, 2 | 3 | 4 | 5 | 8) {
+            Vec::new()
+        } else {
+            (0..r)
+                .map(|q| Complex::root_of_unity(big_n, (q * (big_n / r)) as i64))
+                .collect()
+        };
+        stages.push(Stage {
+            radix: r,
+            tw,
+            roots,
+        });
+        n = m;
+    }
+    stages
+}
+
 /// Recursive decimation-in-time step: computes the `n`-point DFT of the
 /// virtual sequence `src[src_off + i·stride]` into `dst[0..n]`.
 ///
-/// `factors` is the radix schedule for this level downward; `tw` is the
-/// shared full-size table for `big_n` (the root length), indexed with
-/// stride `big_n / n` at this level.
-#[allow(clippy::too_many_arguments)]
+/// `stages` holds this level's table first and the levels below after
+/// it; each combine walks its own table front to back, so no twiddle
+/// index is reduced modulo anything.
 fn ct_recursive<T: Real>(
     src: &[Complex<T>],
     src_off: usize,
     stride: usize,
     dst: &mut [Complex<T>],
     n: usize,
-    factors: &[usize],
-    tw: &Twiddles<T>,
-    big_n: usize,
+    stages: &[Stage<T>],
 ) {
     if n == 1 {
         dst[0] = src[src_off];
@@ -269,9 +313,11 @@ fn ct_recursive<T: Real>(
         dst[3] = s1 - s3;
         return;
     }
-    let r = factors[0];
+    let (stage, below) = stages.split_first().expect("a stage per non-leaf level");
+    let r = stage.radix;
     let m = n / r;
     debug_assert_eq!(r * m, n, "factor schedule does not divide n");
+    debug_assert_eq!(stage.tw.len(), (r - 1) * m, "stage table does not match n");
 
     // Children: r interleaved sub-sequences, each of length m.
     for j in 0..r {
@@ -281,22 +327,19 @@ fn ct_recursive<T: Real>(
             stride * r,
             &mut dst[j * m..(j + 1) * m],
             m,
-            &factors[1..],
-            tw,
-            big_n,
+            below,
         );
     }
 
     // Combine: for every k, gather the r children's k-th outputs, apply
     // level twiddles w_n^{jk}, and run an r-point DFT across them.
-    let tw_stride = big_n / n;
     match r {
-        2 => combine_radix2(dst, m, tw, tw_stride),
-        3 => combine_radix3(dst, m, tw, tw_stride),
-        4 => combine_radix4(dst, m, tw, tw_stride),
-        5 => combine_radix5(dst, m, tw, tw_stride),
-        8 => combine_radix8(dst, m, tw, tw_stride),
-        _ => combine_generic(dst, r, m, tw, tw_stride, n),
+        2 => combine_radix2(dst, m, &stage.tw),
+        3 => combine_radix3(dst, m, &stage.tw),
+        4 => combine_radix4(dst, m, &stage.tw),
+        5 => combine_radix5(dst, m, &stage.tw),
+        8 => combine_radix8(dst, m, &stage.tw),
+        _ => combine_generic(dst, m, stage),
     }
 }
 
@@ -304,15 +347,14 @@ fn ct_recursive<T: Real>(
 /// `w_8 = (1−i)/√2` rotations — 8 outputs per column with all constants in
 /// registers (the unrolled-leaf / register-blocking style of §5.2.4).
 #[inline]
-fn combine_radix8<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &Twiddles<T>, ts: usize) {
+fn combine_radix8<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &[Complex<T>]) {
     let inv_sqrt2 = T::from_f64(std::f64::consts::FRAC_1_SQRT_2);
-    let n_tw = tw.len();
-    for k in 0..m {
+    for (k, w) in tw.chunks_exact(7).enumerate() {
         // Gather twiddled children.
         let mut a = [Complex::<T>::ZERO; 8];
         a[0] = dst[k];
         for (j, slot) in a.iter_mut().enumerate().skip(1) {
-            *slot = tw.get(j * k * ts % n_tw) * dst[j * m + k];
+            *slot = w[j - 1] * dst[j * m + k];
         }
         // Even half: radix-4 over a0,a2,a4,a6.
         let e0 = a[0] + a[4];
@@ -348,27 +390,27 @@ fn combine_radix8<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &Twiddles<T>, t
 }
 
 #[inline]
-fn combine_radix2<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &Twiddles<T>, ts: usize) {
+fn combine_radix2<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &[Complex<T>]) {
     let (e, o) = dst.split_at_mut(m);
-    for k in 0..m {
-        let t = tw.get(k * ts) * o[k];
-        let a = e[k];
-        e[k] = a + t;
-        o[k] = a - t;
+    for ((e, o), &w) in e.iter_mut().zip(o.iter_mut()).zip(tw) {
+        let t = w * *o;
+        let a = *e;
+        *e = a + t;
+        *o = a - t;
     }
 }
 
 #[inline]
-fn combine_radix4<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &Twiddles<T>, ts: usize) {
+fn combine_radix4<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &[Complex<T>]) {
     // Split into the four children's output rows.
     let (q01, q23) = dst.split_at_mut(2 * m);
     let (q0, q1) = q01.split_at_mut(m);
     let (q2, q3) = q23.split_at_mut(m);
-    for k in 0..m {
+    for (k, w) in tw.chunks_exact(3).enumerate() {
         let a = q0[k];
-        let b = tw.get(k * ts) * q1[k];
-        let c = tw.get(2 * k * ts % tw.len()) * q2[k];
-        let d = tw.get(3 * k * ts % tw.len()) * q3[k];
+        let b = w[0] * q1[k];
+        let c = w[1] * q2[k];
+        let d = w[2] * q3[k];
         // Radix-4 DIT butterfly (forward sign: w_4 = −i).
         let s0 = a + c;
         let s1 = a - c;
@@ -382,16 +424,16 @@ fn combine_radix4<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &Twiddles<T>, t
 }
 
 #[inline]
-fn combine_radix3<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &Twiddles<T>, ts: usize) {
+fn combine_radix3<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &[Complex<T>]) {
     // w_3 = e^{−2πi/3}: re = −1/2, im = −√3/2.
     let c_3 = T::from_f64(-0.5);
     let s_3 = T::from_f64(-0.866_025_403_784_438_6);
     let (q0, q12) = dst.split_at_mut(m);
     let (q1, q2) = q12.split_at_mut(m);
-    for k in 0..m {
+    for (k, w) in tw.chunks_exact(2).enumerate() {
         let a = q0[k];
-        let b = tw.get(k * ts) * q1[k];
-        let c = tw.get(2 * k * ts % tw.len()) * q2[k];
+        let b = w[0] * q1[k];
+        let c = w[1] * q2[k];
         let sum = b + c;
         let diff = b - c;
         // X0 = a + b + c
@@ -406,23 +448,22 @@ fn combine_radix3<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &Twiddles<T>, t
 }
 
 #[inline]
-fn combine_radix5<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &Twiddles<T>, ts: usize) {
+fn combine_radix5<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &[Complex<T>]) {
     // w_5^k constants (forward sign).
     let c1 = T::from_f64(0.309_016_994_374_947_45); // cos(2π/5)
     let s1 = T::from_f64(-0.951_056_516_295_153_5); // −sin(2π/5)
     let c2 = T::from_f64(-0.809_016_994_374_947_4); // cos(4π/5)
     let s2 = T::from_f64(-0.587_785_252_292_473_1); // −sin(4π/5)
-    let n_tw = tw.len();
     let (q0, rest) = dst.split_at_mut(m);
     let (q1, rest) = rest.split_at_mut(m);
     let (q2, rest) = rest.split_at_mut(m);
     let (q3, q4) = rest.split_at_mut(m);
-    for k in 0..m {
+    for (k, w) in tw.chunks_exact(4).enumerate() {
         let a0 = q0[k];
-        let a1 = tw.get(k * ts) * q1[k];
-        let a2 = tw.get(2 * k * ts % n_tw) * q2[k];
-        let a3 = tw.get(3 * k * ts % n_tw) * q3[k];
-        let a4 = tw.get(4 * k * ts % n_tw) * q4[k];
+        let a1 = w[0] * q1[k];
+        let a2 = w[1] * q2[k];
+        let a3 = w[2] * q3[k];
+        let a4 = w[3] * q4[k];
         let t1 = a1 + a4;
         let t2 = a2 + a3;
         let t3 = a1 - a4;
@@ -444,26 +485,29 @@ fn combine_radix5<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &Twiddles<T>, t
 /// Generic small-prime butterfly: an explicit r-point DFT per output
 /// column. O(r²) per column — acceptable for the r ≤ 31 primes this plan
 /// admits.
-fn combine_generic<T: Real>(
-    dst: &mut [Complex<T>],
-    r: usize,
-    m: usize,
-    tw: &Twiddles<T>,
-    ts: usize,
-    n: usize,
-) {
-    let n_tw = tw.len();
+fn combine_generic<T: Real>(dst: &mut [Complex<T>], m: usize, stage: &Stage<T>) {
+    let r = stage.radix;
+    let roots = &stage.roots;
     let mut col_storage = [Complex::<T>::ZERO; MAX_RADIX + 1];
     let col = &mut col_storage[..r];
-    for k in 0..m {
-        for (j, c) in col.iter_mut().enumerate() {
-            *c = tw.get(j * k * ts % n_tw) * dst[j * m + k];
+    for (k, w) in stage.tw.chunks_exact(r - 1).enumerate() {
+        // roots[0] = w^0 = tw^{0·k}: child 0 is multiplied too, as the
+        // twiddle of every other child is.
+        col[0] = roots[0] * dst[k];
+        for (j, c) in col.iter_mut().enumerate().skip(1) {
+            *c = w[j - 1] * dst[j * m + k];
         }
         for l in 0..r {
-            // w_n^{(n/r)·jl} = w_r^{jl}; reuse the shared table.
+            // w_r^{jl} = roots[jl mod r]; the exponent steps by l with a
+            // conditional subtract.
             let mut acc = col[0];
-            for (j, &c) in col.iter().enumerate().skip(1) {
-                acc += tw.get(j * l * (n / r) * ts % n_tw) * c;
+            let mut q = 0;
+            for &c in &col[1..] {
+                q += l;
+                if q >= r {
+                    q -= r;
+                }
+                acc += roots[q] * c;
             }
             dst[l * m + k] = acc;
         }

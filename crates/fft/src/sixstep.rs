@@ -17,8 +17,8 @@
 //! | rung | paper | here |
 //! |---|---|---|
 //! | 1 | `6-step-naïve` (13 sweeps) | [`SixStepVariant::Naive`] |
-//! | 2 | `6-step-opt` (fused, 4 sweeps) | [`SixStepVariant::Fused`] |
-//! | 3 | `latency-hiding` (prefetch + SMT pipelining) | [`SixStepVariant::FusedDynamic`]: dynamic-block twiddle tables (`O(√N)` working set) + 8×8 tiled transposed write-back — the portable subset of the same bandwidth/locality mechanisms |
+//! | 2 | `6-step-opt` (fused, 4 sweeps) | [`SixStepVariant::Fused`]: column groups and row bands of about 1 MiB, each moved by one page-blocked transpose |
+//! | 3 | `latency-hiding` (prefetch + SMT pipelining) | [`SixStepVariant::FusedDynamic`]: the same groups and bands with dynamic-block twiddle tables (`O(√N)` working set) — the portable subset of the same bandwidth/locality mechanisms |
 //! | 4 | `fine-grain` parallelization | [`SixStepVariant::FusedParallel`] |
 //!
 //! The parallel rung trades two extra memory sweeps for safe disjoint
@@ -32,11 +32,23 @@
 
 use soifft_num::c64;
 use soifft_num::factor::balanced_split;
-use soifft_num::transpose::{transpose, transpose_strided, transpose_tile, TILE};
+use soifft_num::transpose::{transpose, transpose_strided, TILE};
 use soifft_par::Pool;
 
 use crate::plan::Plan;
 use crate::twiddle::{DynamicBlock, Twiddles};
+
+/// Bytes of one column group or row band of the fused variants: half of a
+/// 2 MiB L2, so a group's gather, FFTs, twiddles and write-back all run
+/// in cache.
+const GROUP_BYTES: usize = 1 << 20;
+
+/// How many vectors of `len` elements fit [`GROUP_BYTES`], rounded down
+/// to a multiple of [`TILE`] with a floor of one [`TILE`].
+fn group_of(len: usize) -> usize {
+    let fit = GROUP_BYTES / (len.max(1) * std::mem::size_of::<c64>());
+    (fit / TILE * TILE).max(TILE)
+}
 
 /// Which rung of the Fig 10 optimization ladder to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -44,11 +56,12 @@ pub enum SixStepVariant {
     /// Fig 4(a): explicit transposes and a separate twiddle pass —
     /// 13 memory sweeps, full-size twiddle table.
     Naive,
-    /// Fig 4(b): loops fused through a contiguous column buffer —
+    /// Fig 4(b): loops fused through a contiguous buffer of page-blocked
+    /// column groups, row bands written back by one transpose each —
     /// 4 memory sweeps, still a full-size twiddle table.
     Fused,
-    /// Fused plus dynamic-block twiddle tables (√N working set) and 8×8
-    /// tiled transposed write-back.
+    /// Fused with dynamic-block twiddle tables (√N working set) in place
+    /// of the full table.
     FusedDynamic,
     /// FusedDynamic plus fine-grain thread parallelization over column and
     /// row bands.
@@ -219,7 +232,7 @@ impl SixStepFft {
         let buf = match self.variant {
             SixStepVariant::Fused | SixStepVariant::FusedDynamic => {
                 let cs = soifft_num::factor::padded_stride(self.n1, 4);
-                vec![c64::ZERO; TILE * cs]
+                vec![c64::ZERO; self.column_group() * cs]
             }
             SixStepVariant::Naive | SixStepVariant::FusedParallel => Vec::new(),
         };
@@ -351,19 +364,23 @@ impl SixStepFft {
         scratch: &mut SixStepScratch,
     ) {
         let (n1, n2) = (self.n1, self.n2);
-        // Column stride padded past power-of-two alignments so the 8
+        // Column stride padded past power-of-two alignments so the
         // gathered columns do not alias the same cache sets (§5.2.3).
         let cs = soifft_num::factor::padded_stride(n1, 4);
-        if scratch.buf.len() < TILE * cs {
-            scratch.buf.resize(TILE * cs, c64::ZERO);
+        let group = self.column_group();
+        if scratch.buf.len() < group * cs {
+            scratch.buf.resize(group * cs, c64::ZERO);
         }
-        let buf = &mut scratch.buf[..TILE * cs];
+        let buf = &mut scratch.buf[..group * cs];
 
         // loop_a over column groups: gather → FFT → twiddle → permuted
         // write-back, all while the group lives in the contiguous buffer.
+        // A group is as wide as the budget allows, so each page of `data`
+        // and `aux` the two transposes touch gives up `g` elements per
+        // visit, not 8.
         let mut b0 = 0;
         while b0 < n2 {
-            let g = TILE.min(n2 - b0);
+            let g = group.min(n2 - b0);
             // Gather columns b0..b0+g: buf[gg·cs + a] = data[a·n2 + b0+gg].
             transpose_strided(&data[b0..], n2, buf, cs, n1, g);
             // FFT each gathered column, then twiddle in-cache (steps 2+3
@@ -374,44 +391,42 @@ impl SixStepFft {
                 self.tw.scale_row(col, b0 + gg, self.n);
             }
             // Permuted write-back into the c-major intermediate:
-            // aux[c·n2 + b0+gg] = buf[gg·cs + c], via 8×8 tiles.
+            // aux[c·n2 + b0+gg] = buf[gg·cs + c].
             transpose_strided(buf, cs, &mut aux[b0..], n2, g, n1);
             b0 += g;
         }
 
-        // loop_b over row groups: FFT rows in place, then transposed
-        // write-back into natural (d-major) order, with optional fused
-        // demodulation.
+        // loop_b over row bands of the same budget: FFT the band's rows in
+        // place, write the band into natural (d-major) order with one
+        // transpose, then apply the fused demodulation to the band at its
+        // destination.
+        let band = group_of(n2);
         let mut c0 = 0;
         while c0 < n1 {
-            let rows = TILE.min(n1 - c0);
-            for c in c0..c0 + rows {
-                self.plan2
-                    .forward_with_scratch(&mut aux[c * n2..(c + 1) * n2], &mut scratch.s2);
+            let rows = band.min(n1 - c0);
+            for row in aux[c0 * n2..(c0 + rows) * n2].chunks_exact_mut(n2) {
+                self.plan2.forward_with_scratch(row, &mut scratch.s2);
             }
             // data[d·n1 + c] = aux[c·n2 + d] (· scale[d·n1 + c]).
-            let mut d0 = 0;
-            while d0 < n2 {
-                let cols = TILE.min(n2 - d0);
-                transpose_tile(
-                    &aux[c0 * n2 + d0..],
-                    n2,
-                    &mut data[d0 * n1 + c0..],
-                    n1,
-                    rows,
-                    cols,
-                );
-                if let Some(s) = scale {
-                    for d in d0..d0 + cols {
-                        for c in c0..c0 + rows {
-                            data[d * n1 + c] *= s[d * n1 + c];
-                        }
+            transpose_strided(&aux[c0 * n2..], n2, &mut data[c0..], n1, rows, n2);
+            if let Some(s) = scale {
+                for d in 0..n2 {
+                    let at = d * n1 + c0;
+                    for (v, &m) in data[at..at + rows].iter_mut().zip(&s[at..at + rows]) {
+                        *v *= m;
                     }
                 }
-                d0 += cols;
             }
             c0 += rows;
         }
+    }
+
+    /// Columns per `loop_a` group of the fused variants: [`group_of`] the
+    /// padded column, capped at the matrix (`n2` rounded up to [`TILE`])
+    /// so a small transform does not hold a buffer it cannot fill.
+    fn column_group(&self) -> usize {
+        let cs = soifft_num::factor::padded_stride(self.n1, 4);
+        group_of(cs).min(self.n2.next_multiple_of(TILE))
     }
 
     /// Fine-grain parallel variant: three band-parallel phases.
@@ -632,6 +647,58 @@ mod tests {
         let mut want = x;
         crate::plan::Plan::new(n).forward(&mut want);
         assert!(rel_linf(&got, &want) < 1e-11);
+    }
+
+    #[test]
+    fn group_scratch_is_capped_at_the_matrix_and_the_budget() {
+        let splits = [
+            (40, 64),
+            (3, 5),
+            (1, 32),
+            (320, 512),
+            (512, 300),
+            (1024, 200),
+            (8, 4096),
+            (1 << 14, 16),
+        ];
+        for (n1, n2) in splits {
+            let cs = soifft_num::factor::padded_stride(n1, 4);
+            for variant in [SixStepVariant::Fused, SixStepVariant::FusedDynamic] {
+                let plan = SixStepFft::with_split(n1 * n2, n1, n2, variant, Pool::serial());
+                let buf = plan.make_scratch().buf.len();
+                assert!(
+                    buf <= TILE.max(n2.next_multiple_of(TILE)) * cs,
+                    "{n1}x{n2} {variant:?}: {buf} elements exceed the matrix"
+                );
+                assert!(
+                    buf * std::mem::size_of::<c64>()
+                        <= GROUP_BYTES + TILE * cs * std::mem::size_of::<c64>(),
+                    "{n1}x{n2} {variant:?}: {buf} elements exceed the budget"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ragged_multi_group_split_matches_plan() {
+        // 512 columns pad to 516: groups of 120 columns (120+120+60) and
+        // bands of 216 rows (216+216+80), both with a ragged last one.
+        let (n1, n2) = (512, 300);
+        let n = n1 * n2;
+        let x = signal(n);
+        let mut want = x.clone();
+        Plan::new(n).forward(&mut want);
+        for variant in [SixStepVariant::Fused, SixStepVariant::FusedDynamic] {
+            let plan = SixStepFft::with_split(n, n1, n2, variant, Pool::serial());
+            let group = plan.column_group();
+            assert!(group < n2 && n2 % group != 0, "one group or not ragged");
+            let band = group_of(n2);
+            assert!(band < n1 && n1 % band != 0, "one band or not ragged");
+            let mut got = x.clone();
+            let mut aux = vec![c64::ZERO; n];
+            plan.forward(&mut got, &mut aux);
+            assert!(rel_linf(&got, &want) < 1e-11, "{variant:?}");
+        }
     }
 
     #[test]

@@ -2,14 +2,16 @@
 //!
 //! Two flavours are provided:
 //!
-//! * [`Twiddles`] — the full table `w^j = e^{−2πi j/N}` for `j < N`, shared
-//!   by every level of a recursive plan (level `n` indexes with stride
-//!   `N/n`, so one table serves the whole factor tree),
+//! * [`Twiddles`] — the full table `w^j = e^{−2πi j/N}` for `j < N`: the
+//!   step-3 twiddle pass of the naive and fused 6-step rungs
+//!   ([`crate::SixStepVariant::Naive`], [`crate::SixStepVariant::Fused`]).
+//!   A [`crate::Plan`] holds no full table: each level of its factor tree
+//!   keeps the slice of `w^j` its combine reads, in reading order;
 //! * [`DynamicBlock`] — Bailey's *dynamic block scheme* (paper §5.2.2):
 //!   two tables of roughly `√N` entries that reconstruct `w^t` as
 //!   `w^{t_hi·S} · w^{t_lo}` with one extra complex multiply, trading a
-//!   little compute for an `O(√N)` working set. The fused 6-step variant
-//!   uses this for its step-3 twiddle pass.
+//!   little compute for an `O(√N)` working set. The `+locality` 6-step
+//!   rungs and the Cooley–Tukey baseline use this for their twiddle pass.
 //!
 //! [`Twiddles`] is generic over the precision parameter
 //! ([`soifft_num::Real`]); entries are always *generated* in `f64`
@@ -51,10 +53,10 @@ impl<T: Real> Twiddles<T> {
 
     /// `w^j` with `j` already reduced into `[0, n)`.
     ///
-    /// Callers on hot paths pre-reduce `j` (usually as `j·k·stride % n`);
-    /// the debug assertion catches a missing or wrong reduction at the
-    /// call site with context instead of an opaque out-of-bounds panic
-    /// deeper in release code.
+    /// Callers on hot paths keep `j` reduced as they step it (a
+    /// conditional subtract per step); the debug assertion catches a
+    /// missing or wrong reduction at the call site with context instead
+    /// of an opaque out-of-bounds panic deeper in release code.
     #[inline(always)]
     pub fn get(&self, j: usize) -> Complex<T> {
         debug_assert!(
@@ -63,19 +65,6 @@ impl<T: Real> Twiddles<T> {
             self.n
         );
         self.table[j]
-    }
-
-    /// `w^{jk mod n}` computed with 128-bit intermediate so large `j·k`
-    /// products cannot overflow.
-    #[inline]
-    pub fn get_prod(&self, j: usize, k: usize) -> Complex<T> {
-        let idx = ((j as u128 * k as u128) % self.n as u128) as usize;
-        self.table[idx]
-    }
-
-    /// Raw table access for kernels that stride through it.
-    pub fn table(&self) -> &[Complex<T>] {
-        &self.table
     }
 }
 
@@ -134,13 +123,6 @@ impl DynamicBlock {
         self.hi[t / self.s] * self.lo[t % self.s]
     }
 
-    /// `w^{jk mod n}` with overflow-safe index arithmetic.
-    #[inline]
-    pub fn get_prod(&self, j: usize, k: usize) -> c64 {
-        let t = ((j as u128 * k as u128) % self.n as u128) as usize;
-        self.get(t)
-    }
-
     /// `row[c] *= w^{c·step mod n}` for every `c`: the twiddle pass over
     /// one row, bit-identical to multiplying by [`DynamicBlock::get`]
     /// (same table entries, same product) without its two divisions per
@@ -186,7 +168,6 @@ mod tests {
             assert!((tw.get(j) - want).abs() < 1e-15, "j={j}");
         }
         assert_eq!(tw.len(), 48);
-        assert_eq!(tw.table().len(), 48);
         assert!(!tw.is_empty());
     }
 
@@ -197,19 +178,6 @@ mod tests {
         for j in 0..96 {
             let want = c32::from_c64(tw64.get(j));
             assert_eq!(tw32.get(j), want, "j={j}");
-        }
-    }
-
-    #[test]
-    fn get_prod_reduces_mod_n() {
-        let tw = Twiddles::<f64>::new(37);
-        for (j, k) in [(5usize, 9usize), (36, 36), (12, 25), (1 << 20, 3)] {
-            let want = c64::root_of_unity(37, (j as i64).wrapping_mul(k as i64));
-            // Independent check via explicit mod.
-            let idx = (j as u128 * k as u128 % 37) as i64;
-            let want2 = c64::root_of_unity(37, idx);
-            assert!((want - want2).abs() < 1e-12);
-            assert!((tw.get_prod(j, k) - want2).abs() < 1e-14, "{j},{k}");
         }
     }
 
@@ -282,12 +250,5 @@ mod tests {
         for (c, g) in got.iter().enumerate() {
             assert_eq!(*g, c64::ONE * db.get(7 * c), "c={c}");
         }
-    }
-
-    #[test]
-    fn dynamic_block_get_prod() {
-        let db = DynamicBlock::new(257);
-        let full = Twiddles::<f64>::new(257);
-        assert!((db.get_prod(100, 200) - full.get_prod(100, 200)).abs() < 1e-14);
     }
 }
