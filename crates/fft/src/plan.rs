@@ -491,8 +491,8 @@ fn combine_generic<T: Real>(dst: &mut [Complex<T>], m: usize, stage: &Stage<T>) 
     let mut col_storage = [Complex::<T>::ZERO; MAX_RADIX + 1];
     let col = &mut col_storage[..r];
     for (k, w) in stage.tw.chunks_exact(r - 1).enumerate() {
-        // roots[0] = w^0 = tw^{0·k}: child 0 is multiplied too, as the
-        // twiddle of every other child is.
+        // Child 0 is multiplied by w^0 = roots[0] as well: skipping the
+        // multiply would change the sign of some zero outputs.
         col[0] = roots[0] * dst[k];
         for (j, c) in col.iter_mut().enumerate().skip(1) {
             *c = w[j - 1] * dst[j * m + k];
@@ -704,6 +704,21 @@ mod tests {
         for k in 0..n {
             let want = fx[k] * c64::root_of_unity(n, 3 * k as i64);
             assert!((fs[k] - want).abs() < 1e-10 * (1.0 + want.abs()), "k={k}");
+        }
+    }
+
+    #[test]
+    fn stage_tables_replace_the_full_table() {
+        for n in [8usize, 12, 1024, 1232, 2184, 5 << 14, 1 << 21] {
+            let plan = Plan::<f64>::new(n);
+            let Kind::CooleyTukey(stages) = &plan.kind else {
+                panic!("n={n} is smooth");
+            };
+            let tw: usize = stages.iter().map(|s| s.tw.len()).sum();
+            assert!(tw < n, "n={n}: {tw} stage twiddles");
+            for s in stages {
+                assert!(s.roots.is_empty() || s.roots.len() == s.radix, "n={n}");
+            }
         }
     }
 

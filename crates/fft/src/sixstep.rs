@@ -377,7 +377,7 @@ impl SixStepFft {
         // write-back, all while the group lives in the contiguous buffer.
         // A group is as wide as the budget allows, so each page of `data`
         // and `aux` the two transposes touch gives up `g` elements per
-        // visit, not 8.
+        // visit.
         let mut b0 = 0;
         while b0 < n2 {
             let g = group.min(n2 - b0);
