@@ -25,11 +25,12 @@
 //! convolution costs `8BµN` extra flops (B = window width in blocks,
 //! typically 72), the trade the whole paper is about.
 //!
-//! Entry points: [`SoiFftLocal`] for single-address-space transforms and
-//! [`SoiFft`] for distributed transforms over a
-//! [`soifft_cluster::Cluster`]. Both are validated against the direct DFT
-//! in tests; accuracy as a function of `(B, µ)` is characterized by
-//! [`accuracy::alias_bound`] and the accuracy bench.
+//! Entry points: [`SoiFft`] for distributed transforms over a
+//! [`soifft_cluster::Cluster`], and [`SoiFftLocal`], the whole-vector API
+//! that runs that same pipeline on one rank (a single node is Eq. 1's
+//! `P = 1` case, not a second implementation). Both are validated against
+//! the direct DFT in tests; accuracy as a function of `(B, µ)` is
+//! characterized by [`accuracy::alias_bound`] and the accuracy bench.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

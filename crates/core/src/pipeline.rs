@@ -1356,7 +1356,10 @@ impl SoiFft {
     ///
     /// Every rank passes the same `wanted` list (a collective argument).
     /// Returns this rank's owned ∩ wanted segments as
-    /// `(global_segment_id, bins)` pairs.
+    /// `(global_segment_id, bins)` pairs, in ascending id order.
+    ///
+    /// # Panics
+    /// Panics if a segment id is out of range or repeated.
     pub fn forward_segments(
         &self,
         comm: &mut Comm,
@@ -1370,6 +1373,7 @@ impl SoiFft {
         let mut is_wanted = vec![false; l];
         for &s in wanted {
             assert!(s < l, "segment {s} out of range (L = {l})");
+            assert!(!is_wanted[s], "segment {s} requested twice");
             is_wanted[s] = true;
         }
 
@@ -1682,7 +1686,7 @@ impl SoiFft {
             if let Some(plan) = &self.plan_mp32 {
                 ws.fft32_scratch.resize(plan.scratch_len(), c32::ZERO);
                 plan.forward_with_scratch(&mut ws.z32, &mut ws.fft32_scratch);
-                soifft_num::kernels::mul_pointwise(&mut ws.z32[..m], &self.demod_scale32[..m]);
+                soifft_num::simd::mul_pointwise_c32(&mut ws.z32[..m], &self.demod_scale32[..m]);
                 soifft_num::simd::promote_c32_c64(&ws.z32[..m], out);
                 return;
             }

@@ -1,20 +1,21 @@
-//! Single-address-space SOI FFT.
+//! Single-address-space SOI FFT: [`SoiFft`] on one rank.
 //!
-//! Runs the full factorization of Eq. 1 without a cluster: the all-to-all
-//! becomes a local transpose. This is the correctness anchor (tested
-//! against the direct DFT and the plain FFT library), the quickstart entry
-//! point, and the kernel that node-local benches exercise.
+//! A single node is the `P = 1` case of Eq. 1, not a second algorithm:
+//! [`SoiFftLocal`] plans one [`SoiFft`] with `procs = 1` and runs every
+//! call through [`Cluster::run`]`(1, …)`, so the ghost wraps to the rank's
+//! own start and the all-to-all is a self-send. It is the correctness
+//! anchor (tested against the direct DFT and the plain FFT library) and
+//! the quickstart entry point, with a whole-vector API.
 
 use std::sync::Arc;
 
-use soifft_fft::batch;
-use soifft_fft::{Plan, SixStepFft, SixStepVariant};
+use soifft_cluster::{Cluster, Comm};
 use soifft_num::c64;
-use soifft_num::transpose::transpose;
 use soifft_par::Pool;
 
-use crate::conv::{convolve, ConvStrategy};
-use crate::params::{SoiError, SoiParams};
+use crate::conv::ConvStrategy;
+use crate::params::{Rational, SoiError, SoiParams};
+use crate::pipeline::SoiFft;
 use crate::window::{Window, WindowKind};
 
 /// A planned single-node SOI transform.
@@ -36,28 +37,13 @@ use crate::window::{Window, WindowKind};
 /// let err = soifft_num::error::rel_l2(&back, &x);
 /// assert!(err < 1e-6);
 /// ```
-pub struct SoiFftLocal {
-    params: SoiParams,
-    window: Arc<Window>,
-    plan_l: Plan,
-    segment_fft: SixStepFft,
-    /// Demodulation diagonal padded to `M'` (zeros beyond `M`, which the
-    /// projection discards anyway), fused into the segment FFT.
-    demod_scale: Vec<c64>,
-    strategy: ConvStrategy,
-    pool: Pool,
-}
+pub struct SoiFftLocal(SoiFft);
 
 impl SoiFftLocal {
     /// Plans a transform of length `n` split into `l` segments, with
     /// oversampling `mu` and convolution width `b`, using the default
     /// Gaussian-sinc window and interchanged convolution.
-    pub fn new(
-        n: usize,
-        l: usize,
-        mu: crate::params::Rational,
-        b: usize,
-    ) -> Result<Self, SoiError> {
+    pub fn new(n: usize, l: usize, mu: Rational, b: usize) -> Result<Self, SoiError> {
         let params = SoiParams {
             n,
             procs: 1,
@@ -69,164 +55,71 @@ impl SoiFftLocal {
     }
 
     /// Plans from explicit parameters (must have `procs == 1`; use
-    /// [`crate::SoiFft`] for the distributed case).
+    /// [`SoiFft`] for the distributed case).
     pub fn from_params(params: SoiParams, kind: WindowKind) -> Result<Self, SoiError> {
         assert_eq!(params.procs, 1, "SoiFftLocal is single-rank; use SoiFft");
-        params.validate()?;
-        let window = Arc::new(Window::new(kind, &params));
-        let m = params.m();
-        let m_prime = params.m_prime();
-        let mut demod_scale = vec![c64::ZERO; m_prime];
-        demod_scale[..m].copy_from_slice(&window.demod()[..m]);
-        Ok(SoiFftLocal {
-            plan_l: Plan::new(params.total_segments()),
-            segment_fft: SixStepFft::new(m_prime, SixStepVariant::Fused),
-            demod_scale,
-            window,
-            params,
-            strategy: ConvStrategy::Interchanged,
-            pool: Pool::serial(),
-        })
+        Ok(SoiFftLocal(SoiFft::with_window(params, kind)?))
     }
 
     /// Selects the convolution strategy (default: interchanged).
-    pub fn with_strategy(mut self, strategy: ConvStrategy) -> Self {
-        self.strategy = strategy;
-        self
+    pub fn with_strategy(self, strategy: ConvStrategy) -> Self {
+        SoiFftLocal(self.0.with_strategy(strategy))
     }
 
     /// Selects the intra-node pool (default: serial).
-    pub fn with_pool(mut self, pool: Pool) -> Self {
-        self.pool = pool;
-        self
+    pub fn with_pool(self, pool: Pool) -> Self {
+        SoiFftLocal(self.0.with_pool(pool))
     }
 
     /// The planned parameters.
     pub fn params(&self) -> &SoiParams {
-        &self.params
+        self.0.params()
     }
 
     /// The planned window (shared; e.g. for accuracy estimation).
     pub fn window(&self) -> &Arc<Window> {
-        &self.window
+        self.0.window()
     }
 
     /// Computes `y = F_N x` (forward DFT, unnormalized) via the SOI
     /// factorization. `input.len() == n`.
     pub fn forward(&self, input: &[c64]) -> Vec<c64> {
-        let p = &self.params;
-        assert_eq!(input.len(), p.n, "input length != N");
-        let l = p.total_segments();
-        let m = p.m();
-        let m_prime = p.m_prime();
-
-        // Ghost: single rank wraps around to its own start (circular DFT).
-        let ghost = p.ghost_len();
-        let mut input_ext = Vec::with_capacity(p.n + ghost);
-        input_ext.extend_from_slice(input);
-        input_ext.extend_from_slice(&input[..ghost]);
-
-        // Convolution-and-oversampling: M' blocks of L.
-        let mut u = vec![c64::ZERO; m_prime * l];
-        convolve(
-            p,
-            &self.window,
-            self.strategy,
-            &input_ext,
-            &mut u,
-            &self.pool,
-        );
-
-        // Block DFTs (I_{M'} ⊗ F_L).
-        batch::forward_rows_parallel(&self.plan_l, &self.pool, &mut u);
-
-        // "All-to-all" = local stride permutation: z[s·M' + m] = v_m[s].
-        let mut z = vec![c64::ZERO; m_prime * l];
-        transpose(&u, &mut z, m_prime, l);
-
-        // Per segment: F_{M'} with fused demodulation, then projection.
-        let mut y = vec![c64::ZERO; p.n];
-        let mut aux = vec![c64::ZERO; m_prime];
-        for s in 0..l {
-            let seg = &mut z[s * m_prime..(s + 1) * m_prime];
-            self.segment_fft
-                .forward_scaled(seg, &mut aux, &self.demod_scale);
-            y[s * m..(s + 1) * m].copy_from_slice(&seg[..m]);
-        }
-        y
+        self.on_one_rank(|fft, comm| fft.forward(comm, input))
     }
 
     /// Computes only the requested *segments of interest* — the capability
     /// the algorithm is named for: each segment's recovery (`F_{M'}` +
     /// demodulation) is independent, so a band analysis that needs `k` of
     /// the `L` segments pays the convolution once plus only `k/L` of the
-    /// recovery work. Returns `(segment_id, bins)` pairs, where `bins` are
-    /// the `M` spectrum values `y[s·M .. (s+1)·M)`.
+    /// recovery work. Returns `(segment_id, bins)` pairs in request order,
+    /// where `bins` are the `M` spectrum values `y[s·M .. (s+1)·M)`.
     ///
     /// # Panics
     /// Panics if a segment id is out of range or repeated.
     pub fn forward_segments(&self, input: &[c64], segments: &[usize]) -> Vec<(usize, Vec<c64>)> {
-        let p = &self.params;
-        assert_eq!(input.len(), p.n, "input length != N");
-        let l = p.total_segments();
-        let m = p.m();
-        let m_prime = p.m_prime();
-        {
-            let mut seen = vec![false; l];
-            for &s in segments {
-                assert!(s < l, "segment {s} out of range (L = {l})");
-                assert!(!seen[s], "segment {s} requested twice");
-                seen[s] = true;
-            }
-        }
-
-        let ghost = p.ghost_len();
-        let mut input_ext = Vec::with_capacity(p.n + ghost);
-        input_ext.extend_from_slice(input);
-        input_ext.extend_from_slice(&input[..ghost]);
-
-        let mut u = vec![c64::ZERO; m_prime * l];
-        convolve(
-            p,
-            &self.window,
-            self.strategy,
-            &input_ext,
-            &mut u,
-            &self.pool,
-        );
-        batch::forward_rows_parallel(&self.plan_l, &self.pool, &mut u);
-
-        // Gather only the wanted segments' time series (no full transpose).
-        let mut out = Vec::with_capacity(segments.len());
-        let mut aux = vec![c64::ZERO; m_prime];
-        for &s in segments {
-            let mut z: Vec<c64> = u.chunks_exact(l).map(|block| block[s]).collect();
-            self.segment_fft
-                .forward_scaled(&mut z, &mut aux, &self.demod_scale);
-            z.truncate(m);
-            out.push((s, z));
-        }
-        out
+        // `SoiFft` returns ascending ids; restore the request order.
+        let mut found = self.on_one_rank(|fft, comm| fft.forward_segments(comm, input, segments));
+        found.sort_by_key(|&(s, _)| segments.iter().position(|&w| w == s));
+        found
     }
 
     /// Computes `x = F_N⁻¹ y` (normalized by `1/N`) via conjugation around
     /// the forward SOI transform, so `inverse(forward(x)) ≈ x` to the
     /// window's accuracy.
     pub fn inverse(&self, input: &[c64]) -> Vec<c64> {
-        let conjugated: Vec<c64> = input.iter().map(|z| z.conj()).collect();
-        let mut x = self.forward(&conjugated);
-        let s = 1.0 / self.params.n as f64;
-        for z in x.iter_mut() {
-            *z = z.conj() * s;
-        }
-        x
+        self.on_one_rank(|fft, comm| fft.inverse(comm, input))
+    }
+
+    fn on_one_rank<T: Send>(&self, body: impl Fn(&SoiFft, &mut Comm) -> T + Sync) -> T {
+        let mut out = Cluster::run(1, |comm| body(&self.0, comm));
+        out.pop().expect("one rank")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::Rational;
+    use soifft_fft::Plan;
     use soifft_num::error::{rel_l2, rel_linf};
 
     fn signal(n: usize) -> Vec<c64> {
@@ -415,7 +308,8 @@ mod tests {
         let m = n / 8;
         for wanted in [vec![0usize], vec![3, 5], vec![7, 0, 4], (0..8).collect()] {
             let partial = soi.forward_segments(&x, &wanted);
-            assert_eq!(partial.len(), wanted.len());
+            let ids: Vec<usize> = partial.iter().map(|&(s, _)| s).collect();
+            assert_eq!(ids, wanted, "request order");
             for (s, bins) in &partial {
                 assert_eq!(bins.len(), m);
                 assert!(

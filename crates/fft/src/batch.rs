@@ -33,22 +33,14 @@ pub fn forward_rows_with<T: Real>(
     }
 }
 
-/// Forward-transforms every row in place, with rows statically partitioned
-/// over the pool's threads. Each partition allocates one scratch buffer;
-/// steady-state callers should plan worker scratch once and use
-/// [`forward_rows_parallel_with`] instead.
-pub fn forward_rows_parallel<T: Real>(plan: &Plan<T>, pool: &Pool, data: &mut [Complex<T>]) {
-    let mut workers = make_worker_scratch(plan, pool);
-    forward_rows_parallel_with(plan, pool, data, &mut workers);
-}
-
 /// One plan-scratch buffer per pool worker, for
 /// [`forward_rows_parallel_with`].
 pub fn make_worker_scratch<T: Real>(plan: &Plan<T>, pool: &Pool) -> Vec<Vec<Complex<T>>> {
     (0..pool.threads()).map(|_| plan.make_scratch()).collect()
 }
 
-/// [`forward_rows_parallel`] against caller-owned per-worker scratch
+/// Forward-transforms every row in place, with rows statically partitioned
+/// over the pool's threads, against caller-owned per-worker scratch
 /// (`workers.len() >= pool.threads()`): no allocation inside the call.
 pub fn forward_rows_parallel_with<T: Real>(
     plan: &Plan<T>,
@@ -106,8 +98,9 @@ mod tests {
         forward_rows(&plan, &mut serial);
         for threads in [1, 2, 3, 8] {
             let pool = Pool::new(threads);
+            let mut workers = make_worker_scratch(&plan, &pool);
             let mut par = src.clone();
-            forward_rows_parallel(&plan, &pool, &mut par);
+            forward_rows_parallel_with(&plan, &pool, &mut par, &mut workers);
             assert_eq!(par, serial, "threads={threads}");
         }
     }
@@ -117,7 +110,9 @@ mod tests {
         let plan = Plan::<f64>::new(8);
         let mut nothing: Vec<c64> = vec![];
         forward_rows(&plan, &mut nothing);
-        forward_rows_parallel(&plan, &Pool::new(4), &mut nothing);
+        let pool = Pool::new(4);
+        let mut workers = make_worker_scratch(&plan, &pool);
+        forward_rows_parallel_with(&plan, &pool, &mut nothing, &mut workers);
     }
 
     #[test]

@@ -171,16 +171,6 @@ impl<T: Real> Complex<T> {
         }
     }
 
-    /// Multiplication by `i` (a rotation — no multiplies needed; the radix-4
-    /// butterfly exploits this).
-    #[inline(always)]
-    pub fn mul_i(self) -> Self {
-        Complex {
-            re: -self.im,
-            im: self.re,
-        }
-    }
-
     /// Multiplication by `-i`.
     #[inline(always)]
     pub fn mul_neg_i(self) -> Self {
@@ -444,9 +434,8 @@ mod tests {
     }
 
     #[test]
-    fn mul_i_shortcuts() {
+    fn mul_neg_i_shortcut() {
         let a = c64::new(1.25, -2.5);
-        assert_eq!(a.mul_i(), a * c64::I);
         assert_eq!(a.mul_neg_i(), a * -c64::I);
     }
 

@@ -37,30 +37,9 @@ pub fn factorize(mut n: usize) -> Vec<(usize, u32)> {
     out
 }
 
-/// True when `n` is a power of two (0 is not).
-#[inline]
-pub fn is_pow2(n: usize) -> bool {
-    n != 0 && n & (n - 1) == 0
-}
-
-/// ⌈log₂ n⌉ for n ≥ 1.
-pub fn ceil_log2(n: usize) -> u32 {
-    assert!(n >= 1);
-    if n == 1 {
-        0
-    } else {
-        usize::BITS - (n - 1).leading_zeros()
-    }
-}
-
 /// Smallest power of two ≥ `n`.
 pub fn next_pow2(n: usize) -> usize {
     n.next_power_of_two()
-}
-
-/// True when every prime factor of `n` is ≤ `limit` ("`limit`-smooth").
-pub fn is_smooth(n: usize, limit: usize) -> bool {
-    factorize(n).iter().all(|&(p, _)| p <= limit)
 }
 
 /// Greatest common divisor.
@@ -71,14 +50,6 @@ pub fn gcd(mut a: usize, mut b: usize) -> usize {
         b = t;
     }
     a
-}
-
-/// Least common multiple (panics on overflow in debug builds).
-pub fn lcm(a: usize, b: usize) -> usize {
-    if a == 0 || b == 0 {
-        return 0;
-    }
-    a / gcd(a, b) * b
 }
 
 /// Pads a buffer stride to dodge cache-set conflicts (paper §5.2.3: "the
@@ -134,40 +105,16 @@ mod tests {
     }
 
     #[test]
-    fn pow2_predicates() {
-        assert!(is_pow2(1));
-        assert!(is_pow2(1024));
-        assert!(!is_pow2(0));
-        assert!(!is_pow2(1023));
+    fn next_pow2_values() {
         assert_eq!(next_pow2(1000), 1024);
         assert_eq!(next_pow2(1024), 1024);
     }
 
     #[test]
-    fn ceil_log2_values() {
-        assert_eq!(ceil_log2(1), 0);
-        assert_eq!(ceil_log2(2), 1);
-        assert_eq!(ceil_log2(3), 2);
-        assert_eq!(ceil_log2(4), 2);
-        assert_eq!(ceil_log2(5), 3);
-        assert_eq!(ceil_log2(1 << 20), 20);
-        assert_eq!(ceil_log2((1 << 20) + 1), 21);
-    }
-
-    #[test]
-    fn smoothness() {
-        assert!(is_smooth(2 * 2 * 3 * 5, 5));
-        assert!(!is_smooth(2 * 7, 5));
-        assert!(is_smooth(1, 2));
-    }
-
-    #[test]
-    fn gcd_lcm() {
+    fn gcd_values() {
         assert_eq!(gcd(12, 18), 6);
         assert_eq!(gcd(7, 13), 1);
         assert_eq!(gcd(0, 5), 5);
-        assert_eq!(lcm(4, 6), 12);
-        assert_eq!(lcm(0, 6), 0);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //!   precision, 8 bytes per element — the half-payload data path),
 //! * [`real`] — the sealed [`Real`] trait (`f64` and `f32`) that threads
 //!   precision through every layer above,
-//! * [`kernels`] — the precision-generic complex micro-kernels (AXPY,
-//!   inner products, pointwise multiply) the convolution, demodulation and
-//!   twiddle passes are built from,
-//! * [`simd`] — runtime-detected AVX2 kernels for the hot loops, with
-//!   bit-identical scalar fallbacks,
+//! * [`simd`] — runtime-detected AVX2 kernels for the loops a transform
+//!   runs (the convolution panel, pointwise demodulation, transpose tiles,
+//!   precision conversion), each with a bit-identical scalar fallback,
+//!   plus `dot_c64`, which only the benchmark's `num.dot_c64_gflops`
+//!   metric still times,
 //! * [`special`] — the special functions needed by the SOI window design
 //!   (`erf`, `erfc`, the modified Bessel function `I₀`, `sinc`),
 //! * [`tridiag`] and [`dpss`] — the symmetric tridiagonal eigensolver and
@@ -45,7 +45,6 @@ pub mod complex;
 pub mod dpss;
 pub mod error;
 pub mod factor;
-pub mod kernels;
 pub mod real;
 #[allow(unsafe_code)]
 pub mod simd;

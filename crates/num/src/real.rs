@@ -1,6 +1,6 @@
 //! The precision parameter of the numeric substrate.
 //!
-//! Every layer above this crate — complex arithmetic, the micro-kernels,
+//! Every layer above this crate — complex arithmetic, the transpose walk,
 //! FFT plans, the SOI pipeline — is generic over one scalar type
 //! implementing [`Real`]. Two implementations exist: `f64` (the default,
 //! matching the paper's double-precision arithmetic) and `f32` (the
@@ -8,9 +8,9 @@
 //! a 4-byte scalar literally halves the bytes moved by the convolution,
 //! the local FFTs and the all-to-all).
 //!
-//! The trait is deliberately *sealed* to those two types: the kernel
-//! dispatch hooks (`kdot`, `kaxpy_pointwise`, …) pick a runtime-detected
-//! AVX2 implementation per concrete type (see [`crate::simd`]), and the
+//! The trait is deliberately *sealed* to those two types: the transpose
+//! tile hook (`ktranspose_tile`) picks a runtime-detected AVX2
+//! implementation per concrete type (see [`crate::simd`]), and the
 //! accuracy contracts in the workspace (SNR floors, scalar/SIMD bit
 //! parity) are only characterized for these two.
 //!
@@ -23,7 +23,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use crate::complex::Complex;
-use crate::{kernels, transpose};
+use crate::transpose;
 
 mod sealed {
     pub trait Sealed {}
@@ -34,10 +34,10 @@ mod sealed {
 /// A real scalar type the numeric substrate can compute in.
 ///
 /// Implemented for `f64` and `f32` only (the trait is sealed). All
-/// methods mirror the corresponding `std` float methods; the `k*` hooks
-/// are the per-type kernel dispatchers — callers go through the free
-/// functions in [`crate::kernels`] / [`crate::transpose`] and never call
-/// these directly.
+/// methods mirror the corresponding `std` float methods; the
+/// `ktranspose_tile` hook is the per-type kernel dispatcher — callers go
+/// through the free functions in [`crate::transpose`] and never call it
+/// directly.
 pub trait Real:
     sealed::Sealed
     + Copy
@@ -87,24 +87,6 @@ pub trait Real:
     fn is_nan(self) -> bool;
     /// True when neither NaN nor infinite.
     fn is_finite(self) -> bool;
-
-    /// Kernel hook: inner product `Σ t[i]·x[i]` (see [`kernels::dot`]).
-    #[doc(hidden)]
-    fn kdot(t: &[Complex<Self>], x: &[Complex<Self>]) -> Complex<Self> {
-        kernels::dot_scalar(t, x)
-    }
-
-    /// Kernel hook: `acc[i] += t[i]·x[i]` (see [`kernels::axpy_pointwise`]).
-    #[doc(hidden)]
-    fn kaxpy_pointwise(acc: &mut [Complex<Self>], t: &[Complex<Self>], x: &[Complex<Self>]) {
-        kernels::axpy_pointwise_scalar(acc, t, x);
-    }
-
-    /// Kernel hook: `data[i] *= scale[i]` (see [`kernels::mul_pointwise`]).
-    #[doc(hidden)]
-    fn kmul_pointwise(data: &mut [Complex<Self>], scale: &[Complex<Self>]) {
-        kernels::mul_pointwise_scalar(data, scale);
-    }
 
     /// Kernel hook: strided-tile transpose (see
     /// [`transpose::transpose_tile`]).
@@ -168,18 +150,6 @@ impl Real for f64 {
     }
 
     #[inline]
-    fn kdot(t: &[Complex<f64>], x: &[Complex<f64>]) -> Complex<f64> {
-        crate::simd::dot_c64(t, x)
-    }
-    #[inline]
-    fn kaxpy_pointwise(acc: &mut [Complex<f64>], t: &[Complex<f64>], x: &[Complex<f64>]) {
-        crate::simd::axpy_pointwise_c64(acc, t, x);
-    }
-    #[inline]
-    fn kmul_pointwise(data: &mut [Complex<f64>], scale: &[Complex<f64>]) {
-        crate::simd::mul_pointwise_c64(data, scale);
-    }
-    #[inline]
     fn ktranspose_tile(
         src: &[Complex<f64>],
         src_stride: usize,
@@ -238,18 +208,6 @@ impl Real for f32 {
         f32::is_finite(self)
     }
 
-    #[inline]
-    fn kdot(t: &[Complex<f32>], x: &[Complex<f32>]) -> Complex<f32> {
-        crate::simd::dot_c32(t, x)
-    }
-    #[inline]
-    fn kaxpy_pointwise(acc: &mut [Complex<f32>], t: &[Complex<f32>], x: &[Complex<f32>]) {
-        crate::simd::axpy_pointwise_c32(acc, t, x);
-    }
-    #[inline]
-    fn kmul_pointwise(data: &mut [Complex<f32>], scale: &[Complex<f32>]) {
-        crate::simd::mul_pointwise_c32(data, scale);
-    }
     #[inline]
     fn ktranspose_tile(
         src: &[Complex<f32>],

@@ -1,6 +1,12 @@
 //! Explicit AVX2 kernels with runtime detection and bit-identical scalar
 //! fallbacks.
 //!
+//! The kernels are the ones a transform runs: the convolution panel,
+//! pointwise multiply (`c64` and `c32` demodulation), transpose tiles, and
+//! the `c32` wire unpack and promotion. [`dot_c64`] is the exception: no
+//! transform calls it, and it stays only for the benchmark's
+//! `num.dot_c64_gflops` metric.
+//!
 //! This is the **only** module in the workspace that contains `unsafe`
 //! code (the crate root is `#![deny(unsafe_code)]`; this module opts back
 //! in via `#[allow(unsafe_code)]` on its declaration). The unsafe surface
@@ -23,11 +29,8 @@
 //! kernel does fuse, as the convolution panel's `fmadd` does, its scalar
 //! mirror is written with `f64::mul_add`, which rounds once too), the
 //! accumulator *count* of the scalar fallback matches the vector lane
-//! count (2 complex lanes for `c64`, 4 for `c32`), and the final
-//! cross-lane combine is the same sequential expression in both paths.
-//! The split-precision kernels widen `f32` operands to `f64` before any
-//! arithmetic; products of widened `f32` values are exact in `f64`, so
-//! there too every rounding happens at the same point in both paths.
+//! count (2 complex lanes for `c64`), and the final cross-lane combine is
+//! the same sequential expression in both paths.
 //!
 //! **Dispatch.** [`simd_active`] caches `is_x86_feature_detected!("avx2")
 //! && ("fma")` once per process; setting `SOIFFT_FORCE_SCALAR=1` in the
@@ -37,8 +40,8 @@
 
 use std::sync::OnceLock;
 
-use crate::complex::{c32, c64};
-use crate::kernels;
+use crate::complex::{c32, c64, Complex};
+use crate::real::Real;
 
 /// True when the process dispatches to the AVX2 kernels: x86_64 with
 /// AVX2+FMA detected at runtime and `SOIFFT_FORCE_SCALAR` unset (≠ "1").
@@ -79,6 +82,11 @@ pub fn kernel_backend() -> &'static str {
 // ---------------------------------------------------------------------------
 
 /// `Σ t[i]·x[i]` over `c64` (two accumulator lanes).
+///
+/// No transform runs this kernel: the convolution runs
+/// [`conv_panel_c64`]. It stays, with its scalar mirror
+/// [`dot_c64_scalar`], because the benchmark's `num.dot_c64_gflops`
+/// metric times it; it goes when that metric is retired.
 #[inline]
 pub fn dot_c64(t: &[c64], x: &[c64]) -> c64 {
     assert_eq!(t.len(), x.len(), "length mismatch");
@@ -87,75 +95,7 @@ pub fn dot_c64(t: &[c64], x: &[c64]) -> c64 {
         // SAFETY: avx2+fma verified by `simd_active`; equal lengths above.
         return unsafe { avx2::dot_c64(t, x) };
     }
-    kernels::dot_scalar(t, x)
-}
-
-/// `Σ t[i]·x[i]` over `c32` (four accumulator lanes).
-#[inline]
-pub fn dot_c32(t: &[c32], x: &[c32]) -> c32 {
-    assert_eq!(t.len(), x.len(), "length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: avx2+fma verified by `simd_active`; equal lengths above.
-        return unsafe { avx2::dot_c32(t, x) };
-    }
-    dot_c32_scalar(t, x)
-}
-
-/// Split-precision inner product: `f32` operands, `f64` accumulation.
-/// Operands are widened before any arithmetic, so the products are exact
-/// and only the accumulation rounds.
-#[inline]
-pub fn dot_split(t: &[c32], x: &[c32]) -> c64 {
-    assert_eq!(t.len(), x.len(), "length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: avx2+fma verified by `simd_active`; equal lengths above.
-        return unsafe { avx2::dot_split(t, x) };
-    }
-    dot_split_scalar(t, x)
-}
-
-/// `acc[i] += t[i]·x[i]` over `c64`.
-#[inline]
-pub fn axpy_pointwise_c64(acc: &mut [c64], t: &[c64], x: &[c64]) {
-    assert_eq!(acc.len(), t.len(), "length mismatch");
-    assert_eq!(acc.len(), x.len(), "length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: avx2+fma verified by `simd_active`; equal lengths above.
-        unsafe { avx2::axpy_c64(acc, t, x) };
-        return;
-    }
-    kernels::axpy_pointwise_scalar(acc, t, x);
-}
-
-/// `acc[i] += t[i]·x[i]` over `c32`.
-#[inline]
-pub fn axpy_pointwise_c32(acc: &mut [c32], t: &[c32], x: &[c32]) {
-    assert_eq!(acc.len(), t.len(), "length mismatch");
-    assert_eq!(acc.len(), x.len(), "length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: avx2+fma verified by `simd_active`; equal lengths above.
-        unsafe { avx2::axpy_c32(acc, t, x) };
-        return;
-    }
-    kernels::axpy_pointwise_scalar(acc, t, x);
-}
-
-/// Split-precision AXPY: `f64` accumulator, `f32` operands.
-#[inline]
-pub fn axpy_split(acc: &mut [c64], t: &[c32], x: &[c32]) {
-    assert_eq!(acc.len(), t.len(), "length mismatch");
-    assert_eq!(acc.len(), x.len(), "length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: avx2+fma verified by `simd_active`; equal lengths above.
-        unsafe { avx2::axpy_split(acc, t, x) };
-        return;
-    }
-    axpy_split_scalar(acc, t, x);
+    dot_c64_scalar(t, x)
 }
 
 /// `data[i] *= scale[i]` over `c64`.
@@ -168,7 +108,7 @@ pub fn mul_pointwise_c64(data: &mut [c64], scale: &[c64]) {
         unsafe { avx2::mul_c64(data, scale) };
         return;
     }
-    kernels::mul_pointwise_scalar(data, scale);
+    mul_pointwise_scalar(data, scale);
 }
 
 /// `data[i] *= scale[i]` over `c32`.
@@ -181,38 +121,7 @@ pub fn mul_pointwise_c32(data: &mut [c32], scale: &[c32]) {
         unsafe { avx2::mul_c32(data, scale) };
         return;
     }
-    kernels::mul_pointwise_scalar(data, scale);
-}
-
-/// Planar (SoA) pointwise multiply: `(a_re, a_im) *= (b_re, b_im)`
-/// element-wise, operating on split real/imaginary arrays. The planar
-/// layout needs no shuffles at all — each vector op is 4 (f64) or 8
-/// (f32) independent lanes.
-#[inline]
-pub fn mul_pointwise_planar_f64(are: &mut [f64], aim: &mut [f64], bre: &[f64], bim: &[f64]) {
-    let n = are.len();
-    assert!(
-        aim.len() == n && bre.len() == n && bim.len() == n,
-        "length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: avx2+fma verified by `simd_active`; equal lengths above.
-        unsafe { avx2::mul_planar_f64(are, aim, bre, bim) };
-        return;
-    }
-    mul_pointwise_planar_scalar(are, aim, bre, bim);
-}
-
-/// Scalar reference for [`mul_pointwise_planar_f64`] (public for parity
-/// tests).
-pub fn mul_pointwise_planar_scalar(are: &mut [f64], aim: &mut [f64], bre: &[f64], bim: &[f64]) {
-    for i in 0..are.len() {
-        let re = are[i] * bre[i] - aim[i] * bim[i];
-        let im = are[i] * bim[i] + aim[i] * bre[i];
-        are[i] = re;
-        aim[i] = im;
-    }
+    mul_pointwise_scalar(data, scale);
 }
 
 /// Columns per convolution panel: one 64-byte cache line of `c64`, two
@@ -402,11 +311,37 @@ pub fn unpack_c32_pairs(src: &[c64], dst: &mut [c32]) {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar fallbacks whose accumulator structure mirrors the vector lanes
-// (the generic fallbacks in `kernels` cover the order-insensitive
-// element-wise kernels). Public so the parity suite can pin SIMD == scalar
-// without toggling process-global dispatch state.
+// Scalar fallbacks, with the accumulator structure of the vector lanes
+// where the kernel reduces. Public so the parity suite can pin SIMD ==
+// scalar without toggling process-global dispatch state.
 // ---------------------------------------------------------------------------
+
+/// Scalar reference for [`dot_c64`]: two independent accumulators match
+/// the two complex lanes of a `__m256d`, so the AVX2 kernel reproduces it
+/// bit-for-bit.
+pub fn dot_c64_scalar(t: &[c64], x: &[c64]) -> c64 {
+    assert_eq!(t.len(), x.len(), "length mismatch");
+    let mut acc0 = c64::ZERO;
+    let mut acc1 = c64::ZERO;
+    let mut it = t.chunks_exact(2).zip(x.chunks_exact(2));
+    for (tp, xp) in &mut it {
+        acc0 += tp[0] * xp[0];
+        acc1 += tp[1] * xp[1];
+    }
+    if t.len() % 2 == 1 {
+        acc0 += t[t.len() - 1] * x[x.len() - 1];
+    }
+    acc0 + acc1
+}
+
+/// Scalar reference for [`mul_pointwise_c64`] and [`mul_pointwise_c32`]
+/// (element-wise, so lane order cannot change the result).
+pub fn mul_pointwise_scalar<T: Real>(data: &mut [Complex<T>], scale: &[Complex<T>]) {
+    assert_eq!(data.len(), scale.len(), "length mismatch");
+    for (d, &s) in data.iter_mut().zip(scale) {
+        *d *= s;
+    }
+}
 
 /// Scalar reference for [`promote_c32_c64`].
 pub fn promote_c32_c64_scalar(src: &[c32], dst: &mut [c64]) {
@@ -426,55 +361,6 @@ pub fn unpack_c32_pairs_scalar(src: &[c64], dst: &mut [c32]) {
             let im = v.im.to_bits();
             *slot = c32::new(f32::from_bits((im >> 32) as u32), f32::from_bits(im as u32));
         }
-    }
-}
-
-/// Scalar `c32` dot with the four-lane accumulator structure of the AVX2
-/// kernel (a `__m256` holds 4 complex singles).
-pub fn dot_c32_scalar(t: &[c32], x: &[c32]) -> c32 {
-    assert_eq!(t.len(), x.len(), "length mismatch");
-    let mut acc = [c32::ZERO; 4];
-    let n4 = t.len() / 4 * 4;
-    let mut i = 0;
-    while i < n4 {
-        acc[0] += t[i] * x[i];
-        acc[1] += t[i + 1] * x[i + 1];
-        acc[2] += t[i + 2] * x[i + 2];
-        acc[3] += t[i + 3] * x[i + 3];
-        i += 4;
-    }
-    for (lane, j) in (n4..t.len()).enumerate() {
-        acc[lane] += t[j] * x[j];
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
-}
-
-/// Scalar split-precision dot with the two-lane accumulator structure of
-/// the AVX2 kernel (a `__m256d` holds 2 complex doubles).
-pub fn dot_split_scalar(t: &[c32], x: &[c32]) -> c64 {
-    assert_eq!(t.len(), x.len(), "length mismatch");
-    let mut acc0 = c64::ZERO;
-    let mut acc1 = c64::ZERO;
-    let n2 = t.len() / 2 * 2;
-    let mut i = 0;
-    while i < n2 {
-        acc0 += t[i].to_c64() * x[i].to_c64();
-        acc1 += t[i + 1].to_c64() * x[i + 1].to_c64();
-        i += 2;
-    }
-    if t.len() % 2 == 1 {
-        let j = t.len() - 1;
-        acc0 += t[j].to_c64() * x[j].to_c64();
-    }
-    acc0 + acc1
-}
-
-/// Scalar split-precision AXPY (element-wise, order-insensitive).
-pub fn axpy_split_scalar(acc: &mut [c64], t: &[c32], x: &[c32]) {
-    assert_eq!(acc.len(), t.len(), "length mismatch");
-    assert_eq!(acc.len(), x.len(), "length mismatch");
-    for ((a, &tv), &xv) in acc.iter_mut().zip(t).zip(x) {
-        *a += tv.to_c64() * xv.to_c64();
     }
 }
 
@@ -535,111 +421,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn dot_c32(t: &[c32], x: &[c32]) -> c32 {
-        let n = t.len();
-        let n4 = n / 4 * 4;
-        let tp = t.as_ptr() as *const f32;
-        let xp = x.as_ptr() as *const f32;
-        let mut vacc = _mm256_setzero_ps();
-        let mut i = 0;
-        while i < n4 {
-            let a = _mm256_loadu_ps(tp.add(2 * i));
-            let b = _mm256_loadu_ps(xp.add(2 * i));
-            vacc = _mm256_add_ps(vacc, cmul_ps(a, b));
-            i += 4;
-        }
-        let mut acc = [c32::ZERO; 4];
-        _mm256_storeu_ps(acc.as_mut_ptr() as *mut f32, vacc);
-        for (lane, j) in (n4..n).enumerate() {
-            acc[lane] += t[j] * x[j];
-        }
-        (acc[0] + acc[1]) + (acc[2] + acc[3])
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn dot_split(t: &[c32], x: &[c32]) -> c64 {
-        let n = t.len();
-        let n2 = n / 2 * 2;
-        let tp = t.as_ptr() as *const f32;
-        let xp = x.as_ptr() as *const f32;
-        let mut vacc = _mm256_setzero_pd();
-        let mut i = 0;
-        while i < n2 {
-            // Two c32 = one __m128 of f32, widened to a __m256d of f64.
-            let a = _mm256_cvtps_pd(_mm_loadu_ps(tp.add(2 * i)));
-            let b = _mm256_cvtps_pd(_mm_loadu_ps(xp.add(2 * i)));
-            vacc = _mm256_add_pd(vacc, cmul_pd(a, b));
-            i += 2;
-        }
-        let mut acc = [c64::ZERO; 2];
-        _mm256_storeu_pd(acc.as_mut_ptr() as *mut f64, vacc);
-        if n % 2 == 1 {
-            acc[0] += t[n - 1].to_c64() * x[n - 1].to_c64();
-        }
-        acc[0] + acc[1]
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn axpy_c64(acc: &mut [c64], t: &[c64], x: &[c64]) {
-        let n = acc.len();
-        let n2 = n / 2 * 2;
-        let ap = acc.as_mut_ptr() as *mut f64;
-        let tp = t.as_ptr() as *const f64;
-        let xp = x.as_ptr() as *const f64;
-        let mut i = 0;
-        while i < n2 {
-            let a = _mm256_loadu_pd(tp.add(2 * i));
-            let b = _mm256_loadu_pd(xp.add(2 * i));
-            let c = _mm256_loadu_pd(ap.add(2 * i));
-            _mm256_storeu_pd(ap.add(2 * i), _mm256_add_pd(c, cmul_pd(a, b)));
-            i += 2;
-        }
-        if n % 2 == 1 {
-            acc[n - 1] += t[n - 1] * x[n - 1];
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn axpy_c32(acc: &mut [c32], t: &[c32], x: &[c32]) {
-        let n = acc.len();
-        let n4 = n / 4 * 4;
-        let ap = acc.as_mut_ptr() as *mut f32;
-        let tp = t.as_ptr() as *const f32;
-        let xp = x.as_ptr() as *const f32;
-        let mut i = 0;
-        while i < n4 {
-            let a = _mm256_loadu_ps(tp.add(2 * i));
-            let b = _mm256_loadu_ps(xp.add(2 * i));
-            let c = _mm256_loadu_ps(ap.add(2 * i));
-            _mm256_storeu_ps(ap.add(2 * i), _mm256_add_ps(c, cmul_ps(a, b)));
-            i += 4;
-        }
-        for j in n4..n {
-            acc[j] += t[j] * x[j];
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn axpy_split(acc: &mut [c64], t: &[c32], x: &[c32]) {
-        let n = acc.len();
-        let n2 = n / 2 * 2;
-        let ap = acc.as_mut_ptr() as *mut f64;
-        let tp = t.as_ptr() as *const f32;
-        let xp = x.as_ptr() as *const f32;
-        let mut i = 0;
-        while i < n2 {
-            let a = _mm256_cvtps_pd(_mm_loadu_ps(tp.add(2 * i)));
-            let b = _mm256_cvtps_pd(_mm_loadu_ps(xp.add(2 * i)));
-            let c = _mm256_loadu_pd(ap.add(2 * i));
-            _mm256_storeu_pd(ap.add(2 * i), _mm256_add_pd(c, cmul_pd(a, b)));
-            i += 2;
-        }
-        if n % 2 == 1 {
-            acc[n - 1] += t[n - 1].to_c64() * x[n - 1].to_c64();
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn mul_c64(data: &mut [c64], scale: &[c64]) {
         let n = data.len();
         let n2 = n / 2 * 2;
@@ -672,41 +453,6 @@ mod avx2 {
         }
         for j in n4..n {
             data[j] *= scale[j];
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn mul_planar_f64(
-        are: &mut [f64],
-        aim: &mut [f64],
-        bre: &[f64],
-        bim: &[f64],
-    ) {
-        let n = are.len();
-        let n4 = n / 4 * 4;
-        let arp = are.as_mut_ptr();
-        let aip = aim.as_mut_ptr();
-        let brp = bre.as_ptr();
-        let bip = bim.as_ptr();
-        let mut i = 0;
-        while i < n4 {
-            let ar = _mm256_loadu_pd(arp.add(i));
-            let ai = _mm256_loadu_pd(aip.add(i));
-            let br = _mm256_loadu_pd(brp.add(i));
-            let bi = _mm256_loadu_pd(bip.add(i));
-            // Same op sequence as the scalar path: two products, one
-            // subtract / one add — no contraction.
-            let re = _mm256_sub_pd(_mm256_mul_pd(ar, br), _mm256_mul_pd(ai, bi));
-            let im = _mm256_add_pd(_mm256_mul_pd(ar, bi), _mm256_mul_pd(ai, br));
-            _mm256_storeu_pd(arp.add(i), re);
-            _mm256_storeu_pd(aip.add(i), im);
-            i += 4;
-        }
-        for j in n4..n {
-            let re = are[j] * bre[j] - aim[j] * bim[j];
-            let im = are[j] * bim[j] + aim[j] * bre[j];
-            are[j] = re;
-            aim[j] = im;
         }
     }
 
@@ -971,18 +717,12 @@ mod tests {
         for n in [0usize, 1, 2, 3, 7, 8, 17, 64, 129] {
             let t = v64(n, 0.3);
             let x = v64(n, 1.7);
-            assert_eq!(dot_c64(&t, &x), kernels::dot_scalar(&t, &x), "dot n={n}");
-
-            let mut a = v64(n, 2.1);
-            let mut b = a.clone();
-            axpy_pointwise_c64(&mut a, &t, &x);
-            kernels::axpy_pointwise_scalar(&mut b, &t, &x);
-            assert_eq!(a, b, "axpy n={n}");
+            assert_eq!(dot_c64(&t, &x), dot_c64_scalar(&t, &x), "dot n={n}");
 
             let mut a = v64(n, 0.9);
             let mut b = a.clone();
             mul_pointwise_c64(&mut a, &x);
-            kernels::mul_pointwise_scalar(&mut b, &x);
+            mul_pointwise_scalar(&mut b, &x);
             assert_eq!(a, b, "mul n={n}");
         }
     }
@@ -1021,27 +761,11 @@ mod tests {
     #[test]
     fn dispatch_matches_scalar_bitwise_c32() {
         for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 19, 64, 131] {
-            let t = v32(n, 0.3);
             let x = v32(n, 1.7);
-            assert_eq!(dot_c32(&t, &x), dot_c32_scalar(&t, &x), "dot n={n}");
-            assert_eq!(dot_split(&t, &x), dot_split_scalar(&t, &x), "split n={n}");
-
-            let mut a = v32(n, 2.1);
-            let mut b = a.clone();
-            axpy_pointwise_c32(&mut a, &t, &x);
-            kernels::axpy_pointwise_scalar(&mut b, &t, &x);
-            assert_eq!(a, b, "axpy n={n}");
-
-            let mut a = v64(n, 2.1);
-            let mut b = a.clone();
-            axpy_split(&mut a, &t, &x);
-            axpy_split_scalar(&mut b, &t, &x);
-            assert_eq!(a, b, "axpy_split n={n}");
-
             let mut a = v32(n, 0.9);
             let mut b = a.clone();
             mul_pointwise_c32(&mut a, &x);
-            kernels::mul_pointwise_scalar(&mut b, &x);
+            mul_pointwise_scalar(&mut b, &x);
             assert_eq!(a, b, "mul n={n}");
         }
     }
@@ -1076,39 +800,6 @@ mod tests {
             crate::transpose::transpose_tile_scalar(&src32, ss, &mut d2, ds, rows, cols);
             assert_eq!(d1, d2, "c32 {rows}x{cols}");
         }
-    }
-
-    #[test]
-    fn planar_mul_matches_scalar() {
-        for n in [0usize, 1, 3, 4, 5, 16, 33] {
-            let bre: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
-            let bim: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
-            let mut ar1: Vec<f64> = (0..n).map(|i| i as f64 + 0.5).collect();
-            let mut ai1: Vec<f64> = (0..n).map(|i| -(i as f64) * 0.2).collect();
-            let mut ar2 = ar1.clone();
-            let mut ai2 = ai1.clone();
-            mul_pointwise_planar_f64(&mut ar1, &mut ai1, &bre, &bim);
-            mul_pointwise_planar_scalar(&mut ar2, &mut ai2, &bre, &bim);
-            assert_eq!(ar1, ar2, "re n={n}");
-            assert_eq!(ai1, ai2, "im n={n}");
-        }
-    }
-
-    #[test]
-    fn split_products_are_exact() {
-        // f32 × f32 widened to f64 is exact: the split dot of conjugate
-        // pairs equals the sum of exact norm-squares.
-        let t = v32(9, 0.0);
-        let conj: Vec<c32> = t.iter().map(|z| z.conj()).collect();
-        let got = dot_split(&t, &conj);
-        let want: f64 = t
-            .iter()
-            .map(|z| {
-                let w = z.to_c64();
-                w.re * w.re + w.im * w.im
-            })
-            .sum();
-        assert!((got.re - want).abs() < 1e-12 * want.abs());
     }
 
     #[test]

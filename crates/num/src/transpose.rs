@@ -113,33 +113,6 @@ pub fn transpose_naive<T: Real>(
     }
 }
 
-/// In-place transpose of a square `n × n` matrix, tile-blocked.
-pub fn transpose_square_in_place<T: Real>(a: &mut [Complex<T>], n: usize) {
-    assert_eq!(a.len(), n * n, "shape mismatch");
-    let mut rb = 0;
-    while rb < n {
-        let re = (rb + TILE).min(n);
-        // Diagonal tile: swap the upper triangle within the tile.
-        for r in rb..re {
-            for c in (r + 1)..re {
-                a.swap(r * n + c, c * n + r);
-            }
-        }
-        // Off-diagonal tiles: swap tile (rb,cb) with tile (cb,rb).
-        let mut cb = re;
-        while cb < n {
-            let ce = (cb + TILE).min(n);
-            for r in rb..re {
-                for c in cb..ce {
-                    a.swap(r * n + c, c * n + r);
-                }
-            }
-            cb = ce;
-        }
-        rb = re;
-    }
-}
-
 /// Transposes one `TILE × TILE` tile between two buffers with explicit
 /// source/destination strides. This is the portable stand-in for the paper's
 /// cross-lane 8×8 transposition kernel; the 6-step FFT's write-back
@@ -260,18 +233,6 @@ mod tests {
         transpose(&src, &mut t, r, c);
         transpose(&t, &mut back, c, r);
         assert_eq!(back, src);
-    }
-
-    #[test]
-    fn square_in_place_matches_out_of_place() {
-        for n in [1, 4, 8, 9, 16, 24, 33] {
-            let src = mat(n, n);
-            let mut inplace = src.clone();
-            transpose_square_in_place(&mut inplace, n);
-            let mut expect = vec![c64::ZERO; n * n];
-            transpose_naive(&src, &mut expect, n, n);
-            assert_eq!(inplace, expect, "n={n}");
-        }
     }
 
     #[test]

@@ -233,3 +233,45 @@ fn conv_strategy_choice_does_not_change_distributed_result() {
         assert_eq!(other, &results[0]);
     }
 }
+
+/// The panic message of `run`, or `"<no panic>"`.
+fn panic_message<T>(run: std::thread::Result<T>) -> String {
+    match run {
+        Ok(_) => "<no panic>".into(),
+        Err(payload) => payload.downcast::<String>().map(|s| *s).unwrap_or_default(),
+    }
+}
+
+/// A repeated segment id is a caller error on both entry points: the
+/// check lives in `SoiFft::forward_segments`, which `SoiFftLocal` runs on
+/// one rank.
+#[test]
+fn repeated_segment_ids_panic_on_both_entry_points() {
+    let params = SoiParams {
+        n: 1 << 10,
+        procs: 2,
+        segments_per_proc: 4,
+        mu: Rational::new(2, 1),
+        conv_width: 16,
+    };
+    let x = signal(params.n);
+    let inputs = scatter_input(&x, params.procs);
+    let wanted = [3usize, 5, 3];
+
+    let fft = SoiFft::new(params).unwrap();
+    let err = panic_message(std::panic::catch_unwind(|| {
+        Cluster::run(params.procs, |comm| {
+            fft.forward_segments(comm, &inputs[comm.rank()], &wanted)
+        })
+    }));
+    assert!(err.contains("segment 3 requested twice"), "SoiFft: {err}");
+
+    let local = SoiFftLocal::new(params.n, params.total_segments(), params.mu, 16).unwrap();
+    let err = panic_message(std::panic::catch_unwind(|| {
+        local.forward_segments(&x, &wanted)
+    }));
+    assert!(
+        err.contains("segment 3 requested twice"),
+        "SoiFftLocal: {err}"
+    );
+}

@@ -15,7 +15,7 @@
 //! in-process digests: the exchange plans are schedules over one
 //! transport-agnostic collective, so the transport cannot change the bits.
 //!
-//! Four structural facts are asserted alongside the digests:
+//! Five structural facts are asserted alongside the digests:
 //!
 //! * the bits do not depend on the front end: every convolution loop
 //!   order, fused or not, runs the same panel kernel, so each output
@@ -27,7 +27,9 @@
 //! * for a fixed front end and precision the bits do not depend on the
 //!   exchange plan (the all-to-all only moves data);
 //! * every resilient / cancellable / recovered / degraded path at F64
-//!   lands on the digest of the plain `forward_into` run.
+//!   lands on the digest of the plain `forward_into` run;
+//! * `SoiFftLocal::forward` lands on the one-rank `SoiFft::forward`
+//!   digest (it is that pipeline on one rank).
 //!
 //! The Cooley–Tukey baseline gets its own rows on the same input: every
 //! entry point (`forward`, a warm `forward_into`, `try_forward`,
@@ -50,7 +52,9 @@ use soifft::fft::{Plan, SixStepFft, SixStepVariant};
 use soifft::num::{c32, c64};
 use soifft::par::Pool;
 use soifft::soi::pipeline::{gather_output, scatter_input, ExchangePlan};
-use soifft::soi::{CancelGate, ConvStrategy, Precision, Rational, SoiFft, SoiParams};
+use soifft::soi::{
+    CancelGate, ConvStrategy, Precision, Rational, SoiFft, SoiFftLocal, SoiParams, WindowKind,
+};
 
 fn params() -> SoiParams {
     SoiParams {
@@ -347,6 +351,21 @@ fn compute() -> BTreeMap<String, u64> {
         got.insert(format!("segments/{label}"), checksum(&flat));
     }
 
+    // The single-node entry point is the same pipeline on one rank.
+    let one = SoiParams {
+        procs: 1,
+        segments_per_proc: p.total_segments(),
+        ..p
+    };
+    let d = forward_digest(
+        &SoiFft::new(one).expect("valid params"),
+        std::slice::from_ref(&x),
+        "p1",
+    );
+    got.insert("local/soifft-p1".into(), d);
+    let local = SoiFftLocal::from_params(one, WindowKind::GaussianSinc).expect("valid params");
+    got.insert("local/forward".into(), checksum(&local.forward(&x)));
+
     compute_ct(&inputs, &policy, &mut got);
     got
 }
@@ -435,6 +454,10 @@ fn pipeline_output_bits_match_the_recorded_digests() {
     for tcp in ["tcp/forward/mono", "tcp/forward/overlap", "tcp/try_forward"] {
         assert_eq!(got[tcp], plain, "{tcp}: TCP bits differ from in-process");
     }
+    assert_eq!(
+        got["local/forward"], got["local/soifft-p1"],
+        "SoiFftLocal != one-rank SoiFft"
+    );
     let ct = got["ct/forward"];
     for (k, v) in got.iter().filter(|(k, _)| k.starts_with("ct/")) {
         assert_eq!(*v, ct, "{k}: CT bits differ from ct/forward");
@@ -456,6 +479,9 @@ fn pipeline_output_bits_match_the_recorded_digests() {
 /// move at all). Identical under AVX2 and `SOIFFT_FORCE_SCALAR=1`.
 /// The `ct/` rows were recorded against the Cooley–Tukey baseline's
 /// three hand-written superstep bodies, before they became one executor.
+/// The `local/` rows (added later, nothing re-recorded) are `SoiFftLocal`
+/// and a one-rank `SoiFft` at the same `N`, `L`, `µ`, `B`; they land on
+/// the P = 4 `forward/f64` bits.
 const GOLDEN: &[(&str, u64)] = &[
     ("cancellable/open-gate", 0x2c91cb514575a6f5),
     ("ct/forward", 0xc2f6b9bc8fca5f43),
@@ -470,6 +496,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("forward/f32", 0xbfc6dd7f17580b86),
     ("forward/f64", 0x2c91cb514575a6f5),
     ("forward/split", 0xf860c83c1e23cdfa),
+    ("local/forward", 0x2c91cb514575a6f5),
+    ("local/soifft-p1", 0x2c91cb514575a6f5),
     ("recovered/default/clean", 0x2c91cb514575a6f5),
     ("recovered/default/degraded-inputs", 0x2c91cb514575a6f5),
     ("recovered/default/degraded-snapshots", 0x2c91cb514575a6f5),

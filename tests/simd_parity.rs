@@ -12,7 +12,6 @@
 //! the CI matrix runs both configurations.
 
 use proptest::prelude::*;
-use soifft::num::kernels;
 use soifft::num::simd;
 use soifft::num::{c32, c64, Complex, Real};
 
@@ -57,30 +56,7 @@ proptest! {
         let t = vec_c64(len, seed);
         let x = vec_c64(len, seed ^ 0xABCD);
         let got = simd::dot_c64(&t, &x);
-        let want = kernels::dot_scalar(&t, &x);
-        prop_assert_eq!(got.re.to_bits(), want.re.to_bits());
-        prop_assert_eq!(got.im.to_bits(), want.im.to_bits());
-    }
-
-    /// `dot` (c32): dispatcher == four-lane scalar reference, bitwise.
-    #[test]
-    fn dot_c32_parity(len in 0usize..70, seed in proptest::prelude::any::<u64>()) {
-        let t = vec_c32(len, seed);
-        let x = vec_c32(len, seed ^ 0xABCD);
-        let got = simd::dot_c32(&t, &x);
-        let want = simd::dot_c32_scalar(&t, &x);
-        prop_assert_eq!(got.re.to_bits(), want.re.to_bits());
-        prop_assert_eq!(got.im.to_bits(), want.im.to_bits());
-    }
-
-    /// Split dot (f32 operands, f64 accumulate): widening makes every
-    /// product exact, so SIMD and scalar agree bitwise too.
-    #[test]
-    fn dot_split_parity(len in 0usize..70, seed in proptest::prelude::any::<u64>()) {
-        let t = vec_c32(len, seed);
-        let x = vec_c32(len, seed ^ 0xABCD);
-        let got = simd::dot_split(&t, &x);
-        let want = simd::dot_split_scalar(&t, &x);
+        let want = simd::dot_c64_scalar(&t, &x);
         prop_assert_eq!(got.re.to_bits(), want.re.to_bits());
         prop_assert_eq!(got.im.to_bits(), want.im.to_bits());
     }
@@ -93,58 +69,15 @@ proptest! {
         let mut a64 = vec_c64(len, seed);
         let mut b64 = a64.clone();
         simd::mul_pointwise_c64(&mut a64, &scale64);
-        kernels::mul_pointwise_scalar(&mut b64, &scale64);
+        simd::mul_pointwise_scalar(&mut b64, &scale64);
         prop_assert_eq!(bits64(&a64), bits64(&b64));
 
         let scale32 = vec_c32(len, seed ^ 0x5A5A);
         let mut a32 = vec_c32(len, seed);
         let mut b32 = a32.clone();
         simd::mul_pointwise_c32(&mut a32, &scale32);
-        kernels::mul_pointwise_scalar(&mut b32, &scale32);
+        simd::mul_pointwise_scalar(&mut b32, &scale32);
         prop_assert_eq!(bits32(&a32), bits32(&b32));
-    }
-
-    /// Planar (SoA) pointwise multiply over split re/im arrays.
-    #[test]
-    fn mul_pointwise_planar_parity(len in 0usize..70, seed in proptest::prelude::any::<u64>()) {
-        let mut next = stream(seed);
-        let mut are: Vec<f64> = (0..len).map(|_| next()).collect();
-        let mut aim: Vec<f64> = (0..len).map(|_| next()).collect();
-        let bre: Vec<f64> = (0..len).map(|_| next()).collect();
-        let bim: Vec<f64> = (0..len).map(|_| next()).collect();
-        let mut sre = are.clone();
-        let mut sim_ = aim.clone();
-        simd::mul_pointwise_planar_f64(&mut are, &mut aim, &bre, &bim);
-        simd::mul_pointwise_planar_scalar(&mut sre, &mut sim_, &bre, &bim);
-        let b = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(b(&are), b(&sre));
-        prop_assert_eq!(b(&aim), b(&sim_));
-    }
-
-    /// Accumulating pointwise multiply (`acc += t·x`), all three widths.
-    #[test]
-    fn axpy_parity(len in 0usize..70, seed in proptest::prelude::any::<u64>()) {
-        let t64 = vec_c64(len, seed ^ 1);
-        let x64 = vec_c64(len, seed ^ 2);
-        let mut a = vec_c64(len, seed);
-        let mut b = a.clone();
-        simd::axpy_pointwise_c64(&mut a, &t64, &x64);
-        kernels::axpy_pointwise_scalar(&mut b, &t64, &x64);
-        prop_assert_eq!(bits64(&a), bits64(&b));
-
-        let t32 = vec_c32(len, seed ^ 1);
-        let x32 = vec_c32(len, seed ^ 2);
-        let mut a32 = vec_c32(len, seed);
-        let mut b32 = a32.clone();
-        simd::axpy_pointwise_c32(&mut a32, &t32, &x32);
-        kernels::axpy_pointwise_scalar(&mut b32, &t32, &x32);
-        prop_assert_eq!(bits32(&a32), bits32(&b32));
-
-        let mut acc_a = vec_c64(len, seed);
-        let mut acc_b = acc_a.clone();
-        simd::axpy_split(&mut acc_a, &t32, &x32);
-        simd::axpy_split_scalar(&mut acc_b, &t32, &x32);
-        prop_assert_eq!(bits64(&acc_a), bits64(&acc_b));
     }
 
     /// Convolution panel kernel: every phase count that splits the
@@ -304,23 +237,25 @@ fn walk_vs_naive<T: Real>(
     [(strided, want), (dense, t)]
 }
 
-/// The generic hot-kernel entry points (`kernels::dot`, `::mul_pointwise`,
-/// `::axpy_pointwise`) route through the same dispatchers — spot-check the
-/// chain end to end so a future refactor can't silently fork the paths.
+/// The precision-generic entry point (`transpose::transpose_tile`, which
+/// every transpose walk calls through `Real::ktranspose_tile`) routes
+/// through the same per-width dispatchers — spot-check the chain end to
+/// end so a future refactor can't silently fork the paths.
 #[test]
 fn generic_entry_points_route_through_dispatchers() {
-    let t = vec_c64(37, 7);
-    let x = vec_c64(37, 11);
-    let d = kernels::dot(&t, &x);
-    let s = simd::dot_c64(&t, &x);
-    assert_eq!(
-        (d.re.to_bits(), d.im.to_bits()),
-        (s.re.to_bits(), s.im.to_bits())
-    );
-
-    let mut a = vec_c64(37, 13);
+    use soifft::num::transpose::{transpose_tile, TILE};
+    let (rows, cols, ss, ds) = (TILE, TILE - 1, TILE + 3, TILE + 1);
+    let src = vec_c64(rows * ss, 7);
+    let mut a = vec_c64(cols * ds, 11);
     let mut b = a.clone();
-    kernels::mul_pointwise(&mut a, &t);
-    simd::mul_pointwise_c64(&mut b, &t);
+    transpose_tile(&src, ss, &mut a, ds, rows, cols);
+    simd::transpose_tile_c64(&src, ss, &mut b, ds, rows, cols);
     assert_eq!(bits64(&a), bits64(&b));
+
+    let src = vec_c32(rows * ss, 13);
+    let mut a = vec_c32(cols * ds, 17);
+    let mut b = a.clone();
+    transpose_tile(&src, ss, &mut a, ds, rows, cols);
+    simd::transpose_tile_c32(&src, ss, &mut b, ds, rows, cols);
+    assert_eq!(bits32(&a), bits32(&b));
 }
