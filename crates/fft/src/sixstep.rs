@@ -59,7 +59,8 @@ pub enum SixStepVariant {
     /// Fig 4(b): loops fused through a contiguous buffer of page-blocked
     /// column groups, row bands written back by one transpose each —
     /// 4 memory sweeps, still a full-size twiddle table. Only Fig 10's
-    /// `6-step-opt` rung runs it; every transform runs `FusedDynamic`.
+    /// `6-step-opt` rung and tests run it; SOI's `F_{M'}` runs
+    /// `FusedDynamic`.
     Fused,
     /// Fused with dynamic-block twiddle tables (√N working set) in place
     /// of the full table.
