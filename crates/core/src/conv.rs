@@ -73,7 +73,7 @@ impl ConvStrategy {
     }
 }
 
-/// Reusable scratch for the convolution stage: one `F_L` plan scratch per
+/// Reusable scratch for the convolution stage: one `F_L` batch scratch per
 /// pool worker, for the fused conv+FFT front end (the unfused orders need
 /// none — the kernel writes `out` directly). Plan it once
 /// ([`ConvScratch::new`]); steady-state calls then perform zero heap
@@ -84,10 +84,12 @@ pub struct ConvScratch {
 }
 
 impl ConvScratch {
-    /// One `plan_l` scratch per thread of `pool`.
+    /// One `plan_l` batch scratch per thread of `pool`.
     pub fn new(_params: &SoiParams, plan_l: &soifft_fft::Plan, pool: &Pool) -> Self {
         ConvScratch {
-            fft: (0..pool.threads()).map(|_| plan_l.make_scratch()).collect(),
+            fft: (0..pool.threads())
+                .map(|_| plan_l.make_batch_scratch())
+                .collect(),
         }
     }
 }
@@ -254,16 +256,14 @@ pub fn convolve_fused_fft_with_scratch(
     let chunk_len = sweep.chunk_len();
     pool.par_chunks_mut_scratch(out, chunk_len, &mut scratch.fft, |_, offset, piece, fft| {
         let c0 = offset / chunk_len;
-        if fft.len() < plan_l.scratch_len() {
-            fft.resize(plan_l.scratch_len(), c64::ZERO);
+        if fft.len() < plan_l.batch_scratch_len() {
+            fft.resize(plan_l.batch_scratch_len(), c64::ZERO);
         }
         for (ci, chunk_out) in piece.chunks_exact_mut(chunk_len).enumerate() {
             sweep.chunk(c0 + ci, chunk_out);
             // The chunk is hot in cache: transform its blocks now instead
             // of in a later full sweep.
-            for block in chunk_out.chunks_exact_mut(sweep.l) {
-                plan_l.forward_with_scratch(block, fft);
-            }
+            soifft_fft::batch::forward_rows_with(plan_l, chunk_out, fft);
         }
     });
 }

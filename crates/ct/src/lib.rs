@@ -73,9 +73,9 @@ pub struct CtWorkspace {
     cols: Vec<c64>,
     /// Rows after the second transpose (`n/P` elements).
     rows: Vec<c64>,
-    /// `n1`-point component-plan scratch.
+    /// `n1`-point batch scratch: two lane-major buffers of four rows.
     s1: Vec<c64>,
-    /// `n2`-point component-plan scratch.
+    /// `n2`-point batch scratch.
     s2: Vec<c64>,
 }
 
@@ -197,8 +197,8 @@ impl DistributedCtFft {
             incoming: Vec::with_capacity(self.procs),
             cols: vec![c64::ZERO; per],
             rows: vec![c64::ZERO; per],
-            s1: self.plan1.make_scratch(),
-            s2: self.plan2.make_scratch(),
+            s1: self.plan1.make_batch_scratch(),
+            s2: self.plan2.make_batch_scratch(),
         }
     }
 
@@ -407,10 +407,11 @@ impl DistributedCtFft {
     /// twiddle `W_N^{bc}` (dynamic-block tables, division-free walk).
     fn fft1(&self, rank: usize, cols: &mut [c64], scratch: &mut [c64]) {
         let b0 = rank * (self.n2 / self.procs);
-        for (i, row) in cols.chunks_exact_mut(self.n1).enumerate() {
-            self.plan1.forward_with_scratch(row, scratch);
-            self.tw.mul_powers(row, b0 + i);
-        }
+        let count = cols.len() / self.n1;
+        self.plan1
+            .forward_batch_with(cols, self.n1, count, scratch, |i, row| {
+                self.tw.mul_powers(row, b0 + i)
+            });
     }
 }
 

@@ -2,10 +2,14 @@
 //!
 //! The SOI convolution stage ends with `M'` independent `L`-point FFTs per
 //! node (`I_{M'} ⊗ F_L` realized as `I_P ⊗ (I_{M'/P} ⊗ F_L)`, paper §2), and
-//! the 6-step algorithm runs row batches at both of its FFT stages. Batches
-//! are embarrassingly parallel; the paper assigns them to OpenMP threads,
-//! here they go to a [`soifft_par::Pool`] with one scratch buffer per
-//! worker piece (no allocation inside the loop).
+//! CT's `n2` stage is the same shape. Every row loop here goes through
+//! [`Plan::forward_batch_with`], which transforms four rows at a time with
+//! one row per vector lane — the paper's "vectorize across the batch"
+//! (Fig 4(b) step 2) — and gives each row the bits a lone
+//! [`Plan::forward_with_scratch`] would. Batches are embarrassingly
+//! parallel; the paper assigns them to OpenMP threads, here they go to a
+//! [`soifft_par::Pool`] with one scratch buffer per worker piece (no
+//! allocation inside the loop).
 
 use soifft_num::{Complex, Real};
 use soifft_par::Pool;
@@ -15,12 +19,14 @@ use crate::plan::Plan;
 /// Forward-transforms every contiguous `plan.len()`-row of `data` in place,
 /// serially. `data.len()` must be a multiple of the plan length.
 pub fn forward_rows<T: Real>(plan: &Plan<T>, data: &mut [Complex<T>]) {
-    let mut scratch = plan.make_scratch();
+    let mut scratch = plan.make_batch_scratch();
     forward_rows_with(plan, data, &mut scratch);
 }
 
 /// [`forward_rows`] against caller-owned plan scratch (no allocation
-/// inside the call). `scratch` must come from `plan.make_scratch()`.
+/// inside the call). Scratch from [`Plan::make_batch_scratch`] runs the
+/// batched kernel; a shorter one from [`Plan::make_scratch`] still works,
+/// one row at a time.
 pub fn forward_rows_with<T: Real>(
     plan: &Plan<T>,
     data: &mut [Complex<T>],
@@ -28,15 +34,15 @@ pub fn forward_rows_with<T: Real>(
 ) {
     let n = plan.len();
     assert_eq!(data.len() % n, 0, "data is not a whole number of rows");
-    for row in data.chunks_exact_mut(n) {
-        plan.forward_with_scratch(row, scratch);
-    }
+    plan.forward_batch_with(data, n, data.len() / n, scratch, |_, _| {});
 }
 
-/// One plan-scratch buffer per pool worker, for
+/// One batch scratch buffer per pool worker, for
 /// [`forward_rows_parallel_with`].
 pub fn make_worker_scratch<T: Real>(plan: &Plan<T>, pool: &Pool) -> Vec<Vec<Complex<T>>> {
-    (0..pool.threads()).map(|_| plan.make_scratch()).collect()
+    (0..pool.threads())
+        .map(|_| plan.make_batch_scratch())
+        .collect()
 }
 
 /// Forward-transforms every row in place, with rows statically partitioned
@@ -54,9 +60,7 @@ pub fn forward_rows_parallel_with<T: Real>(
         return;
     }
     pool.par_chunks_mut_scratch(data, n, workers, |_, _, piece, scratch| {
-        for row in piece.chunks_exact_mut(n) {
-            plan.forward_with_scratch(row, scratch);
-        }
+        forward_rows_with(plan, piece, scratch);
     });
 }
 

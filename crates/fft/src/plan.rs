@@ -21,10 +21,20 @@
 //! tree owns one contiguous twiddle slice in the order its combine reads
 //! it, so the hot path reduces no index modulo anything; over all levels
 //! the slices hold fewer entries than `n`.
+//!
+//! Many rows of one length go through [`Plan::forward_batch_with`]: it
+//! hands the factor tree — each level's radix and twiddle slice — to the
+//! batched AVX2 kernel [`soifft_num::simd::fft4_c64`], which runs this
+//! recursion on four rows at once, one row per vector lane, with the same
+//! leaves, combines and operation order. Each row's bits are the ones
+//! [`Plan::forward_with_scratch`] gives it, which stays the single-transform
+//! path and the scalar mirror (Bluestein, radices 7–31, `f32`, ragged
+//! tails, forced-scalar runs).
 
 use std::fmt;
 
 use soifft_num::factor::factorize;
+use soifft_num::simd::{fft4_scratch_len, DitLevel, FFT_LANES};
 use soifft_num::{Complex, Real};
 
 use crate::bluestein::BluesteinPlan;
@@ -173,6 +183,70 @@ impl<T: Real> Plan<T> {
         vec![Complex::<T>::ZERO; self.scratch_len()]
     }
 
+    /// Scratch length needed by [`Plan::forward_batch_with`] to run its
+    /// batched kernel: room for two lane-major buffers of [`FFT_LANES`]
+    /// rows, which also covers the per-row path.
+    pub fn batch_scratch_len(&self) -> usize {
+        match &self.kind {
+            Kind::CooleyTukey(_) => fft4_scratch_len(self.n),
+            _ => self.scratch_len(),
+        }
+    }
+
+    /// Allocates a scratch buffer for [`Plan::forward_batch_with`].
+    pub fn make_batch_scratch(&self) -> Vec<Complex<T>> {
+        vec![Complex::<T>::ZERO; self.batch_scratch_len()]
+    }
+
+    /// Forward-transforms `count` rows in place, row `i` being
+    /// `data[i·stride..i·stride + n]` (`stride ≥ n`, so a padded stride
+    /// works), and hands each finished row to `then(i, row)` while it is
+    /// still in cache.
+    ///
+    /// Groups of [`FFT_LANES`] rows go through the batched kernel
+    /// ([`soifft_num::simd::fft4_c64`]), which runs this plan's own
+    /// recursion on one row per vector lane: each row's output bits equal
+    /// [`Plan::forward_with_scratch`]'s. Rows run one by one through
+    /// `forward_with_scratch` — the scalar mirror — for the ragged
+    /// `count % 4` tail, for Bluestein plans and radices without a
+    /// batched combine, for `Plan<f32>`, without AVX2 or under
+    /// `SOIFFT_FORCE_SCALAR=1`, and when `scratch` is shorter than
+    /// [`Plan::batch_scratch_len`] (it must hold at least
+    /// [`Plan::scratch_len`]).
+    pub fn forward_batch_with(
+        &self,
+        data: &mut [Complex<T>],
+        stride: usize,
+        count: usize,
+        scratch: &mut [Complex<T>],
+        mut then: impl FnMut(usize, &mut [Complex<T>]),
+    ) {
+        let n = self.n;
+        if count == 0 {
+            return;
+        }
+        assert!(stride >= n, "row stride shorter than the plan length");
+        assert!(data.len() >= (count - 1) * stride + n, "data too short");
+        let mut i = 0;
+        if let Kind::CooleyTukey(stages) = &self.kind {
+            if scratch.len() >= fft4_scratch_len(n) {
+                while i + FFT_LANES <= count
+                    && T::kfft4(stages, &mut data[i * stride..], stride, n, scratch)
+                {
+                    for j in i..i + FFT_LANES {
+                        then(j, &mut data[j * stride..j * stride + n]);
+                    }
+                    i += FFT_LANES;
+                }
+            }
+        }
+        for j in i..count {
+            let row = &mut data[j * stride..j * stride + n];
+            self.forward_with_scratch(row, scratch);
+            then(j, row);
+        }
+    }
+
     /// Forward transform, in place. Allocates scratch internally; hot loops
     /// should use [`Plan::forward_with_scratch`].
     pub fn forward(&self, data: &mut [Complex<T>]) {
@@ -230,6 +304,16 @@ struct Stage<T: Real> {
     /// `w_N^{q·N/r}` for `q < r`: the generic butterfly's `r`-point DFT
     /// roots (empty for the specialized radices).
     roots: Vec<Complex<T>>,
+}
+
+impl<T: Real> DitLevel<T> for Stage<T> {
+    fn radix(&self) -> usize {
+        self.radix
+    }
+
+    fn twiddles(&self) -> &[Complex<T>] {
+        &self.tw
+    }
 }
 
 /// The per-level twiddle tables of the factor tree for `factors` at root

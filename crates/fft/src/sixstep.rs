@@ -32,9 +32,11 @@
 
 use soifft_num::c64;
 use soifft_num::factor::balanced_split;
+use soifft_num::simd::FFT_LANES;
 use soifft_num::transpose::{transpose, transpose_strided, TILE};
 use soifft_par::Pool;
 
+use crate::batch::forward_rows_with;
 use crate::plan::Plan;
 use crate::twiddle::{DynamicBlock, Twiddles};
 
@@ -241,16 +243,16 @@ impl SixStepFft {
         let workers = match self.variant {
             SixStepVariant::FusedParallel => (0..self.pool.threads())
                 .map(|_| WorkerScratch {
-                    s1: self.plan1.make_scratch(),
-                    s2: self.plan2.make_scratch(),
+                    s1: self.plan1.make_batch_scratch(),
+                    s2: self.plan2.make_batch_scratch(),
                 })
                 .collect(),
             _ => Vec::new(),
         };
         SixStepScratch {
             buf,
-            s1: self.plan1.make_scratch(),
-            s2: self.plan2.make_scratch(),
+            s1: self.plan1.make_batch_scratch(),
+            s2: self.plan2.make_batch_scratch(),
             workers,
         }
     }
@@ -333,9 +335,7 @@ impl SixStepFft {
         // Step 1: transpose n1×n2 → n2×n1 (aux[b][a]).
         transpose(data, aux, n1, n2);
         // Step 2: n2 rows of n1-point FFTs.
-        for row in aux.chunks_exact_mut(n1) {
-            self.plan1.forward_with_scratch(row, &mut scratch.s1);
-        }
+        forward_rows_with(&self.plan1, aux, &mut scratch.s1);
         // Step 3: twiddle B[b][c] *= W_N^{bc} (a separate full sweep).
         for (b, row) in aux.chunks_exact_mut(n1).enumerate() {
             self.tw.scale_row(row, b, self.n);
@@ -343,9 +343,7 @@ impl SixStepFft {
         // Step 4: transpose back n2×n1 → n1×n2 (data[c][b]).
         transpose(aux, data, n2, n1);
         // Step 5: n1 rows of n2-point FFTs.
-        for row in data.chunks_exact_mut(n2) {
-            self.plan2.forward_with_scratch(row, &mut scratch.s2);
-        }
+        forward_rows_with(&self.plan2, data, &mut scratch.s2);
         // Step 6: transpose n1×n2 → n2×n1; output natural order is d-major.
         transpose(data, aux, n1, n2);
         if let Some(s) = scale {
@@ -385,13 +383,12 @@ impl SixStepFft {
             let g = group.min(n2 - b0);
             // Gather columns b0..b0+g: buf[gg·cs + a] = data[a·n2 + b0+gg].
             transpose_strided(&data[b0..], n2, buf, cs, n1, g);
-            // FFT each gathered column, then twiddle in-cache (steps 2+3
-            // fused).
-            for gg in 0..g {
-                let col = &mut buf[gg * cs..gg * cs + n1];
-                self.plan1.forward_with_scratch(col, &mut scratch.s1);
-                self.tw.scale_row(col, b0 + gg, self.n);
-            }
+            // FFT the gathered columns four at a time, then twiddle each
+            // in-cache (steps 2+3 fused).
+            self.plan1
+                .forward_batch_with(buf, cs, g, &mut scratch.s1, |gg, col| {
+                    self.tw.scale_row(col, b0 + gg, self.n)
+                });
             // Permuted write-back into the c-major intermediate:
             // aux[c·n2 + b0+gg] = buf[gg·cs + c].
             transpose_strided(buf, cs, &mut aux[b0..], n2, g, n1);
@@ -406,9 +403,11 @@ impl SixStepFft {
         let mut c0 = 0;
         while c0 < n1 {
             let rows = band.min(n1 - c0);
-            for row in aux[c0 * n2..(c0 + rows) * n2].chunks_exact_mut(n2) {
-                self.plan2.forward_with_scratch(row, &mut scratch.s2);
-            }
+            forward_rows_with(
+                &self.plan2,
+                &mut aux[c0 * n2..(c0 + rows) * n2],
+                &mut scratch.s2,
+            );
             // data[d·n1 + c] = aux[c·n2 + d] (· scale[d·n1 + c]).
             transpose_strided(&aux[c0 * n2..], n2, &mut data[c0..], n1, rows, n2);
             if let Some(s) = scale {
@@ -452,15 +451,20 @@ impl SixStepFft {
         {
             let data_ro: &[c64] = data;
             pool.par_chunks_mut_scratch(aux, n1, &mut scratch.workers, |_, offset, band, w| {
-                let b_base = offset / n1;
-                for (local_b, col) in band.chunks_exact_mut(n1).enumerate() {
-                    let b = b_base + local_b;
-                    // Gather the column (stride n2 reads).
-                    for (a, v) in col.iter_mut().enumerate() {
-                        *v = data_ro[a * n2 + b];
+                // Gather FFT_LANES columns (stride n2 reads), then FFT and
+                // twiddle them as one batch.
+                for (q, quad) in band.chunks_mut(FFT_LANES * n1).enumerate() {
+                    let b_base = offset / n1 + q * FFT_LANES;
+                    for (local_b, col) in quad.chunks_exact_mut(n1).enumerate() {
+                        for (a, v) in col.iter_mut().enumerate() {
+                            *v = data_ro[a * n2 + b_base + local_b];
+                        }
                     }
-                    self.plan1.forward_with_scratch(col, &mut w.s1);
-                    self.tw.scale_row(col, b, self.n);
+                    let count = quad.len() / n1;
+                    self.plan1
+                        .forward_batch_with(quad, n1, count, &mut w.s1, |i, col| {
+                            self.tw.scale_row(col, b_base + i, self.n)
+                        });
                 }
             });
         }
@@ -470,13 +474,14 @@ impl SixStepFft {
         {
             let aux_ro: &[c64] = aux;
             pool.par_chunks_mut_scratch(data, n2, &mut scratch.workers, |_, offset, band, w| {
-                let c_base = offset / n2;
-                for (local_c, row) in band.chunks_exact_mut(n2).enumerate() {
-                    let c = c_base + local_c;
-                    for (b, v) in row.iter_mut().enumerate() {
-                        *v = aux_ro[b * n1 + c];
+                for (q, quad) in band.chunks_mut(FFT_LANES * n2).enumerate() {
+                    let c_base = offset / n2 + q * FFT_LANES;
+                    for (local_c, row) in quad.chunks_exact_mut(n2).enumerate() {
+                        for (b, v) in row.iter_mut().enumerate() {
+                            *v = aux_ro[b * n1 + c_base + local_c];
+                        }
                     }
-                    self.plan2.forward_with_scratch(row, &mut w.s2);
+                    forward_rows_with(&self.plan2, quad, &mut w.s2);
                 }
             });
         }

@@ -8,8 +8,8 @@
 //! a 4-byte scalar literally halves the bytes moved by the convolution,
 //! the local FFTs and the all-to-all).
 //!
-//! The trait is deliberately *sealed* to those two types: the transpose
-//! tile hook (`ktranspose_tile`) picks a runtime-detected AVX2
+//! The trait is deliberately *sealed* to those two types: the kernel
+//! hooks (`ktranspose_tile`, `kfft4`) pick a runtime-detected AVX2
 //! implementation per concrete type (see [`crate::simd`]), and the
 //! accuracy contracts in the workspace (SNR floors, scalar/SIMD bit
 //! parity) are only characterized for these two.
@@ -23,7 +23,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use crate::complex::Complex;
-use crate::transpose;
+use crate::simd::{self, DitLevel};
 
 mod sealed {
     pub trait Sealed {}
@@ -34,10 +34,10 @@ mod sealed {
 /// A real scalar type the numeric substrate can compute in.
 ///
 /// Implemented for `f64` and `f32` only (the trait is sealed). All
-/// methods mirror the corresponding `std` float methods; the
-/// `ktranspose_tile` hook is the per-type kernel dispatcher — callers go
-/// through the free functions in [`crate::transpose`] and never call it
-/// directly.
+/// methods mirror the corresponding `std` float methods; the `k*` hooks
+/// are the per-type kernel dispatchers, each required of both types —
+/// callers go through [`crate::transpose`] and `soifft_fft::Plan` and
+/// never call them directly.
 pub trait Real:
     sealed::Sealed
     + Copy
@@ -89,7 +89,7 @@ pub trait Real:
     fn is_finite(self) -> bool;
 
     /// Kernel hook: strided-tile transpose (see
-    /// [`transpose::transpose_tile`]).
+    /// [`crate::transpose::transpose_tile`]).
     #[doc(hidden)]
     fn ktranspose_tile(
         src: &[Complex<Self>],
@@ -98,9 +98,20 @@ pub trait Real:
         dst_stride: usize,
         rows: usize,
         cols: usize,
-    ) {
-        transpose::transpose_tile_scalar(src, src_stride, dst, dst_stride, rows, cols);
-    }
+    );
+
+    /// Kernel hook: the batched FFT of [`simd::FFT_LANES`] rows (see
+    /// [`simd::fft4_c64`]). Returns `false` where no batched kernel
+    /// exists for this type or tree; the caller then runs its rows one
+    /// by one.
+    #[doc(hidden)]
+    fn kfft4<L: DitLevel<Self>>(
+        levels: &[L],
+        rows: &mut [Complex<Self>],
+        stride: usize,
+        n: usize,
+        buf: &mut [Complex<Self>],
+    ) -> bool;
 }
 
 impl Real for f64 {
@@ -160,6 +171,17 @@ impl Real for f64 {
     ) {
         crate::simd::transpose_tile_c64(src, src_stride, dst, dst_stride, rows, cols);
     }
+
+    #[inline]
+    fn kfft4<L: DitLevel<f64>>(
+        levels: &[L],
+        rows: &mut [Complex<f64>],
+        stride: usize,
+        n: usize,
+        buf: &mut [Complex<f64>],
+    ) -> bool {
+        simd::fft4_c64(levels, rows, stride, n, buf)
+    }
 }
 
 impl Real for f32 {
@@ -218,5 +240,18 @@ impl Real for f32 {
         cols: usize,
     ) {
         crate::simd::transpose_tile_c32(src, src_stride, dst, dst_stride, rows, cols);
+    }
+
+    /// No 8-lane `f32` kernel exists yet: single-precision rows always
+    /// take the per-row path.
+    #[inline]
+    fn kfft4<L: DitLevel<f32>>(
+        _levels: &[L],
+        _rows: &mut [Complex<f32>],
+        _stride: usize,
+        _n: usize,
+        _buf: &mut [Complex<f32>],
+    ) -> bool {
+        false
     }
 }

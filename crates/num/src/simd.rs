@@ -2,8 +2,11 @@
 //! fallbacks.
 //!
 //! The kernels are the ones a transform runs: the convolution panel,
-//! pointwise multiply (`c64` and `c32` demodulation), transpose tiles, and
-//! the `c32` wire unpack and promotion. [`dot_c64`] is the exception: no
+//! pointwise multiply (`c64` and `c32` demodulation), transpose tiles, the
+//! `c32` wire unpack and promotion, and the batched FFT ([`fft4_c64`]),
+//! which runs `soifft_fft::Plan`'s recursion on four rows at once, one row
+//! per `f64` lane, and whose scalar mirror is `Plan` itself, row by row.
+//! [`dot_c64`] is the exception: no
 //! transform calls it, and it stays only for the benchmark's
 //! `num.dot_c64_gflops` metric.
 //!
@@ -30,7 +33,9 @@
 //! mirror is written with `f64::mul_add`, which rounds once too), the
 //! accumulator *count* of the scalar fallback matches the vector lane
 //! count (2 complex lanes for `c64`), and the final cross-lane combine is
-//! the same sequential expression in both paths.
+//! the same sequential expression in both paths. The batched FFT has no
+//! cross-lane arithmetic at all: each lane is one row, and every multiply
+//! and add is rounded on its own, as `Plan`'s scalar code rounds it.
 //!
 //! **Dispatch.** [`simd_active`] caches `is_x86_feature_detected!("avx2")
 //! && ("fma")` once per process; setting `SOIFFT_FORCE_SCALAR=1` in the
@@ -308,6 +313,96 @@ pub fn unpack_c32_pairs(src: &[c64], dst: &mut [c32]) {
         return;
     }
     unpack_c32_pairs_scalar(src, dst);
+}
+
+/// Rows the batched FFT kernel transforms at once: one row per `f64`
+/// lane of a `__m256d`.
+pub const FFT_LANES: usize = 4;
+
+/// One level of a decimation-in-time factor tree, as the batched FFT
+/// kernel reads it. A level of length `n = r·m` has radix `r` and the
+/// twiddles its combine reads in reading order,
+/// `twiddles()[k·(r−1) + j−1] = w^{j·k}` for `k < m`, `1 ≤ j < r`. The
+/// levels run from the root down to the first leaf of length 1, 2 or 4,
+/// which needs none.
+pub trait DitLevel<T> {
+    /// The level's radix.
+    fn radix(&self) -> usize;
+    /// The level's twiddles, in the order its combine reads them.
+    fn twiddles(&self) -> &[Complex<T>];
+}
+
+/// Forward `n`-point DFT of the [`FFT_LANES`] rows `rows[i·stride..][..n]`
+/// in place, one row per vector lane, through the factor tree `levels`.
+///
+/// The kernel runs the scalar recursion of `soifft_fft::Plan` on all rows
+/// at once: the same unrolled 1/2/4-point leaves, the same radix-2/3/4/5/8
+/// combines and the same per-level twiddles, with every multiply and add
+/// rounded on its own (no FMA). Each lane therefore computes the bits the
+/// scalar recursion computes for its row. `buf` holds two lane-major
+/// buffers ([`fft4_scratch_len`] elements): the rows de-interleaved in
+/// registers on the way in, and the recursion's output, re-interleaved
+/// into the rows on the way out.
+///
+/// Returns `false`, touching nothing, when the kernel does not run: no
+/// AVX2, `SOIFFT_FORCE_SCALAR=1`, or a tree with a radix outside
+/// {2, 3, 4, 5, 8}. The caller then runs its scalar path row by row.
+///
+/// # Panics
+/// Panics if `stride < n`, if `rows` is shorter than
+/// `(FFT_LANES − 1)·stride + n`, or if `buf` is shorter than
+/// [`fft4_scratch_len`]`(n)`.
+pub fn fft4_c64<L: DitLevel<f64>>(
+    levels: &[L],
+    rows: &mut [c64],
+    stride: usize,
+    n: usize,
+    buf: &mut [c64],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() && dit_tree_fits(levels, n) {
+        assert!(stride >= n, "rows overlap");
+        assert!(rows.len() >= (FFT_LANES - 1) * stride + n, "rows too short");
+        assert!(buf.len() >= fft4_scratch_len(n), "lane buffers too short");
+        // SAFETY: avx2+fma verified by `simd_active`; the recursion
+        // asserts at every level that the radix divides its length and
+        // the level holds exactly its `(r−1)·m` twiddles, so it touches
+        // row elements `< n` and buffer elements `< fft4_scratch_len(n)`,
+        // both asserted above.
+        unsafe { avx2::fft4_c64(levels, rows, stride, n, buf) };
+        return true;
+    }
+    let _ = (levels, rows, stride, n, buf);
+    false
+}
+
+/// Scratch elements [`fft4_c64`] needs for `n`-point rows: two lane-major
+/// buffers of [`FFT_LANES`] rows.
+pub fn fft4_scratch_len(n: usize) -> usize {
+    2 * FFT_LANES * n
+}
+
+/// True when `levels` is a factor tree for `n` the batched kernel runs:
+/// each level down to the first 1/2/4-point leaf has a radix in
+/// {2, 3, 4, 5, 8} that divides its length, and exactly `(r−1)·m`
+/// twiddles.
+fn dit_tree_fits<L: DitLevel<f64>>(levels: &[L], n: usize) -> bool {
+    let mut n = n;
+    let mut levels = levels.iter();
+    while !matches!(n, 1 | 2 | 4) {
+        let Some(level) = levels.next() else {
+            return false;
+        };
+        let r = level.radix();
+        if !matches!(r, 2 | 3 | 4 | 5 | 8)
+            || !n.is_multiple_of(r)
+            || level.twiddles().len() != (r - 1) * (n / r)
+        {
+            return false;
+        }
+        n /= r;
+    }
+    true
 }
 
 // ---------------------------------------------------------------------------
@@ -664,6 +759,370 @@ mod avx2 {
         }
         for j in n4..n {
             dst[j] = src[j].to_c64();
+        }
+    }
+
+    /// One transform element of [`FFT_LANES`] rows: lane `i` holds row
+    /// `i`'s real and imaginary part.
+    #[derive(Clone, Copy)]
+    struct V4 {
+        re: __m256d,
+        im: __m256d,
+    }
+
+    #[inline(always)]
+    unsafe fn add4(a: V4, b: V4) -> V4 {
+        V4 {
+            re: _mm256_add_pd(a.re, b.re),
+            im: _mm256_add_pd(a.im, b.im),
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn sub4(a: V4, b: V4) -> V4 {
+        V4 {
+            re: _mm256_sub_pd(a.re, b.re),
+            im: _mm256_sub_pd(a.im, b.im),
+        }
+    }
+
+    /// `-x`: a sign flip, exactly as scalar negation.
+    #[inline(always)]
+    unsafe fn neg(x: __m256d) -> __m256d {
+        _mm256_xor_pd(x, _mm256_set1_pd(-0.0))
+    }
+
+    /// `Complex::mul_neg_i`: `(re, im) → (im, −re)`.
+    #[inline(always)]
+    unsafe fn mul_neg_i4(a: V4) -> V4 {
+        V4 {
+            re: a.im,
+            im: neg(a.re),
+        }
+    }
+
+    /// The radix-4 DIT butterfly of `Plan`'s 4-point leaf and radix-4
+    /// combine, which the radix-8 combine runs on each half (forward
+    /// sign, `w_4 = −i`).
+    #[inline(always)]
+    unsafe fn bfly4(a: V4, b: V4, c: V4, d: V4) -> [V4; 4] {
+        let s0 = add4(a, c);
+        let s1 = sub4(a, c);
+        let s2 = add4(b, d);
+        let s3 = mul_neg_i4(sub4(b, d));
+        [add4(s0, s2), add4(s1, s3), sub4(s0, s2), sub4(s1, s3)]
+    }
+
+    /// `w · x` for one twiddle shared by all lanes, in the scalar
+    /// formula's order: `(w.re·x.re − w.im·x.im, w.re·x.im + w.im·x.re)`.
+    #[inline(always)]
+    unsafe fn cmul4(w: c64, x: V4) -> V4 {
+        let wr = _mm256_set1_pd(w.re);
+        let wi = _mm256_set1_pd(w.im);
+        V4 {
+            re: _mm256_sub_pd(_mm256_mul_pd(wr, x.re), _mm256_mul_pd(wi, x.im)),
+            im: _mm256_add_pd(_mm256_mul_pd(wr, x.im), _mm256_mul_pd(wi, x.re)),
+        }
+    }
+
+    /// `Complex::scale`: both parts times one real constant.
+    #[inline(always)]
+    unsafe fn scale4(a: V4, s: __m256d) -> V4 {
+        V4 {
+            re: _mm256_mul_pd(a.re, s),
+            im: _mm256_mul_pd(a.im, s),
+        }
+    }
+
+    /// Element `i` of a lane-major buffer (8 doubles per element).
+    #[inline(always)]
+    unsafe fn ld4(p: *const f64, i: usize) -> V4 {
+        V4 {
+            re: _mm256_loadu_pd(p.add(8 * i)),
+            im: _mm256_loadu_pd(p.add(8 * i + 4)),
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn st4(p: *mut f64, i: usize, v: V4) {
+        _mm256_storeu_pd(p.add(8 * i), v.re);
+        _mm256_storeu_pd(p.add(8 * i + 4), v.im);
+    }
+
+    /// Element `e` of the four interleaved rows at `src`, `rs` doubles
+    /// apart, de-interleaved into lanes in registers.
+    #[inline(always)]
+    unsafe fn ld_rows(src: *const f64, rs: usize, e: usize) -> V4 {
+        let p = src.add(2 * e);
+        let x0 = _mm_loadu_pd(p);
+        let x1 = _mm_loadu_pd(p.add(rs));
+        let x2 = _mm_loadu_pd(p.add(2 * rs));
+        let x3 = _mm_loadu_pd(p.add(3 * rs));
+        // [r0, i0, r2, i2] and [r1, i1, r3, i3].
+        let lo = _mm256_insertf128_pd(_mm256_castpd128_pd256(x0), x2, 1);
+        let hi = _mm256_insertf128_pd(_mm256_castpd128_pd256(x1), x3, 1);
+        V4 {
+            re: _mm256_unpacklo_pd(lo, hi),
+            im: _mm256_unpackhi_pd(lo, hi),
+        }
+    }
+
+    /// # Safety
+    /// Requires avx2+fma, `stride >= n`, and `rows` / `buf` at least as
+    /// long as the dispatcher asserts.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn fft4_c64<L: DitLevel<f64>>(
+        levels: &[L],
+        rows: &mut [c64],
+        stride: usize,
+        n: usize,
+        buf: &mut [c64],
+    ) {
+        let rp = rows.as_mut_ptr() as *mut f64;
+        let ap = buf.as_mut_ptr() as *mut f64;
+        let bp = ap.add(8 * n);
+        let rs = 2 * stride;
+        // De-interleave the rows into lane-major `a` two elements at a
+        // time. The leaves then read one 64-byte element where they would
+        // read four rows: at a power-of-two stride those four would share
+        // one L1 set with every other element of the leaf.
+        let n2 = n / 2 * 2;
+        let mut e = 0;
+        while e < n2 {
+            let p = rp.add(2 * e);
+            let r0 = _mm256_loadu_pd(p);
+            let r1 = _mm256_loadu_pd(p.add(rs));
+            let r2 = _mm256_loadu_pd(p.add(2 * rs));
+            let r3 = _mm256_loadu_pd(p.add(3 * rs));
+            let re01 = _mm256_unpacklo_pd(r0, r1);
+            let im01 = _mm256_unpackhi_pd(r0, r1);
+            let re23 = _mm256_unpacklo_pd(r2, r3);
+            let im23 = _mm256_unpackhi_pd(r2, r3);
+            let first = V4 {
+                re: _mm256_permute2f128_pd(re01, re23, 0x20),
+                im: _mm256_permute2f128_pd(im01, im23, 0x20),
+            };
+            let second = V4 {
+                re: _mm256_permute2f128_pd(re01, re23, 0x31),
+                im: _mm256_permute2f128_pd(im01, im23, 0x31),
+            };
+            st4(ap, e, first);
+            st4(ap, e + 1, second);
+            e += 2;
+        }
+        if n2 < n {
+            st4(ap, n2, ld_rows(rp, rs, n2));
+        }
+        dit4(ap, 0, 1, bp, n, levels);
+        // Re-interleave two elements at a time: lanes 0/2 and 1/3 pair up
+        // in 128-bit halves, which one cross-half permute sends to rows.
+        let mut e = 0;
+        while e < n2 {
+            let a = ld4(bp, e);
+            let b = ld4(bp, e + 1);
+            let a02 = _mm256_unpacklo_pd(a.re, a.im);
+            let a13 = _mm256_unpackhi_pd(a.re, a.im);
+            let b02 = _mm256_unpacklo_pd(b.re, b.im);
+            let b13 = _mm256_unpackhi_pd(b.re, b.im);
+            let p = rp.add(2 * e);
+            _mm256_storeu_pd(p, _mm256_permute2f128_pd(a02, b02, 0x20));
+            _mm256_storeu_pd(p.add(rs), _mm256_permute2f128_pd(a13, b13, 0x20));
+            _mm256_storeu_pd(p.add(2 * rs), _mm256_permute2f128_pd(a02, b02, 0x31));
+            _mm256_storeu_pd(p.add(3 * rs), _mm256_permute2f128_pd(a13, b13, 0x31));
+            e += 2;
+        }
+        if n2 < n {
+            let a = ld4(bp, n2);
+            let a02 = _mm256_unpacklo_pd(a.re, a.im);
+            let a13 = _mm256_unpackhi_pd(a.re, a.im);
+            let p = rp.add(2 * n2);
+            _mm_storeu_pd(p, _mm256_castpd256_pd128(a02));
+            _mm_storeu_pd(p.add(rs), _mm256_castpd256_pd128(a13));
+            _mm_storeu_pd(p.add(2 * rs), _mm256_extractf128_pd(a02, 1));
+            _mm_storeu_pd(p.add(3 * rs), _mm256_extractf128_pd(a13, 1));
+        }
+    }
+
+    /// `soifft_fft::Plan`'s recursive decimation-in-time step on four
+    /// rows: the `n`-point DFT of lane-major `src[off + i·stride]` into
+    /// lane-major `dst[0..n]`.
+    ///
+    /// # Safety
+    /// Requires avx2+fma; the elements `src[off + i·stride]` for `i < n`
+    /// and `dst[0..n]` are in bounds. The factor tree is checked level by
+    /// level on the way down (a misfit panics).
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn dit4<L: DitLevel<f64>>(
+        src: *const f64,
+        off: usize,
+        stride: usize,
+        dst: *mut f64,
+        n: usize,
+        levels: &[L],
+    ) {
+        match n {
+            1 => st4(dst, 0, ld4(src, off)),
+            2 => {
+                let a = ld4(src, off);
+                let b = ld4(src, off + stride);
+                st4(dst, 0, add4(a, b));
+                st4(dst, 1, sub4(a, b));
+            }
+            4 => {
+                let x = bfly4(
+                    ld4(src, off),
+                    ld4(src, off + stride),
+                    ld4(src, off + 2 * stride),
+                    ld4(src, off + 3 * stride),
+                );
+                for (i, v) in x.into_iter().enumerate() {
+                    st4(dst, i, v);
+                }
+            }
+            _ => {
+                let (level, below) = levels.split_first().expect("a level per non-leaf");
+                // Re-checked here, not only in `dit_tree_fits`: every
+                // index below rests on `r·m == n` and the table length,
+                // and a `DitLevel` is free to answer differently twice.
+                let (r, tw) = (level.radix(), level.twiddles());
+                let m = n / r.max(1);
+                assert!(
+                    matches!(r, 2 | 3 | 4 | 5 | 8) && r * m == n && tw.len() == (r - 1) * m,
+                    "factor tree does not fit its length"
+                );
+                for j in 0..r {
+                    dit4(
+                        src,
+                        off + j * stride,
+                        stride * r,
+                        dst.add(8 * j * m),
+                        m,
+                        below,
+                    );
+                }
+                match r {
+                    2 => combine2(dst, m, tw),
+                    3 => combine3(dst, m, tw),
+                    4 => combine4(dst, m, tw),
+                    5 => combine5(dst, m, tw),
+                    _ => combine8(dst, m, tw),
+                }
+            }
+        }
+    }
+
+    // The combines mirror `plan.rs`'s `combine_radix*` expression for
+    // expression, with the same constants.
+
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn combine2(dst: *mut f64, m: usize, tw: &[c64]) {
+        for (k, &w) in tw.iter().enumerate() {
+            let t = cmul4(w, ld4(dst, m + k));
+            let a = ld4(dst, k);
+            st4(dst, k, add4(a, t));
+            st4(dst, m + k, sub4(a, t));
+        }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn combine3(dst: *mut f64, m: usize, tw: &[c64]) {
+        let c_3 = _mm256_set1_pd(-0.5);
+        let s_3 = _mm256_set1_pd(-0.866_025_403_784_438_6);
+        for (k, w) in tw.chunks_exact(2).enumerate() {
+            let a = ld4(dst, k);
+            let b = cmul4(w[0], ld4(dst, m + k));
+            let c = cmul4(w[1], ld4(dst, 2 * m + k));
+            let sum = add4(b, c);
+            let diff = sub4(b, c);
+            let re_part = add4(a, scale4(sum, c_3));
+            let im_part = V4 {
+                re: _mm256_mul_pd(neg(diff.im), s_3),
+                im: _mm256_mul_pd(diff.re, s_3),
+            };
+            st4(dst, k, add4(a, sum));
+            st4(dst, m + k, add4(re_part, im_part));
+            st4(dst, 2 * m + k, sub4(re_part, im_part));
+        }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn combine4(dst: *mut f64, m: usize, tw: &[c64]) {
+        for (k, w) in tw.chunks_exact(3).enumerate() {
+            let x = bfly4(
+                ld4(dst, k),
+                cmul4(w[0], ld4(dst, m + k)),
+                cmul4(w[1], ld4(dst, 2 * m + k)),
+                cmul4(w[2], ld4(dst, 3 * m + k)),
+            );
+            for (q, v) in x.into_iter().enumerate() {
+                st4(dst, q * m + k, v);
+            }
+        }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn combine5(dst: *mut f64, m: usize, tw: &[c64]) {
+        let c1 = _mm256_set1_pd(0.309_016_994_374_947_45);
+        let s1 = _mm256_set1_pd(-0.951_056_516_295_153_5);
+        let c2 = _mm256_set1_pd(-0.809_016_994_374_947_4);
+        let s2 = _mm256_set1_pd(-0.587_785_252_292_473_1);
+        for (k, w) in tw.chunks_exact(4).enumerate() {
+            let a0 = ld4(dst, k);
+            let a1 = cmul4(w[0], ld4(dst, m + k));
+            let a2 = cmul4(w[1], ld4(dst, 2 * m + k));
+            let a3 = cmul4(w[2], ld4(dst, 3 * m + k));
+            let a4 = cmul4(w[3], ld4(dst, 4 * m + k));
+            let t1 = add4(a1, a4);
+            let t2 = add4(a2, a3);
+            let t3 = sub4(a1, a4);
+            let t4 = sub4(a2, a3);
+            st4(dst, k, add4(add4(a0, t1), t2));
+            let r1 = add4(add4(a0, scale4(t1, c1)), scale4(t2, c2));
+            let i1 = V4 {
+                re: neg(_mm256_add_pd(
+                    _mm256_mul_pd(t3.im, s1),
+                    _mm256_mul_pd(t4.im, s2),
+                )),
+                im: _mm256_add_pd(_mm256_mul_pd(t3.re, s1), _mm256_mul_pd(t4.re, s2)),
+            };
+            let r2 = add4(add4(a0, scale4(t1, c2)), scale4(t2, c1));
+            let i2 = V4 {
+                re: neg(_mm256_sub_pd(
+                    _mm256_mul_pd(t3.im, s2),
+                    _mm256_mul_pd(t4.im, s1),
+                )),
+                im: _mm256_sub_pd(_mm256_mul_pd(t3.re, s2), _mm256_mul_pd(t4.re, s1)),
+            };
+            st4(dst, m + k, add4(r1, i1));
+            st4(dst, 4 * m + k, sub4(r1, i1));
+            st4(dst, 2 * m + k, add4(r2, i2));
+            st4(dst, 3 * m + k, sub4(r2, i2));
+        }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn combine8(dst: *mut f64, m: usize, tw: &[c64]) {
+        let h = _mm256_set1_pd(std::f64::consts::FRAC_1_SQRT_2);
+        for (k, w) in tw.chunks_exact(7).enumerate() {
+            let mut a = [ld4(dst, k); 8];
+            for (j, slot) in a.iter_mut().enumerate().skip(1) {
+                *slot = cmul4(w[j - 1], ld4(dst, j * m + k));
+            }
+            let x = bfly4(a[0], a[2], a[4], a[6]);
+            let [y0, y1, y2, y3] = bfly4(a[1], a[3], a[5], a[7]);
+            let r1 = V4 {
+                re: _mm256_mul_pd(_mm256_add_pd(y1.re, y1.im), h),
+                im: _mm256_mul_pd(_mm256_sub_pd(y1.im, y1.re), h),
+            };
+            let r2 = mul_neg_i4(y2);
+            let r3 = V4 {
+                re: _mm256_mul_pd(_mm256_sub_pd(y3.im, y3.re), h),
+                im: _mm256_mul_pd(neg(_mm256_add_pd(y3.re, y3.im)), h),
+            };
+            for (q, r) in [y0, r1, r2, r3].into_iter().enumerate() {
+                st4(dst, q * m + k, add4(x[q], r));
+                st4(dst, (q + 4) * m + k, sub4(x[q], r));
+            }
         }
     }
 

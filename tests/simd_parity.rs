@@ -259,3 +259,162 @@ fn generic_entry_points_route_through_dispatchers() {
     simd::transpose_tile_c32(&src, ss, &mut b, ds, rows, cols);
     assert_eq!(bits32(&a), bits32(&b));
 }
+
+/// `Plan::forward_batch_with` over `count` rows at `stride` against
+/// `Plan::forward_with_scratch` row by row: every row bit-identical, and
+/// the padding between rows untouched.
+fn batch_matches_per_row(n: usize, count: usize, stride: usize, seed: u64) {
+    use soifft::fft::Plan;
+    let plan = Plan::<f64>::new(n);
+    let len = if count == 0 {
+        0
+    } else {
+        (count - 1) * stride + n
+    };
+    let x = vec_c64(len, seed);
+    let mut got = x.clone();
+    let mut scratch = plan.make_batch_scratch();
+    let mut seen = Vec::new();
+    plan.forward_batch_with(&mut got, stride, count, &mut scratch, |i, row| {
+        assert_eq!(row.len(), n);
+        seen.push(i);
+    });
+    assert_eq!(
+        seen,
+        (0..count).collect::<Vec<_>>(),
+        "n={n}: rows handed out"
+    );
+    let mut want = x.clone();
+    let mut s = plan.make_scratch();
+    for i in 0..count {
+        plan.forward_with_scratch(&mut want[i * stride..i * stride + n], &mut s);
+    }
+    assert_eq!(
+        bits64(&got),
+        bits64(&want),
+        "n={n} count={count} stride={stride}"
+    );
+}
+
+/// The batched entry equals per-row `Plan` bitwise on every length the
+/// pipelines run (`M'` carries µ's numerator 5, `F_L` and the 6-step
+/// columns take radix 3 and 5), for every ragged tail of 0–9 rows, on
+/// contiguous rows and on `loop_a`'s padded column stride.
+#[test]
+fn batched_rows_match_per_row_plan_bitwise() {
+    for n in [1, 2, 4, 8, 12, 16, 20, 40, 48, 320, 512, 1024, 1280, 2048] {
+        let padded = soifft::num::factor::padded_stride(n, 4);
+        for count in 0..=9 {
+            batch_matches_per_row(n, count, n, n as u64 ^ count as u64);
+            batch_matches_per_row(n, count, padded.max(n + 3), 7 * n as u64 + count as u64);
+        }
+    }
+}
+
+/// Plans the batched kernel has no combine for run row by row through the
+/// same entry: Bluestein (a prime past `MAX_RADIX`), a generic radix-7
+/// stage, and single precision.
+#[test]
+fn unbatched_plans_take_the_per_row_path() {
+    use soifft::fft::Plan;
+    assert!(Plan::<f64>::new(37).is_bluestein());
+    for n in [37, 7 * 16] {
+        for count in [3, 4, 9] {
+            batch_matches_per_row(n, count, n + 1, 31 + n as u64);
+        }
+    }
+    let plan = Plan::<f32>::new(64);
+    let x = vec_c32(5 * 64, 3);
+    let mut got = x.clone();
+    let mut scratch = plan.make_batch_scratch();
+    plan.forward_batch_with(&mut got, 64, 5, &mut scratch, |_, _| {});
+    let mut want = x;
+    let mut s = plan.make_scratch();
+    for row in want.chunks_exact_mut(64) {
+        plan.forward_with_scratch(row, &mut s);
+    }
+    assert_eq!(bits32(&got), bits32(&want));
+}
+
+/// One level of a hand-built factor tree, laid out as `Plan` lays its own.
+struct Level {
+    radix: usize,
+    tw: Vec<c64>,
+}
+
+impl simd::DitLevel<f64> for Level {
+    fn radix(&self) -> usize {
+        self.radix
+    }
+    fn twiddles(&self) -> &[c64] {
+        &self.tw
+    }
+}
+
+/// `Plan`'s level tables for `factors` at root length `big_n`.
+fn tree(big_n: usize, factors: &[usize]) -> Vec<Level> {
+    let mut n = big_n;
+    let mut levels = Vec::new();
+    for &r in factors {
+        if matches!(n, 1 | 2 | 4) {
+            break;
+        }
+        let m = n / r;
+        let ts = big_n / n;
+        let tw = (0..m)
+            .flat_map(|k| (1..r).map(move |j| c64::root_of_unity(big_n, (j * k * ts) as i64)))
+            .collect();
+        levels.push(Level { radix: r, tw });
+        n = m;
+    }
+    levels
+}
+
+/// The kernel itself engages wherever the dispatcher says SIMD is active
+/// (so the parity above is not vacuous on an AVX2 host), refuses a tree
+/// with a radix it has no combine for, and lands on `Plan`'s bits.
+#[test]
+fn batched_kernel_runs_exactly_where_simd_is_active() {
+    use soifft::fft::Plan;
+    let n = 1280;
+    let levels = tree(n, &[8, 8, 4, 5]);
+    let stride = n + 2;
+    let x = vec_c64(3 * stride + n, 5);
+    let mut got = x.clone();
+    let mut buf = vec![c64::ZERO; simd::fft4_scratch_len(n)];
+    let ran = simd::fft4_c64(&levels, &mut got, stride, n, &mut buf);
+    assert_eq!(ran, simd::simd_active());
+    if ran {
+        let plan = Plan::<f64>::new(n);
+        let mut want = x.clone();
+        for i in 0..simd::FFT_LANES {
+            plan.forward(&mut want[i * stride..i * stride + n]);
+        }
+        assert_eq!(bits64(&got), bits64(&want));
+    }
+    let seven = tree(56, &[8, 7]);
+    let mut rows = vec_c64(4 * 56, 9);
+    let before = rows.clone();
+    assert!(!simd::fft4_c64(&seven, &mut rows, 56, 56, &mut buf));
+    assert_eq!(bits64(&rows), bits64(&before));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Smooth lengths `2^a·3^b·5^c`, any row count and padding: batched
+    /// == per-row `Plan`, bitwise.
+    #[test]
+    fn batched_rows_match_per_row_plan_on_smooth_lengths(
+        a in 0u32..11,
+        b in 0u32..3,
+        c in 0u32..3,
+        count in 0usize..10,
+        pad in 0usize..5,
+        seed in proptest::prelude::any::<u64>(),
+    ) {
+        let n = 2usize.pow(a) * 3usize.pow(b) * 5usize.pow(c);
+        prop_assume!(n <= 4096);
+        batch_matches_per_row(n, count, n + pad, seed);
+    }
+}
