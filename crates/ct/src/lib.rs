@@ -21,9 +21,9 @@
 //! through the guard and checkpoint hooks SOI uses ([`soifft_cluster::abft`]).
 //! Each transpose packs with a contiguous copy (every local row's slice
 //! of a peer's columns, in row order) and the receiver does the actual
-//! transposition, one page-blocked [`transpose_strided`] sweep per arrived
-//! part straight into place; both reshuffles are `pack` spans in the
-//! ledger.
+//! transposition, one staged [`transpose_strided`] sweep per arrived part
+//! straight into place, through the workspace's stage; both reshuffles
+//! are `pack` spans in the ledger.
 //!
 //! Constraints: `P | n1` and `P | n2`. Input and output are block
 //! distributed in natural order (rank `r` holds elements
@@ -42,7 +42,7 @@ use soifft_fft::twiddle::DynamicBlock;
 use soifft_fft::Plan;
 use soifft_num::c64;
 use soifft_num::factor::balanced_split;
-use soifft_num::transpose::transpose_strided;
+use soifft_num::transpose::{stage_len, transpose_strided};
 
 /// A planned distributed Cooley–Tukey transform.
 #[derive(Debug)]
@@ -77,6 +77,8 @@ pub struct CtWorkspace {
     s1: Vec<c64>,
     /// `n2`-point batch scratch.
     s2: Vec<c64>,
+    /// Stage of the receive-side transposes, sized for both part shapes.
+    stage: Vec<c64>,
 }
 
 /// Planning errors.
@@ -192,6 +194,7 @@ impl DistributedCtFft {
     /// A workspace sized for this plan, for [`DistributedCtFft::forward_into`].
     pub fn make_workspace(&self) -> CtWorkspace {
         let per = self.n / self.procs;
+        let (r1, r2) = (self.n1 / self.procs, self.n2 / self.procs);
         CtWorkspace {
             outgoing: vec![Vec::new(); self.procs],
             incoming: Vec::with_capacity(self.procs),
@@ -199,6 +202,7 @@ impl DistributedCtFft {
             rows: vec![c64::ZERO; per],
             s1: self.plan1.make_batch_scratch(),
             s2: self.plan2.make_batch_scratch(),
+            stage: vec![c64::ZERO; stage_len(r1, r2).max(stage_len(r2, r1))],
         }
     }
 
@@ -344,7 +348,7 @@ impl DistributedCtFft {
             // n1×n2 → n2×n1: this rank's rows b ∈ [r·n2/P, ...).
             let fresh_t1 = !run.committed(TRANSPOSE_1);
             if fresh_t1 {
-                let slots = (&mut ws.outgoing, &mut ws.incoming);
+                let slots = (&mut ws.outgoing, &mut ws.incoming, &mut ws.stage[..]);
                 transpose(comm, run.policy, x, (n1, n2), slots, &mut ws.cols)?;
                 abft::save(comm, run.ckpt, v, TRANSPOSE_1, &ws.cols)?;
             }
@@ -359,7 +363,7 @@ impl DistributedCtFft {
                 abft::save(comm, run.ckpt, v, FFT_1, &ws.cols)?;
             }
             // n2×n1 → n1×n2: rows c ∈ [r·n1/P, ...).
-            let slots = (&mut ws.outgoing, &mut ws.incoming);
+            let slots = (&mut ws.outgoing, &mut ws.incoming, &mut ws.stage[..]);
             transpose(comm, run.policy, &ws.cols, (n2, n1), slots, &mut ws.rows)?;
             abft::save(comm, run.ckpt, v, TRANSPOSE_2, &ws.rows)?;
         }
@@ -377,7 +381,7 @@ impl DistributedCtFft {
         }
         // n1×n2 → n2×n1: output rows are d-major, i.e. natural order
         // y[d·n1 + c].
-        let slots = (&mut ws.outgoing, &mut ws.incoming);
+        let slots = (&mut ws.outgoing, &mut ws.incoming, &mut ws.stage[..]);
         transpose(comm, run.policy, &ws.rows, (n1, n2), slots, y)
     }
 
@@ -422,7 +426,9 @@ impl DistributedCtFft {
 /// Requires `P | rows` and `P | cols`.
 pub fn distributed_transpose(comm: &mut Comm, local: &[c64], rows: usize, cols: usize) -> Vec<c64> {
     let mut out = vec![c64::ZERO; local.len()];
-    let slots = (&mut vec![Vec::new(); comm.size()], &mut Vec::new());
+    let p = comm.size();
+    let mut stage = vec![c64::ZERO; stage_len(rows / p, cols / p)];
+    let slots = (&mut vec![Vec::new(); p], &mut Vec::new(), &mut stage[..]);
     transpose(comm, None, local, (rows, cols), slots, &mut out).unwrap_or_else(|e| panic!("{e}"));
     out
 }
@@ -431,8 +437,8 @@ pub fn distributed_transpose(comm: &mut Comm, local: &[c64], rows: usize, cols: 
 /// `[q·out_rows, (q+1)·out_rows)` as a contiguous copy of each local row's
 /// column range into a pooled slot; exchanges (round-retrying under a
 /// `policy`); transposes each arrived part straight into `out` at column
-/// offset `q·my_rows`; and recycles what arrived, so iterated transposes
-/// never allocate. Both reshuffles are `pack` spans.
+/// offset `q·my_rows` through `stage`; and recycles what arrived, so
+/// iterated transposes never allocate. Both reshuffles are `pack` spans.
 ///
 /// A part is therefore the sender's `my_rows × out_rows` block in the
 /// sender's row-major order (the receiver transposes); message count,
@@ -442,7 +448,7 @@ fn transpose(
     policy: Option<&ExchangePolicy>,
     local: &[c64],
     (rows, cols): (usize, usize),
-    (outgoing, incoming): (&mut Vec<Vec<c64>>, &mut Vec<Vec<c64>>),
+    (outgoing, incoming, stage): (&mut Vec<Vec<c64>>, &mut Vec<Vec<c64>>, &mut [c64]),
     out: &mut [c64],
 ) -> Result<(), CommError> {
     let p = comm.size();
@@ -480,7 +486,7 @@ fn transpose(
     comm.stats_mut().span_open("pack");
     for (q, part) in incoming.iter().enumerate() {
         let dst = &mut out[q * my_rows..];
-        transpose_strided(part, out_rows, dst, rows, my_rows, out_rows);
+        transpose_strided(part, out_rows, dst, rows, (my_rows, out_rows), None, stage);
     }
     comm.stats_mut().span_close("pack");
     for buf in incoming.drain(..) {

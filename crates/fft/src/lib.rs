@@ -18,7 +18,7 @@
 //! * **Large 1D transforms** ([`SixStepFft`]): Bailey's 6-step algorithm
 //!   for the `F_{M'}` stage, in the paper's two forms — the naive 13-memory-
 //!   sweep variant of Fig 4(a) and the fused 4-sweep variant of Fig 4(b) —
-//!   plus the architecture-aware rungs of the Fig 10 ladder (page-blocked
+//!   plus the architecture-aware rungs of the Fig 10 ladder (~1 MiB
 //!   column groups and row bands, dynamic-block twiddle tables, fine-grain
 //!   parallelization) and the fused-demodulation hook of §5.2.4.
 //!

@@ -17,7 +17,7 @@
 //! | rung | paper | here |
 //! |---|---|---|
 //! | 1 | `6-step-naïve` (13 sweeps) | [`SixStepVariant::Naive`] |
-//! | 2 | `6-step-opt` (fused, 4 sweeps) | [`SixStepVariant::Fused`]: column groups and row bands of about 1 MiB, each moved by one page-blocked transpose |
+//! | 2 | `6-step-opt` (fused, 4 sweeps) | [`SixStepVariant::Fused`]: column groups and row bands of about 1 MiB, each moved by one staged transpose |
 //! | 3 | `latency-hiding` (prefetch + SMT pipelining) | [`SixStepVariant::FusedDynamic`]: the same groups and bands with dynamic-block twiddle tables (`O(√N)` working set) — the portable subset of the same bandwidth/locality mechanisms |
 //! | 4 | `fine-grain` parallelization | [`SixStepVariant::FusedParallel`] |
 //!
@@ -27,13 +27,14 @@
 //!
 //! §5.2.4's "Saving Bandwidth by Fusing Demodulation and FFT" is
 //! [`SixStepFft::forward_scaled`]: a caller-supplied diagonal is applied
-//! during the final write-back pass instead of as a separate sweep — the
-//! SOI pipeline passes its demodulation window `W⁻¹` here.
+//! inside the final write-back transpose, to each run just written,
+//! instead of as a separate sweep — the SOI pipeline passes its
+//! demodulation window `W⁻¹` here.
 
 use soifft_num::c64;
 use soifft_num::factor::balanced_split;
 use soifft_num::simd::FFT_LANES;
-use soifft_num::transpose::{transpose, transpose_strided, TILE};
+use soifft_num::transpose::{stage_len, transpose_strided, TILE};
 use soifft_par::Pool;
 
 use crate::batch::forward_rows_with;
@@ -58,8 +59,8 @@ pub enum SixStepVariant {
     /// Fig 4(a): explicit transposes and a separate twiddle pass —
     /// 13 memory sweeps, full-size twiddle table.
     Naive,
-    /// Fig 4(b): loops fused through a contiguous buffer of page-blocked
-    /// column groups, row bands written back by one transpose each —
+    /// Fig 4(b): loops fused through a contiguous buffer of column
+    /// groups, row bands written back by one transpose each —
     /// 4 memory sweeps, still a full-size twiddle table. Only Fig 10's
     /// `6-step-opt` rung and tests run it; SOI's `F_{M'}` runs
     /// `FusedDynamic`.
@@ -155,9 +156,9 @@ struct WorkerScratch {
 }
 
 /// Reusable scratch for one [`SixStepFft`] plan: the column-group buffer,
-/// the component-plan scratch, and (for the parallel variant) one scratch
-/// slot per pool worker. Build it once with [`SixStepFft::make_scratch`]
-/// and pass it to [`SixStepFft::forward_with`] /
+/// the component-plan scratch, the transpose stage, and (for the parallel
+/// variant) one scratch slot per pool worker. Build it once with
+/// [`SixStepFft::make_scratch`] and pass it to [`SixStepFft::forward_with`] /
 /// [`SixStepFft::forward_scaled_with`] — repeated transforms then run with
 /// no heap allocation at all, which is what the steady-state SOI pipeline
 /// needs (the twiddle pass is bandwidth-bound, so allocator traffic is
@@ -167,6 +168,7 @@ pub struct SixStepScratch {
     buf: Vec<c64>,
     s1: Vec<c64>,
     s2: Vec<c64>,
+    stage: Vec<c64>,
     workers: Vec<WorkerScratch>,
 }
 
@@ -253,7 +255,25 @@ impl SixStepFft {
             buf,
             s1: self.plan1.make_batch_scratch(),
             s2: self.plan2.make_batch_scratch(),
+            stage: vec![c64::ZERO; self.stage_len()],
             workers,
+        }
+    }
+
+    /// Stage elements this variant's transposes need: the largest
+    /// [`stage_len`] over the blocks they move (none for the parallel
+    /// variant, which gathers element by element).
+    fn stage_len(&self) -> usize {
+        let (n1, n2) = (self.n1, self.n2);
+        match self.variant {
+            SixStepVariant::Naive => stage_len(n1, n2).max(stage_len(n2, n1)),
+            SixStepVariant::Fused | SixStepVariant::FusedDynamic => {
+                let g = self.column_group().min(n2);
+                let band = group_of(n2).min(n1);
+                let gather = stage_len(n1, g).max(stage_len(g, n1));
+                gather.max(stage_len(band, n2))
+            }
+            SixStepVariant::FusedParallel => 0,
         }
     }
 
@@ -314,6 +334,10 @@ impl SixStepFft {
     ) {
         assert_eq!(data.len(), self.n, "data length != n");
         assert_eq!(aux.len(), self.n, "aux length != n");
+        let need = self.stage_len();
+        if scratch.stage.len() < need {
+            scratch.stage.resize(need, c64::ZERO);
+        }
         match self.variant {
             SixStepVariant::Naive => self.forward_naive(data, aux, scale, scratch),
             SixStepVariant::Fused | SixStepVariant::FusedDynamic => {
@@ -332,8 +356,9 @@ impl SixStepFft {
         scratch: &mut SixStepScratch,
     ) {
         let (n1, n2) = (self.n1, self.n2);
+        let stage = &mut scratch.stage;
         // Step 1: transpose n1×n2 → n2×n1 (aux[b][a]).
-        transpose(data, aux, n1, n2);
+        transpose_strided(data, n2, aux, n1, (n1, n2), None, stage);
         // Step 2: n2 rows of n1-point FFTs.
         forward_rows_with(&self.plan1, aux, &mut scratch.s1);
         // Step 3: twiddle B[b][c] *= W_N^{bc} (a separate full sweep).
@@ -341,16 +366,12 @@ impl SixStepFft {
             self.tw.scale_row(row, b, self.n);
         }
         // Step 4: transpose back n2×n1 → n1×n2 (data[c][b]).
-        transpose(aux, data, n2, n1);
+        transpose_strided(aux, n1, data, n2, (n2, n1), None, stage);
         // Step 5: n1 rows of n2-point FFTs.
         forward_rows_with(&self.plan2, data, &mut scratch.s2);
-        // Step 6: transpose n1×n2 → n2×n1; output natural order is d-major.
-        transpose(data, aux, n1, n2);
-        if let Some(s) = scale {
-            for (v, &m) in aux.iter_mut().zip(s) {
-                *v *= m;
-            }
-        }
+        // Step 6: transpose n1×n2 → n2×n1 with the scale; output natural
+        // order is d-major.
+        transpose_strided(data, n2, aux, n1, (n1, n2), scale, stage);
         data.copy_from_slice(aux);
     }
 
@@ -368,10 +389,13 @@ impl SixStepFft {
         // gathered columns do not alias the same cache sets (§5.2.3).
         let cs = soifft_num::factor::padded_stride(n1, 4);
         let group = self.column_group();
-        if scratch.buf.len() < group * cs {
-            scratch.buf.resize(group * cs, c64::ZERO);
+        let SixStepScratch {
+            buf, s1, s2, stage, ..
+        } = scratch;
+        if buf.len() < group * cs {
+            buf.resize(group * cs, c64::ZERO);
         }
-        let buf = &mut scratch.buf[..group * cs];
+        let buf = &mut buf[..group * cs];
 
         // loop_a over column groups: gather → FFT → twiddle → permuted
         // write-back, all while the group lives in the contiguous buffer.
@@ -382,42 +406,29 @@ impl SixStepFft {
         while b0 < n2 {
             let g = group.min(n2 - b0);
             // Gather columns b0..b0+g: buf[gg·cs + a] = data[a·n2 + b0+gg].
-            transpose_strided(&data[b0..], n2, buf, cs, n1, g);
+            transpose_strided(&data[b0..], n2, buf, cs, (n1, g), None, stage);
             // FFT the gathered columns four at a time, then twiddle each
             // in-cache (steps 2+3 fused).
-            self.plan1
-                .forward_batch_with(buf, cs, g, &mut scratch.s1, |gg, col| {
-                    self.tw.scale_row(col, b0 + gg, self.n)
-                });
+            self.plan1.forward_batch_with(buf, cs, g, s1, |gg, col| {
+                self.tw.scale_row(col, b0 + gg, self.n)
+            });
             // Permuted write-back into the c-major intermediate:
             // aux[c·n2 + b0+gg] = buf[gg·cs + c].
-            transpose_strided(buf, cs, &mut aux[b0..], n2, g, n1);
+            transpose_strided(buf, cs, &mut aux[b0..], n2, (g, n1), None, stage);
             b0 += g;
         }
 
         // loop_b over row bands of the same budget: FFT the band's rows in
-        // place, write the band into natural (d-major) order with one
-        // transpose, then apply the fused demodulation to the band at its
-        // destination.
+        // place, then write the band into natural (d-major) order with one
+        // transpose that applies the fused demodulation as it writes.
         let band = group_of(n2);
         let mut c0 = 0;
         while c0 < n1 {
             let rows = band.min(n1 - c0);
-            forward_rows_with(
-                &self.plan2,
-                &mut aux[c0 * n2..(c0 + rows) * n2],
-                &mut scratch.s2,
-            );
+            forward_rows_with(&self.plan2, &mut aux[c0 * n2..(c0 + rows) * n2], s2);
             // data[d·n1 + c] = aux[c·n2 + d] (· scale[d·n1 + c]).
-            transpose_strided(&aux[c0 * n2..], n2, &mut data[c0..], n1, rows, n2);
-            if let Some(s) = scale {
-                for d in 0..n2 {
-                    let at = d * n1 + c0;
-                    for (v, &m) in data[at..at + rows].iter_mut().zip(&s[at..at + rows]) {
-                        *v *= m;
-                    }
-                }
-            }
+            let (src, band_scale) = (&aux[c0 * n2..], scale.map(|s| &s[c0..]));
+            transpose_strided(src, n2, &mut data[c0..], n1, (rows, n2), band_scale, stage);
             c0 += rows;
         }
     }
@@ -682,6 +693,20 @@ mod tests {
                         <= GROUP_BYTES + TILE * cs * std::mem::size_of::<c64>(),
                     "{n1}x{n2} {variant:?}: {buf} elements exceed the budget"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn stage_is_sized_by_the_plan_shapes() {
+        // The serve engine's segment FFT (M' = 320 at N = 4096, P = 2,
+        // eight segments per rank) holds a stage no larger than itself;
+        // `soi_large`'s (M' = 5·2^15) one stage block at most.
+        use soifft_num::transpose::{STAGE_COLS, STAGE_ROWS};
+        for (n, cap) in [(320, 320), (5 << 15, STAGE_ROWS * STAGE_COLS)] {
+            for variant in SixStepVariant::LADDER {
+                let stage = SixStepFft::new(n, variant).make_scratch().stage.len();
+                assert!(stage <= cap, "n={n} {variant:?}: stage of {stage}");
             }
         }
     }

@@ -100,6 +100,11 @@ pub trait Real:
         cols: usize,
     );
 
+    /// Kernel hook: `data[i] *= scale[i]` (see
+    /// [`simd::mul_pointwise_c64`]).
+    #[doc(hidden)]
+    fn kmul_pointwise(data: &mut [Complex<Self>], scale: &[Complex<Self>]);
+
     /// Kernel hook: the batched FFT of [`simd::FFT_LANES`] rows (see
     /// [`simd::fft4_c64`]). Returns `false` where no batched kernel
     /// exists for this type or tree; the caller then runs its rows one
@@ -173,6 +178,11 @@ impl Real for f64 {
     }
 
     #[inline]
+    fn kmul_pointwise(data: &mut [Complex<f64>], scale: &[Complex<f64>]) {
+        simd::mul_pointwise_c64(data, scale);
+    }
+
+    #[inline]
     fn kfft4<L: DitLevel<f64>>(
         levels: &[L],
         rows: &mut [Complex<f64>],
@@ -240,6 +250,11 @@ impl Real for f32 {
         cols: usize,
     ) {
         crate::simd::transpose_tile_c32(src, src_stride, dst, dst_stride, rows, cols);
+    }
+
+    #[inline]
+    fn kmul_pointwise(data: &mut [Complex<f32>], scale: &[Complex<f32>]) {
+        simd::mul_pointwise_c32(data, scale);
     }
 
     /// No 8-lane `f32` kernel exists yet: single-precision rows always

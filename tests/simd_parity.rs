@@ -180,61 +180,91 @@ proptest! {
         prop_assert_eq!(bits32(&a32), bits32(&b32));
     }
 
-    /// The page-blocked transpose walk (`transpose_strided`, and
-    /// `transpose` as its dense case) == `transpose_naive`, both widths:
-    /// ragged sides, blocks taller than one band (256 `c64` / 512 `c32`
-    /// rows), strides wider than the block, and padding left untouched.
+    /// The staged transpose walk (`transpose_strided`, and `transpose` as
+    /// its dense case) == `transpose_naive`, both widths. Blocks cross
+    /// several 256 × 64 stage blocks on both axes, with ragged last ones;
+    /// strides are padded past the block or a power of two (512, 1024,
+    /// 2048: the layouts the Cooley–Tukey parts and the 6-step hand over);
+    /// padding is left untouched. The scaled walk is bitwise the unscaled
+    /// one followed by `*=` in destination order.
     #[test]
     fn transpose_walk_matches_naive(
         tall in prop::sample::select(vec![false, true]),
+        wide in prop::sample::select(vec![false, true]),
         short_rows in 1usize..40,
         tall_rows in 250usize..1100,
-        cols in 1usize..30,
-        src_pad in 0usize..4,
-        dst_pad in 0usize..4,
+        narrow_cols in 1usize..30,
+        wide_cols in 60usize..300,
+        pads in (0usize..4, 0usize..4),
+        pow2 in prop::sample::select(vec![0usize, 512, 1024, 2048]),
         seed in proptest::prelude::any::<u64>(),
     ) {
         let rows = if tall { tall_rows } else { short_rows };
-        let (ss, ds) = (cols + src_pad, rows + dst_pad);
-        let (shape, len) = ((rows, cols, ss, ds), rows * ss + cols * ds);
-        let [(a, b), (c, d)] = walk_vs_naive(shape, vec_c64(len, seed));
+        let cols = if wide { wide_cols } else { narrow_cols };
+        // A power-of-two stride replaces the padded one wherever it holds
+        // the block.
+        let ss = if pow2 >= cols { pow2 } else { cols + pads.0 };
+        let ds = if pow2 >= rows { pow2 } else { rows + pads.1 };
+        let (shape, len) = ((rows, cols, ss, ds), rows * ss + 2 * cols * ds);
+        let [(a, b), (c, d), (e, f)] = walk_vs_naive(shape, vec_c64(len, seed));
         prop_assert_eq!(bits64(&a), bits64(&b));
         prop_assert_eq!(bits64(&c), bits64(&d));
-        let [(a, b), (c, d)] = walk_vs_naive(shape, vec_c32(len, seed));
+        prop_assert_eq!(bits64(&e), bits64(&f));
+        let [(a, b), (c, d), (e, f)] = walk_vs_naive(shape, vec_c32(len, seed));
         prop_assert_eq!(bits32(&a), bits32(&b));
         prop_assert_eq!(bits32(&c), bits32(&d));
+        prop_assert_eq!(bits32(&e), bits32(&f));
     }
 }
 
 /// A walk's output and its reference.
 type GotWant<T> = (Vec<Complex<T>>, Vec<Complex<T>>);
 
-/// `[(strided, naive), (dense, naive)]` for one `rows × cols` block
-/// embedded at strides `(ss, ds)`, source then destination filled from
-/// `pool` (`rows·ss + cols·ds` distinct values). The strided
-/// reference is `transpose_naive` of the extracted block, written back
-/// row by row over the same padded destination.
+/// `[(strided, naive), (dense, naive), (scaled, strided then *=)]` for
+/// one `rows × cols` block embedded at strides `(ss, ds)`: source,
+/// destination fill and scale are consecutive stretches of `pool`
+/// (`rows·ss + 2·cols·ds` values). The strided reference is
+/// `transpose_naive` of the extracted block, written back row by row over
+/// the same padded destination.
 fn walk_vs_naive<T: Real>(
     (rows, cols, ss, ds): (usize, usize, usize, usize),
     pool: Vec<Complex<T>>,
-) -> [GotWant<T>; 2] {
-    use soifft::num::transpose::{transpose, transpose_naive, transpose_strided};
-    let (src, fill) = pool.split_at(rows * ss);
-    let fill = fill.to_vec();
-    let mut strided = fill.clone();
-    transpose_strided(src, ss, &mut strided, ds, rows, cols);
+) -> [GotWant<T>; 3] {
+    use soifft::num::transpose::{stage_len, transpose, transpose_naive, transpose_strided};
+    let (src, rest) = pool.split_at(rows * ss);
+    let (fill, scale) = rest.split_at(cols * ds);
+    let mut stage = vec![Complex::<T>::ZERO; stage_len(rows, cols)];
+    let mut strided = fill.to_vec();
+    transpose_strided(src, ss, &mut strided, ds, (rows, cols), None, &mut stage);
 
     let block: Vec<_> = src.chunks(ss).flat_map(|r| &r[..cols]).copied().collect();
     let mut t = block.clone();
     transpose_naive(&block, &mut t, rows, cols);
-    let mut want = fill;
+    let mut want = fill.to_vec();
     for (dst_row, t_row) in want.chunks_mut(ds).zip(t.chunks_exact(rows)) {
         dst_row[..rows].copy_from_slice(t_row);
     }
 
     let mut dense = block.clone();
     transpose(&block, &mut dense, rows, cols);
-    [(strided, want), (dense, t)]
+
+    let mut scaled = fill.to_vec();
+    transpose_strided(
+        src,
+        ss,
+        &mut scaled,
+        ds,
+        (rows, cols),
+        Some(scale),
+        &mut stage,
+    );
+    let mut then_scaled = strided.clone();
+    for (row, s_row) in then_scaled.chunks_mut(ds).zip(scale.chunks(ds)) {
+        for (v, &m) in row[..rows].iter_mut().zip(s_row) {
+            *v *= m;
+        }
+    }
+    [(strided, want), (dense, t), (scaled, then_scaled)]
 }
 
 /// The precision-generic entry point (`transpose::transpose_tile`, which
