@@ -3,7 +3,8 @@
 //! Groups:
 //! * `plan` — the general plan across size classes (pow2 / smooth /
 //!   Bluestein),
-//! * `sixstep_ladder` — the four Fig 10 rungs at a fixed large size,
+//! * `sixstep_ladder` — the four Fig 10 rungs at a fixed large size, on
+//!   the pools `fig10` gives them (serial, `+fine-grain` threaded),
 //! * `fused_demod` — §5.2.4's fused demodulation vs a separate sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -38,13 +39,19 @@ fn bench_sixstep_ladder(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Elements(n as u64));
     for variant in SixStepVariant::LADDER {
-        let plan = SixStepFft::with_pool(n, variant, Pool::default());
+        let pool = if variant == SixStepVariant::FusedParallel {
+            Pool::default()
+        } else {
+            Pool::serial()
+        };
+        let plan = SixStepFft::with_pool(n, variant, pool);
         let mut data = x.clone();
         let mut aux = vec![c64::ZERO; n];
+        let mut scratch = plan.make_scratch();
         g.bench_function(variant.label(), |b| {
             b.iter(|| {
                 data.copy_from_slice(&x);
-                plan.forward(&mut data, &mut aux);
+                plan.forward_with(&mut data, &mut aux, &mut scratch);
             });
         });
     }

@@ -3,10 +3,13 @@
 //! host, with GFLOPS under the paper's `5N log₂N` convention.
 //!
 //! Rung mapping (see `soifft_fft::sixstep`): naive(13 sweeps) → fused
-//! (4 sweeps) → +locality (dynamic-block twiddles, tiled write-back) →
-//! +fine-grain (thread parallel). The paper measures 16M points on a
-//! 61-core Phi; the default here is 2²⁰ points (override with
-//! `SOIFFT_FIG10_N`), so compare *shapes*, not absolute GFLOPS.
+//! (4 sweeps) → +locality (dynamic-block twiddles) → +fine-grain (the
+//! +locality walk on `SOIFFT_THREADS` threads; every other rung runs
+//! serially). Each rung is timed through `forward_with` against one
+//! scratch, so the group buffer is not allocated and faulted in per call.
+//! The paper measures 16M points on a 61-core Phi; the default here is
+//! 2²⁰ points (override with `SOIFFT_FIG10_N`), so compare *shapes*, not
+//! absolute GFLOPS.
 
 use soifft_bench::{best_of, env_usize, gflops, signal, Table};
 use soifft_fft::{fft_flops, SixStepFft, SixStepVariant};
@@ -40,7 +43,10 @@ fn main() {
         let plan = SixStepFft::with_pool(n, variant, pool);
         let mut data = x.clone();
         let mut aux = vec![c64::ZERO; n];
-        let secs = best_of(reps, || plan.forward(&mut data, &mut aux));
+        let mut scratch = plan.make_scratch();
+        let secs = best_of(reps, || {
+            plan.forward_with(&mut data, &mut aux, &mut scratch)
+        });
         baseline.get_or_insert(secs);
         t.row(&[
             variant.label().into(),
@@ -50,7 +56,6 @@ fn main() {
         ]);
     }
     print!("{}", t.render());
-    println!("\nNote: the +fine-grain rung pays 2 extra memory sweeps for safe");
-    println!("parallel write-back (sixstep module docs) and only wins with");
-    println!("multiple cores ({} used here).", threads);
+    println!("\nNote: +fine-grain runs the +locality walk with each column group");
+    println!("and row band split over {threads} threads (sixstep module docs).");
 }

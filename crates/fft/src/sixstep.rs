@@ -17,13 +17,16 @@
 //! | rung | paper | here |
 //! |---|---|---|
 //! | 1 | `6-step-naïve` (13 sweeps) | [`SixStepVariant::Naive`] |
-//! | 2 | `6-step-opt` (fused, 4 sweeps) | [`SixStepVariant::Fused`]: column groups and row bands of about 1 MiB, each moved by one staged transpose |
+//! | 2 | `6-step-opt` (fused, 4 sweeps) | [`SixStepVariant::Fused`]: column groups and row bands of about 1 MiB per worker, each moved by one staged transpose |
 //! | 3 | `latency-hiding` (prefetch + SMT pipelining) | [`SixStepVariant::FusedDynamic`]: the same groups and bands with dynamic-block twiddle tables (`O(√N)` working set) — the portable subset of the same bandwidth/locality mechanisms |
-//! | 4 | `fine-grain` parallelization | [`SixStepVariant::FusedParallel`] |
+//! | 4 | `fine-grain` parallelization | [`SixStepVariant::FusedParallel`]: the rung-3 walk on a threaded pool |
 //!
-//! The parallel rung trades two extra memory sweeps for safe disjoint
-//! writes (Rust cannot express the paper's cross-thread strided tile writes
-//! without `unsafe`); the bench documents this when reporting the ladder.
+//! Every fused rung runs one walk on the plan's [`Pool`]. Each column
+//! group splits its gather, FFTs and twiddles by columns of the group
+//! buffer and its write-back by destination rows; each row band splits its
+//! FFTs by rows and its transpose-out by destination rows. Every worker
+//! writes one contiguous range and reads the source shared, so the
+//! threaded walk is safe Rust and its bits equal the serial walk's.
 //!
 //! §5.2.4's "Saving Bandwidth by Fusing Demodulation and FFT" is
 //! [`SixStepFft::forward_scaled`]: a caller-supplied diagonal is applied
@@ -32,8 +35,7 @@
 //! demodulation window `W⁻¹` here.
 
 use soifft_num::c64;
-use soifft_num::factor::balanced_split;
-use soifft_num::simd::FFT_LANES;
+use soifft_num::factor::{balanced_split, padded_stride};
 use soifft_num::transpose::{stage_len, transpose_strided, TILE};
 use soifft_par::Pool;
 
@@ -41,15 +43,15 @@ use crate::batch::forward_rows_with;
 use crate::plan::Plan;
 use crate::twiddle::{DynamicBlock, Twiddles};
 
-/// Bytes of one column group or row band of the fused variants: half of a
-/// 2 MiB L2, so a group's gather, FFTs, twiddles and write-back all run
-/// in cache.
+/// Bytes of one worker's share of a column group or row band of the fused
+/// variants: half of a 2 MiB L2, so a share's gather, FFTs, twiddles and
+/// write-back all run in cache.
 const GROUP_BYTES: usize = 1 << 20;
 
-/// How many vectors of `len` elements fit [`GROUP_BYTES`], rounded down
-/// to a multiple of [`TILE`] with a floor of one [`TILE`].
-fn group_of(len: usize) -> usize {
-    let fit = GROUP_BYTES / (len.max(1) * std::mem::size_of::<c64>());
+/// How many vectors of `len` elements fit `threads` × [`GROUP_BYTES`],
+/// rounded down to a multiple of [`TILE`] with a floor of one [`TILE`].
+fn group_of(len: usize, threads: usize) -> usize {
+    let fit = threads * GROUP_BYTES / (len.max(1) * std::mem::size_of::<c64>());
     (fit / TILE * TILE).max(TILE)
 }
 
@@ -68,8 +70,9 @@ pub enum SixStepVariant {
     /// Fused with dynamic-block twiddle tables (√N working set) in place
     /// of the full table.
     FusedDynamic,
-    /// FusedDynamic plus fine-grain thread parallelization over column and
-    /// row bands.
+    /// Fig 10's `+fine-grain` rung: the `FusedDynamic` walk, which Fig 10
+    /// runs on a threaded pool. Its bits equal `FusedDynamic`'s on any
+    /// pool.
     FusedParallel,
 }
 
@@ -93,13 +96,11 @@ impl SixStepVariant {
     }
 
     /// Number of full-array memory sweeps this variant performs
-    /// (the quantity Fig 4 counts).
+    /// (the quantity Fig 4 counts): 13 naive, 4 for every fused rung.
     pub fn memory_sweeps(self) -> usize {
         match self {
             SixStepVariant::Naive => 13,
-            SixStepVariant::Fused | SixStepVariant::FusedDynamic => 4,
-            // Safe parallel write-back costs one extra transpose pass.
-            SixStepVariant::FusedParallel => 6,
+            _ => 4,
         }
     }
 }
@@ -148,27 +149,25 @@ pub struct SixStepFft {
     pool: Pool,
 }
 
-/// Per-worker scratch slot for [`SixStepVariant::FusedParallel`].
+/// One pool worker's scratch: component-plan batch scratch and a
+/// transpose stage.
 #[derive(Clone, Debug)]
 struct WorkerScratch {
     s1: Vec<c64>,
     s2: Vec<c64>,
+    stage: Vec<c64>,
 }
 
-/// Reusable scratch for one [`SixStepFft`] plan: the column-group buffer,
-/// the component-plan scratch, the transpose stage, and (for the parallel
-/// variant) one scratch slot per pool worker. Build it once with
-/// [`SixStepFft::make_scratch`] and pass it to [`SixStepFft::forward_with`] /
-/// [`SixStepFft::forward_scaled_with`] — repeated transforms then run with
-/// no heap allocation at all, which is what the steady-state SOI pipeline
-/// needs (the twiddle pass is bandwidth-bound, so allocator traffic is
-/// pure overhead).
+/// Reusable scratch for one [`SixStepFft`] plan: the column-group buffer
+/// and one slot of component-plan scratch and transpose stage per pool
+/// worker. Build it once with [`SixStepFft::make_scratch`] and pass it to
+/// [`SixStepFft::forward_with`] / [`SixStepFft::forward_scaled_with`] —
+/// repeated transforms then run with no heap allocation at all, which is
+/// what the steady-state SOI pipeline needs (the twiddle pass is
+/// bandwidth-bound, so allocator traffic is pure overhead).
 #[derive(Clone, Debug)]
 pub struct SixStepScratch {
     buf: Vec<c64>,
-    s1: Vec<c64>,
-    s2: Vec<c64>,
-    stage: Vec<c64>,
     workers: Vec<WorkerScratch>,
 }
 
@@ -179,8 +178,8 @@ impl SixStepFft {
         Self::with_pool(n, variant, Pool::serial())
     }
 
-    /// Builds a plan that parallelizes (where the variant allows) on
-    /// `pool`.
+    /// Builds a plan whose fused walk splits each column group and row
+    /// band over `pool`'s threads (the naive rung runs serially).
     pub fn with_pool(n: usize, variant: SixStepVariant, pool: Pool) -> Self {
         let (n1, n2) = balanced_split(n);
         Self::with_split(n, n1, n2, variant, pool)
@@ -236,44 +235,35 @@ impl SixStepFft {
     /// allocation-free.
     pub fn make_scratch(&self) -> SixStepScratch {
         let buf = match self.variant {
-            SixStepVariant::Fused | SixStepVariant::FusedDynamic => {
-                let cs = soifft_num::factor::padded_stride(self.n1, 4);
-                vec![c64::ZERO; self.column_group() * cs]
-            }
-            SixStepVariant::Naive | SixStepVariant::FusedParallel => Vec::new(),
+            SixStepVariant::Naive => Vec::new(),
+            _ => vec![c64::ZERO; self.column_group() * padded_stride(self.n1, 4)],
         };
-        let workers = match self.variant {
-            SixStepVariant::FusedParallel => (0..self.pool.threads())
-                .map(|_| WorkerScratch {
-                    s1: self.plan1.make_batch_scratch(),
-                    s2: self.plan2.make_batch_scratch(),
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        SixStepScratch {
-            buf,
+        let workers = (0..self.pool.threads())
+            .map(|_| self.worker_scratch())
+            .collect();
+        SixStepScratch { buf, workers }
+    }
+
+    fn worker_scratch(&self) -> WorkerScratch {
+        WorkerScratch {
             s1: self.plan1.make_batch_scratch(),
             s2: self.plan2.make_batch_scratch(),
             stage: vec![c64::ZERO; self.stage_len()],
-            workers,
         }
     }
 
-    /// Stage elements this variant's transposes need: the largest
-    /// [`stage_len`] over the blocks they move (none for the parallel
-    /// variant, which gathers element by element).
+    /// Stage elements one worker's transposes need: the largest
+    /// [`stage_len`] over the blocks this variant moves.
     fn stage_len(&self) -> usize {
         let (n1, n2) = (self.n1, self.n2);
         match self.variant {
             SixStepVariant::Naive => stage_len(n1, n2).max(stage_len(n2, n1)),
-            SixStepVariant::Fused | SixStepVariant::FusedDynamic => {
+            _ => {
                 let g = self.column_group().min(n2);
-                let band = group_of(n2).min(n1);
+                let band = group_of(n2, self.pool.threads()).min(n1);
                 let gather = stage_len(n1, g).max(stage_len(g, n1));
                 gather.max(stage_len(band, n2))
             }
-            SixStepVariant::FusedParallel => 0,
         }
     }
 
@@ -325,6 +315,8 @@ impl SixStepFft {
         }
     }
 
+    /// Runs the variant's walk, first topping up a scratch built for
+    /// another plan: a slot per pool worker, each with a long enough stage.
     fn forward_impl(
         &self,
         data: &mut [c64],
@@ -334,16 +326,17 @@ impl SixStepFft {
     ) {
         assert_eq!(data.len(), self.n, "data length != n");
         assert_eq!(aux.len(), self.n, "aux length != n");
+        let workers = &mut scratch.workers;
+        if workers.len() < self.pool.threads() {
+            workers.resize_with(self.pool.threads(), || self.worker_scratch());
+        }
         let need = self.stage_len();
-        if scratch.stage.len() < need {
-            scratch.stage.resize(need, c64::ZERO);
+        for w in workers.iter_mut().filter(|w| w.stage.len() < need) {
+            w.stage.resize(need, c64::ZERO);
         }
         match self.variant {
-            SixStepVariant::Naive => self.forward_naive(data, aux, scale, scratch),
-            SixStepVariant::Fused | SixStepVariant::FusedDynamic => {
-                self.forward_fused(data, aux, scale, scratch)
-            }
-            SixStepVariant::FusedParallel => self.forward_parallel(data, aux, scale, scratch),
+            SixStepVariant::Naive => self.forward_naive(data, aux, scale, &mut workers[0]),
+            _ => self.forward_fused(data, aux, scale, scratch),
         }
     }
 
@@ -353,7 +346,7 @@ impl SixStepFft {
         data: &mut [c64],
         aux: &mut [c64],
         scale: Option<&[c64]>,
-        scratch: &mut SixStepScratch,
+        scratch: &mut WorkerScratch,
     ) {
         let (n1, n2) = (self.n1, self.n2);
         let stage = &mut scratch.stage;
@@ -375,8 +368,11 @@ impl SixStepFft {
         data.copy_from_slice(aux);
     }
 
-    /// Fig 4(b): loop-fused, 4 memory sweeps. `aux` holds the intermediate
-    /// C matrix in c-major (`aux[c·n2 + b]`).
+    /// Fig 4(b): loop-fused, 4 memory sweeps, on the plan's pool. `aux`
+    /// holds the intermediate C matrix in c-major (`aux[c·n2 + b]`). Each
+    /// parallel region hands every worker one contiguous piece of its
+    /// destination and a scratch slot; a serial pool runs each region as
+    /// one call on the whole destination.
     fn forward_fused(
         &self,
         data: &mut [c64],
@@ -384,18 +380,15 @@ impl SixStepFft {
         scale: Option<&[c64]>,
         scratch: &mut SixStepScratch,
     ) {
-        let (n1, n2) = (self.n1, self.n2);
+        let (n1, n2, pool) = (self.n1, self.n2, &self.pool);
         // Column stride padded past power-of-two alignments so the
         // gathered columns do not alias the same cache sets (§5.2.3).
-        let cs = soifft_num::factor::padded_stride(n1, 4);
+        let cs = padded_stride(n1, 4);
         let group = self.column_group();
-        let SixStepScratch {
-            buf, s1, s2, stage, ..
-        } = scratch;
+        let SixStepScratch { buf, workers } = scratch;
         if buf.len() < group * cs {
             buf.resize(group * cs, c64::ZERO);
         }
-        let buf = &mut buf[..group * cs];
 
         // loop_a over column groups: gather → FFT → twiddle → permuted
         // write-back, all while the group lives in the contiguous buffer.
@@ -405,125 +398,60 @@ impl SixStepFft {
         let mut b0 = 0;
         while b0 < n2 {
             let g = group.min(n2 - b0);
-            // Gather columns b0..b0+g: buf[gg·cs + a] = data[a·n2 + b0+gg].
-            transpose_strided(&data[b0..], n2, buf, cs, (n1, g), None, stage);
-            // FFT the gathered columns four at a time, then twiddle each
-            // in-cache (steps 2+3 fused).
-            self.plan1.forward_batch_with(buf, cs, g, s1, |gg, col| {
-                self.tw.scale_row(col, b0 + gg, self.n)
+            let cols = &mut buf[..g * cs];
+            // Each worker gathers its columns b..b+width of the group,
+            // piece[gg·cs + a] = data[a·n2 + b+gg], then FFTs them four at
+            // a time and twiddles each in-cache (steps 2+3 fused).
+            let src: &[c64] = data;
+            pool.par_chunks_mut_scratch(cols, cs, workers, |_, off, piece, w| {
+                let (b, width) = (b0 + off / cs, piece.len() / cs);
+                transpose_strided(&src[b..], n2, piece, cs, (n1, width), None, &mut w.stage);
+                self.plan1
+                    .forward_batch_with(piece, cs, width, &mut w.s1, |gg, col| {
+                        self.tw.scale_row(col, b + gg, self.n)
+                    });
             });
-            // Permuted write-back into the c-major intermediate:
-            // aux[c·n2 + b0+gg] = buf[gg·cs + c].
-            transpose_strided(buf, cs, &mut aux[b0..], n2, (g, n1), None, stage);
+            // Permuted write-back into the c-major intermediate, each
+            // worker owning rows c..c+rows: aux[c·n2 + b0+gg] = buf[gg·cs + c].
+            let cols: &[c64] = cols;
+            pool.par_chunks_mut_scratch(aux, n2, workers, |_, off, piece, w| {
+                let (c, rows) = (off / n2, piece.len() / n2);
+                let dst = &mut piece[b0..];
+                transpose_strided(&cols[c..], cs, dst, n2, (g, rows), None, &mut w.stage);
+            });
             b0 += g;
         }
 
         // loop_b over row bands of the same budget: FFT the band's rows in
         // place, then write the band into natural (d-major) order with one
         // transpose that applies the fused demodulation as it writes.
-        let band = group_of(n2);
+        let band = group_of(n2, pool.threads());
         let mut c0 = 0;
         while c0 < n1 {
             let rows = band.min(n1 - c0);
-            forward_rows_with(&self.plan2, &mut aux[c0 * n2..(c0 + rows) * n2], s2);
-            // data[d·n1 + c] = aux[c·n2 + d] (· scale[d·n1 + c]).
-            let (src, band_scale) = (&aux[c0 * n2..], scale.map(|s| &s[c0..]));
-            transpose_strided(src, n2, &mut data[c0..], n1, (rows, n2), band_scale, stage);
+            let band_rows = &mut aux[c0 * n2..(c0 + rows) * n2];
+            pool.par_chunks_mut_scratch(band_rows, n2, workers, |_, _, piece, w| {
+                forward_rows_with(&self.plan2, piece, &mut w.s2)
+            });
+            // data[d·n1 + c] = aux[c·n2 + d] (· scale[d·n1 + c]), each
+            // worker owning destination rows d..d+width.
+            let src = &aux[c0 * n2..];
+            pool.par_chunks_mut_scratch(data, n1, workers, |_, off, piece, w| {
+                let (d, width) = (off / n1, piece.len() / n1);
+                let (dst, s) = (&mut piece[c0..], scale.map(|s| &s[off + c0..]));
+                transpose_strided(&src[d..], n2, dst, n1, (rows, width), s, &mut w.stage);
+            });
             c0 += rows;
         }
     }
 
     /// Columns per `loop_a` group of the fused variants: [`group_of`] the
-    /// padded column, capped at the matrix (`n2` rounded up to [`TILE`])
-    /// so a small transform does not hold a buffer it cannot fill.
+    /// padded column for the pool's threads, capped at the matrix (`n2`
+    /// rounded up to [`TILE`]) so a small transform does not hold a buffer
+    /// it cannot fill.
     fn column_group(&self) -> usize {
-        let cs = soifft_num::factor::padded_stride(self.n1, 4);
-        group_of(cs).min(self.n2.next_multiple_of(TILE))
-    }
-
-    /// Fine-grain parallel variant: three band-parallel phases.
-    ///
-    /// Phase A writes the post-column-FFT matrix b-major (each thread owns
-    /// a contiguous band of columns), phase B writes the post-row-FFT
-    /// matrix c-major (each thread owns a band of rows), and phase C is a
-    /// parallel transpose into natural order with the fused scale. The
-    /// extra transpose (2 sweeps) is the price of safe disjoint writes.
-    fn forward_parallel(
-        &self,
-        data: &mut [c64],
-        aux: &mut [c64],
-        scale: Option<&[c64]>,
-        scratch: &mut SixStepScratch,
-    ) {
-        let (n1, n2) = (self.n1, self.n2);
-        let pool = &self.pool;
-
-        // Phase A: aux[b·n1 + c] = twiddled FFT over a of data[a·n2 + b].
-        {
-            let data_ro: &[c64] = data;
-            pool.par_chunks_mut_scratch(aux, n1, &mut scratch.workers, |_, offset, band, w| {
-                // Gather FFT_LANES columns (stride n2 reads), then FFT and
-                // twiddle them as one batch.
-                for (q, quad) in band.chunks_mut(FFT_LANES * n1).enumerate() {
-                    let b_base = offset / n1 + q * FFT_LANES;
-                    for (local_b, col) in quad.chunks_exact_mut(n1).enumerate() {
-                        for (a, v) in col.iter_mut().enumerate() {
-                            *v = data_ro[a * n2 + b_base + local_b];
-                        }
-                    }
-                    let count = quad.len() / n1;
-                    self.plan1
-                        .forward_batch_with(quad, n1, count, &mut w.s1, |i, col| {
-                            self.tw.scale_row(col, b_base + i, self.n)
-                        });
-                }
-            });
-        }
-
-        // Phase B: data[c·n2 + d] = FFT over b of aux[b·n1 + c]
-        // (each thread owns a band of c-rows of the c-major output).
-        {
-            let aux_ro: &[c64] = aux;
-            pool.par_chunks_mut_scratch(data, n2, &mut scratch.workers, |_, offset, band, w| {
-                for (q, quad) in band.chunks_mut(FFT_LANES * n2).enumerate() {
-                    let c_base = offset / n2 + q * FFT_LANES;
-                    for (local_c, row) in quad.chunks_exact_mut(n2).enumerate() {
-                        for (b, v) in row.iter_mut().enumerate() {
-                            *v = aux_ro[b * n1 + c_base + local_c];
-                        }
-                    }
-                    forward_rows_with(&self.plan2, quad, &mut w.s2);
-                }
-            });
-        }
-
-        // Phase C: parallel transpose to natural order with fused scale:
-        // aux[d·n1 + c] = data[c·n2 + d] · scale[d·n1 + c].
-        {
-            let data_ro: &[c64] = data;
-            pool.par_chunks_mut(aux, n1, |_, offset, band| {
-                let d_base = offset / n1;
-                for (local_d, out_row) in band.chunks_exact_mut(n1).enumerate() {
-                    let d = d_base + local_d;
-                    for (c, v) in out_row.iter_mut().enumerate() {
-                        *v = data_ro[c * n2 + d];
-                    }
-                    if let Some(s) = scale {
-                        let srow = &s[d * n1..(d + 1) * n1];
-                        for (v, &m) in out_row.iter_mut().zip(srow) {
-                            *v *= m;
-                        }
-                    }
-                }
-            });
-        }
-        // Result back into `data` (band-parallel copy).
-        {
-            let aux_ro: &[c64] = aux;
-            pool.par_chunks_mut(data, 1, |_, offset, band| {
-                band.copy_from_slice(&aux_ro[offset..offset + band.len()]);
-            });
-        }
+        let cs = padded_stride(self.n1, 4);
+        group_of(cs, self.pool.threads()).min(self.n2.next_multiple_of(TILE))
     }
 }
 
@@ -569,30 +497,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_variant_with_threads_matches() {
-        for threads in [1, 2, 4] {
-            check(
-                512,
-                SixStepVariant::FusedParallel,
-                Pool::new(threads),
-                1e-11,
-            );
-        }
-    }
-
-    #[test]
     fn ragged_splits_work() {
-        // Explicit unbalanced splits exercise partial tiles on both axes.
-        for &(n1, n2) in &[(3, 64), (64, 3), (5, 7), (12, 20), (1, 32), (32, 1)] {
+        // Explicit unbalanced splits exercise partial tiles on both axes;
+        // four threads outnumber the columns at 3x5, 5x7 and 1x32, so some
+        // regions run fewer pieces than workers. Threaded bits equal the
+        // serial plan's.
+        for &(n1, n2) in &[(3, 64), (64, 3), (5, 7), (3, 5), (12, 20), (1, 32), (32, 1)] {
             let n = n1 * n2;
             let x = signal(n);
+            let want = dft(&x);
             for variant in SixStepVariant::LADDER {
-                let plan = SixStepFft::with_split(n, n1, n2, variant, Pool::new(2));
-                let mut got = x.clone();
-                let mut aux = vec![c64::ZERO; n];
-                plan.forward(&mut got, &mut aux);
-                let want = dft(&x);
-                assert!(rel_linf(&got, &want) < 1e-11, "{n1}x{n2} {variant:?}");
+                let mut serial = None;
+                for threads in [1, 2, 4] {
+                    let plan = SixStepFft::with_split(n, n1, n2, variant, Pool::new(threads));
+                    let mut got = x.clone();
+                    let mut aux = vec![c64::ZERO; n];
+                    plan.forward(&mut got, &mut aux);
+                    assert!(rel_linf(&got, &want) < 1e-11, "{n1}x{n2} {variant:?}");
+                    let serial = serial.get_or_insert_with(|| got.clone());
+                    assert_eq!(&got, serial, "{n1}x{n2} {variant:?} on {threads} threads");
+                }
             }
         }
     }
@@ -679,22 +603,89 @@ mod tests {
             (8, 4096),
             (1 << 14, 16),
         ];
+        let fused = [
+            SixStepVariant::Fused,
+            SixStepVariant::FusedDynamic,
+            SixStepVariant::FusedParallel,
+        ];
         for (n1, n2) in splits {
-            let cs = soifft_num::factor::padded_stride(n1, 4);
-            for variant in [SixStepVariant::Fused, SixStepVariant::FusedDynamic] {
-                let plan = SixStepFft::with_split(n1 * n2, n1, n2, variant, Pool::serial());
+            let cs = padded_stride(n1, 4);
+            for (variant, threads) in fused.into_iter().flat_map(|v| [(v, 1), (v, 2)]) {
+                let pool = Pool::new(threads);
+                let plan = SixStepFft::with_split(n1 * n2, n1, n2, variant, pool);
                 let buf = plan.make_scratch().buf.len();
                 assert!(
                     buf <= TILE.max(n2.next_multiple_of(TILE)) * cs,
-                    "{n1}x{n2} {variant:?}: {buf} elements exceed the matrix"
+                    "{n1}x{n2} {variant:?}/{threads}: {buf} elements exceed the matrix"
                 );
                 assert!(
                     buf * std::mem::size_of::<c64>()
-                        <= GROUP_BYTES + TILE * cs * std::mem::size_of::<c64>(),
-                    "{n1}x{n2} {variant:?}: {buf} elements exceed the budget"
+                        <= threads * GROUP_BYTES + TILE * cs * std::mem::size_of::<c64>(),
+                    "{n1}x{n2} {variant:?}/{threads}: {buf} elements exceed the budget"
                 );
             }
         }
+    }
+
+    #[test]
+    fn serial_scratch_holds_one_group_one_slot_and_one_stage() {
+        // A serial plan's scratch is what the single-threaded walk always
+        // held: one group of `GROUP_BYTES` (floor one tile, cap the
+        // matrix), one pair of batch scratches, one stage sized by the
+        // group and the band.
+        let fit = |len: usize| (GROUP_BYTES / (len * 16) / TILE * TILE).max(TILE);
+        for (n1, n2) in [
+            (40usize, 64usize),
+            (512, 300),
+            (1024, 200),
+            (320, 512),
+            (1 << 14, 16),
+        ] {
+            let cs = padded_stride(n1, 4);
+            let group = fit(cs).min(n2.next_multiple_of(TILE));
+            let g = group.min(n2);
+            let band = fit(n2).min(n1);
+            let stage = stage_len(n1, g)
+                .max(stage_len(g, n1))
+                .max(stage_len(band, n2));
+            for variant in [SixStepVariant::Fused, SixStepVariant::FusedDynamic] {
+                let plan = SixStepFft::with_split(n1 * n2, n1, n2, variant, Pool::serial());
+                let scratch = plan.make_scratch();
+                assert_eq!(scratch.buf.len(), group * cs, "{n1}x{n2} {variant:?}");
+                assert_eq!(scratch.workers.len(), 1, "{n1}x{n2} {variant:?}");
+                let w = &scratch.workers[0];
+                assert_eq!(w.s1.len(), plan.plan1.batch_scratch_len());
+                assert_eq!(w.s2.len(), plan.plan2.batch_scratch_len());
+                assert_eq!(w.stage.len(), stage, "{n1}x{n2} {variant:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn threaded_plan_holds_a_slot_per_worker_and_tops_up_a_serial_scratch() {
+        let (n1, n2) = (512, 300);
+        let n = n1 * n2;
+        let variant = SixStepVariant::FusedParallel;
+        let threaded = SixStepFft::with_split(n, n1, n2, variant, Pool::new(2));
+        let scratch = threaded.make_scratch();
+        assert_eq!(scratch.workers.len(), 2);
+        let cs = padded_stride(n1, 4);
+        assert!(scratch.buf.len() <= 2 * GROUP_BYTES / 16 + TILE * cs);
+
+        let serial = SixStepFft::with_split(n, n1, n2, variant, Pool::serial());
+        let mut scratch = serial.make_scratch();
+        let x = signal(n);
+        let mut want = x.clone();
+        let mut aux = vec![c64::ZERO; n];
+        serial.forward_with(&mut want, &mut aux, &mut scratch);
+        let mut got = x;
+        threaded.forward_with(&mut got, &mut aux, &mut scratch);
+        assert_eq!(got, want);
+        assert_eq!(scratch.workers.len(), 2);
+        assert!(scratch
+            .workers
+            .iter()
+            .all(|w| w.stage.len() >= threaded.stage_len()));
     }
 
     #[test]
@@ -705,8 +696,17 @@ mod tests {
         use soifft_num::transpose::{STAGE_COLS, STAGE_ROWS};
         for (n, cap) in [(320, 320), (5 << 15, STAGE_ROWS * STAGE_COLS)] {
             for variant in SixStepVariant::LADDER {
-                let stage = SixStepFft::new(n, variant).make_scratch().stage.len();
-                assert!(stage <= cap, "n={n} {variant:?}: stage of {stage}");
+                for threads in [1, 2] {
+                    let plan = SixStepFft::with_pool(n, variant, Pool::new(threads));
+                    for w in plan.make_scratch().workers {
+                        let stage = w.stage.len();
+                        assert!(stage > 0, "n={n} {variant:?}/{threads}: no stage");
+                        assert!(
+                            stage <= cap,
+                            "n={n} {variant:?}/{threads}: stage of {stage}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -724,7 +724,7 @@ mod tests {
             let plan = SixStepFft::with_split(n, n1, n2, variant, Pool::serial());
             let group = plan.column_group();
             assert!(group < n2 && n2 % group != 0, "one group or not ragged");
-            let band = group_of(n2);
+            let band = group_of(n2, 1);
             assert!(band < n1 && n1 % band != 0, "one band or not ragged");
             let mut got = x.clone();
             let mut aux = vec![c64::ZERO; n];
@@ -771,7 +771,9 @@ mod tests {
         assert_eq!(plan.variant(), SixStepVariant::Fused);
         assert!(!plan.is_empty());
         assert_eq!(SixStepVariant::Naive.memory_sweeps(), 13);
-        assert_eq!(SixStepVariant::Fused.memory_sweeps(), 4);
+        for variant in &SixStepVariant::LADDER[1..] {
+            assert_eq!(variant.memory_sweeps(), 4, "{variant:?}");
+        }
         assert_eq!(SixStepVariant::Naive.label(), "6-step-naive");
         assert_eq!(SixStepVariant::LADDER.len(), 4);
     }

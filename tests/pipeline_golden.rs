@@ -15,7 +15,7 @@
 //! in-process digests: the exchange plans are schedules over one
 //! transport-agnostic collective, so the transport cannot change the bits.
 //!
-//! Five structural facts are asserted alongside the digests:
+//! Six structural facts are asserted alongside the digests:
 //!
 //! * the bits do not depend on the front end: every convolution loop
 //!   order, fused or not, runs the same panel kernel, so each output
@@ -29,7 +29,9 @@
 //! * every resilient / cancellable / recovered / degraded path at F64
 //!   lands on the digest of the plain `forward_into` run;
 //! * `SoiFftLocal::forward` lands on the one-rank `SoiFft::forward`
-//!   digest (it is that pipeline on one rank).
+//!   digest (it is that pipeline on one rank);
+//! * the 6-step's fused walk on 2 and 3 threads lands on the serial
+//!   walk's bits, scaled and unscaled.
 //!
 //! The Cooley–Tukey baseline gets its own rows on the same input: every
 //! entry point (`forward`, a warm `forward_into`, `try_forward`,
@@ -532,12 +534,9 @@ fn compute_local() -> BTreeMap<String, u64> {
         let y: Vec<c64> = y32.iter().map(|z| z.to_c64()).collect();
         got.insert(format!("plan/f32/{n}"), checksum(&y));
     }
-    for (n1, n2) in [(1024usize, 200usize), (512, 300), (40, 64)] {
+    for (n1, n2) in SIXSTEP_SPLITS {
         let n = n1 * n2;
-        let x = noise(n);
-        let scale: Vec<c64> = (0..n)
-            .map(|k| c64::new(1.0 / (1.0 + k as f64), 1e-3 * (k % 97) as f64))
-            .collect();
+        let (x, scale) = sixstep_input(n);
         for variant in [
             SixStepVariant::Naive,
             SixStepVariant::Fused,
@@ -554,6 +553,49 @@ fn compute_local() -> BTreeMap<String, u64> {
         }
     }
     got
+}
+
+/// The 6-step splits of the local table: several column groups and row
+/// bands with ragged last ones, and a one-group matrix.
+const SIXSTEP_SPLITS: [(usize, usize); 3] = [(1024, 200), (512, 300), (40, 64)];
+
+/// The 6-step rows' input and fused scale.
+fn sixstep_input(n: usize) -> (Vec<c64>, Vec<c64>) {
+    let scale = (0..n)
+        .map(|k| c64::new(1.0 / (1.0 + k as f64), 1e-3 * (k % 97) as f64))
+        .collect();
+    (noise(n), scale)
+}
+
+/// The fused walk on 2- and 3-thread pools, as `+locality` and as
+/// `+fine-grain`, lands on the serial `+locality` bits at every split:
+/// the recorded digest with the fused scale, the serial output without.
+#[test]
+fn threaded_sixstep_bits_equal_the_serial_digest() {
+    for (n1, n2) in SIXSTEP_SPLITS {
+        let n = n1 * n2;
+        let (x, scale) = sixstep_input(n);
+        let run = |variant, threads, scale: Option<&[c64]>| {
+            let fft = SixStepFft::with_split(n, n1, n2, variant, Pool::new(threads));
+            let (mut y, mut aux) = (x.clone(), vec![c64::ZERO; n]);
+            match scale {
+                Some(s) => fft.forward_scaled(&mut y, &mut aux, s),
+                None => fft.forward(&mut y, &mut aux),
+            }
+            y
+        };
+        let key = format!("sixstep/+locality/{n1}x{n2}");
+        let digest = LOCAL_GOLDEN.iter().find(|&&(k, _)| k == key).unwrap().1;
+        let unscaled = run(SixStepVariant::FusedDynamic, 1, None);
+        for variant in [SixStepVariant::FusedDynamic, SixStepVariant::FusedParallel] {
+            for threads in [2, 3] {
+                let at = format!("{key} as {variant:?} on {threads} threads");
+                let scaled = run(variant, threads, Some(&scale));
+                assert_eq!(checksum(&scaled), digest, "{at}, scaled");
+                assert!(run(variant, threads, None) == unscaled, "{at}, unscaled");
+            }
+        }
+    }
 }
 
 #[test]
