@@ -266,11 +266,6 @@ impl CheckpointStore {
         Ok(store)
     }
 
-    /// The backing directory when the store is in disk mode.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk.as_deref()
-    }
-
     /// The number of ranks whose saves commit a phase.
     pub fn parties(&self) -> usize {
         self.parties

@@ -248,11 +248,6 @@ impl FaultPlan {
         self
     }
 
-    /// The configured crash, if any.
-    pub fn crash_spec(&self) -> Option<CrashSpec> {
-        self.crash
-    }
-
     /// Flip one bit of `rank`'s buffer at `site`, once, in epoch 0 (the
     /// default high-exponent bit 62 — see [`BitFlipSpec::bit`]).
     pub fn bit_flip(self, rank: usize, site: BitFlipSite) -> Self {
@@ -283,11 +278,6 @@ impl FaultPlan {
         let spec = self.flip.as_mut().expect("configure a bit flip first");
         spec.bit = bit;
         self
-    }
-
-    /// The configured bit flip, if any.
-    pub fn flip_spec(&self) -> Option<BitFlipSpec> {
-        self.flip
     }
 
     /// Builds the per-rank injector for `rank` in a cluster of `size`

@@ -66,6 +66,7 @@ pub mod trace;
 pub mod transport;
 
 use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -1303,10 +1304,9 @@ pub(crate) fn make_channels(
     (txs, rxs)
 }
 
-/// Runs one epoch of the cluster: every rank gets a fresh [`Comm`] (fresh
-/// barrier, failure detector, and injector for incarnation `generation`)
-/// over the *given* channels, and the launcher joins the rank threads
-/// under [`ClusterConfig::join_deadline`].
+/// Runs one in-process epoch through [`launch_ranks`]: every rank gets a
+/// fresh [`Comm`] (fresh barrier, failure detector, and injector for
+/// incarnation `generation`) over the *given* channels.
 ///
 /// `txs` is taken by value and dropped once the comms are built, so an
 /// epoch's senders disconnect exactly as in a plain launch. `rxs` is
@@ -1329,11 +1329,9 @@ where
     // One origin for the whole epoch, so every rank's trace timestamps
     // share a zero point and cross-rank timelines line up.
     let trace_origin = config.trace.enabled.then(Instant::now);
-    let mut comms: Vec<Comm> = (0..ranks)
-        .map(|rank| Comm {
-            rank,
-            size: ranks,
-            transport: Box::new(InProcTransport::new(
+    let builders: Vec<_> = (0..ranks)
+        .map(|rank| {
+            let transport = InProcTransport::new(
                 rank,
                 ranks,
                 generation,
@@ -1341,101 +1339,98 @@ where
                 Arc::clone(&rxs[rank]),
                 Arc::clone(&barrier),
                 Arc::clone(&state),
-            )),
-            pending: HashMap::new(),
-            seen: HashMap::new(),
-            injector: config
+            );
+            let mut comm = Comm::from_transport(Box::new(transport), config);
+            comm.injector = config
                 .faults
                 .as_ref()
-                .map(|p| p.injector_for_epoch(rank, ranks, generation)),
-            verify: config.faults.is_some(),
-            retry: config.retry,
-            recv_deadline_default: config.recv_deadline,
-            next_seq: 0,
-            exchange_epoch: 0,
-            generation,
-            stats: {
-                let mut stats = CommStats::default();
-                if let Some(origin) = trace_origin {
-                    stats.enable_trace(origin);
-                }
-                stats
-            },
-            pool: BufferPool::with_limit(config.pool_max_retained_bytes),
+                .map(|p| p.injector_for_epoch(rank, ranks, generation));
+            comm.verify = config.faults.is_some();
+            if let Some(origin) = trace_origin {
+                comm.stats.enable_trace(origin);
+            }
+            move || Ok(comm)
         })
         .collect();
     drop(txs);
+    let abandon = |rank| {
+        state.mark_failed(rank);
+        barrier.cancel(rank);
+    };
+    launch_ranks(config.join_deadline, builders, &abandon, &|comm| {
+        Ok(f(comm))
+    })
+}
 
+/// The rank-thread launcher under [`Cluster::run_with`],
+/// [`Supervisor::run`] and the TCP supervisor. Rank `r`'s thread runs
+/// `builders[r]` (a setup `Err` is reported as [`RankOutcome::Panicked`])
+/// and then `f` under `catch_unwind`; a rank that unwinds announces its
+/// own death through its transport before its [`Comm`] drops. A rank
+/// still running at `join_deadline` is handed to `abandon`, which
+/// declares it dead to its peers, and reported as `Panicked("join
+/// timeout")` whatever it eventually returns.
+pub(crate) fn launch_ranks<T, B, F>(
+    join_deadline: Duration,
+    builders: Vec<B>,
+    abandon: &(dyn Fn(usize) + Sync),
+    f: &F,
+) -> Vec<RankOutcome<T>>
+where
+    T: Send,
+    B: FnOnce() -> Result<Comm, String> + Send,
+    F: Fn(&mut Comm) -> Result<T, CommError> + Sync,
+{
+    let ranks = builders.len();
     std::thread::scope(|s| {
         // Completion channel: each rank announces itself as it finishes,
         // so the launcher can bound its joins instead of blocking forever
         // on a wedged thread.
         let (done_tx, done_rx) = unbounded::<usize>();
         let mut handles = Vec::with_capacity(ranks);
-        for mut comm in comms.drain(..) {
-            let barrier = Arc::clone(&barrier);
-            let state = Arc::clone(&state);
+        for (rank, build) in builders.into_iter().enumerate() {
             let done_tx = done_tx.clone();
             handles.push(s.spawn(move || {
-                let rank = comm.rank();
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
-                let outcome = match result {
-                    Ok(v) => RankOutcome::Ok(v),
-                    Err(payload) => {
-                        // Unblock everyone *before* reporting.
-                        state.mark_failed(rank);
-                        barrier.cancel(rank);
-                        classify_panic(payload)
+                let outcome = build().map_or_else(RankOutcome::Panicked, |mut comm| {
+                    match catch_unwind(AssertUnwindSafe(|| f(&mut comm))) {
+                        Ok(Ok(v)) => RankOutcome::Ok(v),
+                        Ok(Err(e)) => RankOutcome::Err(e),
+                        Err(payload) => {
+                            // Unblock everyone *before* reporting.
+                            comm.transport.announce_death(rank);
+                            classify_panic(payload)
+                        }
                     }
-                };
+                });
                 let _ = done_tx.send(rank);
                 outcome
             }));
         }
+        // Drop the launcher's sender, so the channel disconnects once
+        // every rank has finished.
         drop(done_tx);
-        let deadline = Instant::now() + config.join_deadline;
+        let deadline = Instant::now() + join_deadline;
         let mut completed = vec![false; ranks];
-        let mut n_done = 0;
-        while n_done < ranks {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match done_rx.recv_timeout(deadline - now) {
-                Ok(rank) => {
-                    completed[rank] = true;
-                    n_done += 1;
-                }
-                Err(_) => break,
-            }
+        while let Ok(rank) =
+            done_rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+        {
+            completed[rank] = true;
         }
-        if n_done < ranks {
-            // Deadline breached: declare the stragglers failed so any rank
-            // blocked *on* them (recv, barrier, backpressure) unwinds, then
-            // join. A thread wedged outside the comm layer still delays
-            // scope exit until it actually ends — threads cannot be killed
-            // — but it is reported as a join timeout regardless of what it
-            // eventually returns.
-            for (rank, done) in completed.iter().enumerate() {
-                if !done {
-                    state.mark_failed(rank);
-                    barrier.cancel(rank);
-                }
-            }
+        // Deadline breached: declare the stragglers failed so any rank
+        // blocked *on* them (recv, barrier, backpressure) unwinds, then
+        // join. A thread wedged outside the comm layer still delays scope
+        // exit until it actually ends — threads cannot be killed — but it
+        // is reported as a join timeout regardless of what it returns.
+        for rank in (0..ranks).filter(|&r| !completed[r]) {
+            abandon(rank);
         }
         handles
             .into_iter()
-            .enumerate()
-            .map(|(rank, h)| {
-                let joined = h
-                    .join()
-                    .unwrap_or_else(|_| RankOutcome::Panicked("rank thread died".to_string()));
-                if completed[rank] {
-                    joined
-                } else {
-                    RankOutcome::Panicked("join timeout".to_string())
-                }
+            .zip(completed)
+            .map(|(h, done)| match h.join() {
+                _ if !done => RankOutcome::Panicked("join timeout".to_string()),
+                Ok(outcome) => outcome,
+                Err(_) => RankOutcome::Panicked("rank thread died".to_string()),
             })
             .collect()
     })
@@ -1451,9 +1446,8 @@ where
     Cluster::run_with(ClusterConfig::with_faults(plan), ranks, f)
 }
 
-/// Maps a captured panic payload to a typed outcome (shared with the
-/// TCP supervisor, whose rank threads raise the same typed payloads).
-pub(crate) fn classify_panic<T>(payload: Box<dyn std::any::Any + Send>) -> RankOutcome<T> {
+/// Maps a captured panic payload to a typed outcome.
+fn classify_panic<T>(payload: Box<dyn std::any::Any + Send>) -> RankOutcome<T> {
     match payload.downcast::<InjectedCrash>() {
         Ok(_) => RankOutcome::Crashed,
         Err(payload) => match payload.downcast::<CommFailure>() {

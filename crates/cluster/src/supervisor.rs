@@ -1,34 +1,38 @@
-//! Supervised cluster launches: detect a dead rank, respawn the epoch,
+//! Supervised cluster launches: detect a failed epoch, respawn it,
 //! resume from checkpoints.
 //!
-//! The PR 1 resilience layer makes a crashed run *fail well* (typed
-//! [`RankOutcome`]s, no hangs); a [`Supervisor`] makes it *finish*. It owns
-//! the rank lifecycle: the per-rank channels are created once and live
-//! across epochs, and each **epoch** is one launch of the whole rank set.
-//! When the launcher reports a death (an injected crash, a panic, or a
-//! join timeout — all surfaced through the existing failure detector and
-//! `catch_unwind` harness), the supervisor re-launches every rank as a new
-//! incarnation, up to [`RestartPolicy::max_restarts`] times with
-//! exponential backoff between attempts.
+//! The resilience layer makes a crashed run *fail well* (typed
+//! [`RankOutcome`]s, no hangs); a supervisor makes it *finish*. Each
+//! **epoch** is one launch of the whole rank set, and all three
+//! supervisors climb one respawn ladder: it owns the generation and
+//! restart counters, sleeps [`RestartPolicy::backoff`]`(k)` before
+//! restart `k`, records epochs and deaths in a [`HealthMonitor`], and
+//! stops at the first epoch that needs no respawn or once
+//! [`RestartPolicy::max_restarts`] is spent. Each backend brings one
+//! epoch-launch closure and its own respawn verdict:
+//!
+//! * [`Supervisor`]: rank threads over in-process channels that live
+//!   across epochs. It respawns on a rank *death* (injected crash, panic
+//!   or join timeout); a survivor's typed error is the symptom.
+//! * [`TcpSupervisor`](crate::transport::tcp::TcpSupervisor): rank
+//!   threads over a fresh loopback mesh per epoch. It respawns on any
+//!   non-Ok outcome, since a partition kills no thread and surfaces as a
+//!   typed [`CommError::PeerDown`](crate::CommError::PeerDown) instead.
+//! * [`ProcSupervisor`](crate::transport::proc::ProcSupervisor): child
+//!   OS processes around a hub. It respawns on any non-Ok exit.
+//!
+//! Both thread-backed supervisors start their ranks through the launcher
+//! under [`Cluster::run_with`](crate::Cluster::run_with): `catch_unwind`,
+//! a death notice from every rank that unwinds, and the join deadline.
 //!
 //! Respawned ranks do not redo the whole pipeline: each epoch receives a
 //! [`RecoveryCtx`] carrying the shared [`CheckpointStore`] and a *frozen*
 //! list of globally committed phases, so every rank makes the same
 //! collective decision about where to rejoin. Stale in-flight messages
 //! from the dead incarnation are discarded by the wire layer's generation
-//! tag (the epoch number), which is why the channels can safely survive
-//! the crash.
-//!
-//! This supervisor runs ranks as threads over in-process channels. The
-//! same epoch/generation/checkpoint ladder also drives real transports:
-//! [`ProcSupervisor`](crate::transport::proc::ProcSupervisor) respawns
-//! OS processes over pipes, and
-//! [`TcpSupervisor`](crate::transport::tcp::TcpSupervisor) respawns a
-//! TCP mesh — where, unlike here, a network partition surfaces as a
-//! *typed* [`CommError::PeerDown`](crate::CommError::PeerDown) on every
-//! rank rather than a thread death, so that supervisor respawns on any
-//! non-Ok outcome.
+//! tag (the epoch number).
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -194,12 +198,6 @@ impl RecoveryCtx {
     pub fn committed(&self, phase: &'static str) -> bool {
         self.committed.contains(&phase)
     }
-
-    /// The deepest phase committed at launch — the epoch's resume point
-    /// (`None` on a fresh run).
-    pub fn resume_point(&self) -> Option<&'static str> {
-        self.committed.last().copied()
-    }
 }
 
 /// The result of a supervised run.
@@ -280,31 +278,46 @@ impl Supervisor {
         assert!(ranks >= 1, "need at least one rank");
         let store = Arc::new(CheckpointStore::new(ranks));
         let (txs, rxs) = make_channels(&self.config, ranks);
-        let mut restarts = 0u32;
-        let mut epoch = 0u64;
-        loop {
+        let Ok((outcomes, restarts)) = respawn_ladder(self.policy, &self.monitor, |restarts| {
+            let epoch = u64::from(restarts);
             let ctx = RecoveryCtx::for_epoch(&store, epoch, restarts);
             let g = |comm: &mut Comm| f(comm, &ctx);
-            self.monitor.note_epoch();
             let outcomes = launch_epoch(&self.config, ranks, epoch, txs.clone(), &rxs, &g);
             let died = outcomes
                 .iter()
                 .any(|o| matches!(o, RankOutcome::Crashed | RankOutcome::Panicked(_)));
-            if died {
-                self.monitor.note_death(restarts < self.policy.max_restarts);
-            }
-            if !died || restarts >= self.policy.max_restarts {
-                return SupervisedRun {
-                    outcomes,
-                    restarts,
-                    epochs: epoch + 1,
-                    store,
-                };
-            }
-            restarts += 1;
-            std::thread::sleep(self.policy.backoff(restarts));
-            epoch += 1;
+            Ok::<_, Infallible>((outcomes, died))
+        });
+        SupervisedRun {
+            outcomes,
+            restarts,
+            epochs: u64::from(restarts) + 1,
+            store,
         }
+    }
+}
+
+/// The respawn ladder (see module docs). `launch(k)` runs epoch `k`,
+/// which follows `k` restarts, and returns its result with the backend's
+/// respawn verdict; the ladder returns the last epoch's result and `k`.
+/// A launch error ends the climb.
+pub(crate) fn respawn_ladder<R, E>(
+    policy: RestartPolicy,
+    monitor: &HealthMonitor,
+    mut launch: impl FnMut(u32) -> Result<(R, bool), E>,
+) -> Result<(R, u32), E> {
+    let mut restarts = 0u32;
+    loop {
+        monitor.note_epoch();
+        let (result, respawn) = launch(restarts)?;
+        if respawn {
+            monitor.note_death(restarts < policy.max_restarts);
+        }
+        if !respawn || restarts >= policy.max_restarts {
+            return Ok((result, restarts));
+        }
+        restarts += 1;
+        std::thread::sleep(policy.backoff(restarts));
     }
 }
 
@@ -313,6 +326,7 @@ mod tests {
     use super::*;
     use crate::{tags, CrashSite, FaultPlan, RankOutcome};
     use soifft_num::c64;
+    use std::time::Instant;
 
     fn echo_ring(comm: &mut Comm, _ctx: &RecoveryCtx) -> usize {
         let next = (comm.rank() + 1) % comm.size();
@@ -463,6 +477,54 @@ mod tests {
         assert_eq!(p.backoff(2), Duration::from_millis(8));
         assert_eq!(p.backoff(3), Duration::from_millis(16));
         assert_eq!(p.backoff(40), Duration::from_secs(1), "capped");
+    }
+
+    #[test]
+    fn ladder_sleeps_backoff_k_before_restart_k() {
+        let policy = RestartPolicy {
+            max_restarts: 2,
+            base_backoff: Duration::from_millis(40),
+        };
+        let monitor = HealthMonitor::default();
+        let mut starts = Vec::new();
+        let Ok((last, restarts)) = respawn_ladder(policy, &monitor, |k| {
+            starts.push(Instant::now());
+            Ok::<_, Infallible>((k, k < 2)) // epochs 0 and 1 fail
+        });
+        assert_eq!((last, restarts), (2, 2), "the third epoch's result");
+        assert!(starts[1] - starts[0] >= policy.backoff(1));
+        assert!(
+            starts[2] - starts[1] >= policy.backoff(2),
+            "restart 2 waits backoff(2) = {:?}, not backoff(1)",
+            policy.backoff(2)
+        );
+        assert_eq!(monitor.epochs_launched(), 3);
+        assert_eq!(monitor.deaths(), 2);
+        assert_eq!(monitor.restarts(), 2);
+        assert!(!monitor.budget_exhausted());
+    }
+
+    #[test]
+    fn ladder_stops_when_the_budget_is_spent_or_a_launch_fails() {
+        let policy = RestartPolicy {
+            max_restarts: 1,
+            base_backoff: Duration::from_millis(1),
+        };
+        let monitor = HealthMonitor::default();
+        let spent = respawn_ladder(policy, &monitor, |k| Ok::<_, ()>((k, true)));
+        assert_eq!(spent, Ok((1, 1)), "the last dead epoch is reported");
+        assert!(monitor.budget_exhausted());
+        let mut launches = 0;
+        let failed = respawn_ladder(policy, &HealthMonitor::default(), |k| {
+            launches += 1;
+            if k == 0 {
+                Ok((k, true))
+            } else {
+                Err("listener bind failed")
+            }
+        });
+        assert_eq!(failed, Err("listener bind failed"));
+        assert_eq!(launches, 2);
     }
 
     #[test]

@@ -123,12 +123,6 @@ impl NetChaosPlan {
         }
     }
 
-    /// Restricts the plan to `generation`.
-    pub fn for_generation(mut self, generation: u64) -> Self {
-        self.generation = generation;
-        self
-    }
-
     /// Adds a scripted partition.
     pub fn partition(mut self, spec: PartitionSpec) -> Self {
         self.partitions.push(spec);

@@ -45,7 +45,7 @@ use super::{
     WaitOutcome,
 };
 use crate::resilience::{CommError, FailureDetection};
-use crate::supervisor::RestartPolicy;
+use crate::supervisor::{respawn_ladder, HealthMonitor, RestartPolicy};
 use crate::Message;
 
 /// Env var carrying the child's rank id.
@@ -945,12 +945,15 @@ impl ProcSupervisor {
     {
         assert!(ranks >= 1, "need at least one rank");
         std::fs::create_dir_all(self.checkpoint_dir())?;
-        let mut generation = 0u64;
-        let mut restarts = 0u32;
         let mut deaths = 0u64;
         let mut heartbeat_deaths = 0u64;
         let mut injected_kills = 0u32;
-        loop {
+        let det = &self.config.detection;
+        let hb_interval_ms = det.heartbeat_interval.as_millis().to_string();
+        let hb_timeout_ms = det.staleness_timeout.as_millis().to_string();
+        let monitor = HealthMonitor::default();
+        let (outcomes, restarts) = respawn_ladder(self.config.restart, &monitor, |restarts| {
+            let generation = u64::from(restarts);
             let epoch_dir = self.workdir.join(format!("epoch-{generation}"));
             std::fs::create_dir_all(&epoch_dir)?;
             let socket = epoch_dir.join("hub.sock");
@@ -970,22 +973,8 @@ impl ProcSupervisor {
                     .env(ENV_GENERATION, generation.to_string())
                     .env(ENV_RESTARTS, restarts.to_string())
                     .env(ENV_SOCKET, &socket)
-                    .env(
-                        ENV_HB_INTERVAL_MS,
-                        self.config
-                            .detection
-                            .heartbeat_interval
-                            .as_millis()
-                            .to_string(),
-                    )
-                    .env(
-                        ENV_HB_TIMEOUT_MS,
-                        self.config
-                            .detection
-                            .staleness_timeout
-                            .as_millis()
-                            .to_string(),
-                    )
+                    .env(ENV_HB_INTERVAL_MS, &hb_interval_ms)
+                    .env(ENV_HB_TIMEOUT_MS, &hb_timeout_ms)
                     .env(ENV_CKPT_DIR, self.checkpoint_dir());
                 if let Some(path) = ring_path {
                     cmd.env(ENV_RING, path);
@@ -1070,20 +1059,16 @@ impl ProcSupervisor {
                 let st = st.ok_or_else(|| io::Error::other(ReapError { rank, generation }))?;
                 outcomes.push(ProcOutcome::from_status(st));
             }
-            let run = ProcRun {
-                outcomes,
-                epochs: generation + 1,
-                restarts,
-                deaths,
-                heartbeat_deaths,
-                injected_kills,
-            };
-            if run.all_ok() || restarts >= self.config.restart.max_restarts {
-                return Ok(run);
-            }
-            std::thread::sleep(self.config.restart.backoff(restarts));
-            restarts += 1;
-            generation += 1;
-        }
+            let failed = outcomes.iter().any(|o| *o != ProcOutcome::Ok);
+            Ok::<_, io::Error>((outcomes, failed))
+        })?;
+        Ok(ProcRun {
+            outcomes,
+            epochs: u64::from(restarts) + 1,
+            restarts,
+            deaths,
+            heartbeat_deaths,
+            injected_kills,
+        })
     }
 }

@@ -35,9 +35,8 @@
 
 use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
@@ -50,8 +49,8 @@ use super::{
 };
 use crate::checkpoint::CheckpointStore;
 use crate::resilience::{CommError, FailureDetection, RankOutcome};
-use crate::supervisor::{RecoveryCtx, RestartPolicy};
-use crate::{classify_panic, ClusterConfig, Comm};
+use crate::supervisor::{respawn_ladder, HealthMonitor, RecoveryCtx, RestartPolicy};
+use crate::{launch_ranks, ClusterConfig, Comm};
 
 /// Per-peer outbound queue capacity in frames; a full queue surfaces as
 /// [`SendOutcome::Full`] backpressure to the link layer.
@@ -152,12 +151,13 @@ impl TcpShared {
         }
     }
 
-    /// Declares `dead` down for `reason` from local detection:
-    /// broadcasts the notice to every peer — including the dead rank,
-    /// which under an asymmetric partition may still hear us and must
-    /// learn it has been declared dead — and fails pending barriers.
-    fn declare_down(&self, dead: usize, reason: u64) {
-        if dead >= self.size || !self.peers.mark(dead, PeerFailureKind::Down) {
+    /// Declares `dead` lost (`kind`, for `reason`): a detector's verdict,
+    /// this rank's own death, or the launcher abandoning it. Broadcasts
+    /// the notice to every peer, including the dead rank, which under an
+    /// asymmetric partition may still hear us and must learn it has been
+    /// declared dead, and fails pending barriers.
+    fn declare_down(&self, dead: usize, kind: PeerFailureKind, reason: u64) {
+        if dead >= self.size || !self.peers.mark(dead, kind) {
             return;
         }
         self.note_gone(dead);
@@ -479,18 +479,8 @@ impl Transport for TcpTransport {
     }
 
     fn announce_death(&self, rank: usize) {
-        if self.shared.peers.mark(rank, PeerFailureKind::Crashed) {
-            self.shared.note_gone(rank);
-            let notice = Frame::control(FrameKind::PeerDown, rank as u32, self.shared.generation);
-            for r in 0..self.shared.size {
-                if r != self.shared.rank {
-                    self.shared.enqueue(r, notice.clone());
-                }
-            }
-            if self.shared.rank == 0 {
-                self.shared.fail_barrier(rank);
-            }
-        }
+        self.shared
+            .declare_down(rank, PeerFailureKind::Crashed, Frame::PEER_DOWN_EXIT);
     }
 
     fn barrier(&mut self, timeout: Duration) -> Result<(), CommError> {
@@ -701,7 +691,7 @@ fn sender_loop(shared: Arc<TcpShared>, dst: usize, addr: SocketAddr, q: Receiver
                         .partition_ns
                         .fetch_add(since.elapsed().as_nanos() as u64, Ordering::SeqCst);
                 }
-                shared.declare_down(dst, Frame::PEER_DOWN_PARTITION);
+                shared.declare_down(dst, PeerFailureKind::Down, Frame::PEER_DOWN_PARTITION);
                 break;
             }
             match dial(&shared, addr) {
@@ -846,7 +836,7 @@ fn detector_loop(shared: Arc<TcpShared>) {
                 .collect()
         };
         for r in stale {
-            shared.declare_down(r, Frame::PEER_DOWN_HEARTBEAT);
+            shared.declare_down(r, PeerFailureKind::Down, Frame::PEER_DOWN_HEARTBEAT);
         }
     }
 }
@@ -897,10 +887,9 @@ impl<T> TcpRun<T> {
 /// the in-process [`Supervisor`](crate::Supervisor) and the process
 /// [`ProcSupervisor`](super::proc::ProcSupervisor).
 ///
-/// One semantic difference from the in-process supervisor: a network
-/// partition surfaces as a *typed error* on every rank (no thread
-/// dies), so this supervisor respawns on any non-Ok outcome — typed
-/// comm errors included — bounded by the restart policy.
+/// A network partition kills no thread, so this supervisor respawns on
+/// any non-Ok outcome, typed comm errors included (see
+/// [`supervisor`](crate::supervisor)).
 pub struct TcpSupervisor {
     config: TcpConfig,
 }
@@ -925,11 +914,12 @@ impl TcpSupervisor {
     {
         assert!(ranks >= 1, "need at least one rank");
         let store = Arc::new(CheckpointStore::new(ranks));
-        let mut generation = 0u64;
-        let mut restarts = 0u32;
+        let cluster = &self.config.cluster;
         let mut peer_down_aborts = 0u64;
         let mut chaos_events: Option<NetChaosEvents> = None;
-        loop {
+        let monitor = HealthMonitor::default();
+        let (outcomes, restarts) = respawn_ladder(self.config.restart, &monitor, |restarts| {
+            let generation = u64::from(restarts);
             let mut listeners = Vec::with_capacity(ranks);
             let mut real = Vec::with_capacity(ranks);
             for _ in 0..ranks {
@@ -944,59 +934,40 @@ impl TcpSupervisor {
                 _ => None,
             };
             let ctx = RecoveryCtx::resume(Arc::clone(&store), generation, restarts);
-            let detection = self.config.cluster.detection;
-            let outcomes: Vec<RankOutcome<T>> = {
-                let ctx = &ctx;
-                let f = &f;
-                let cluster = &self.config.cluster;
-                let chaos_ref = chaos.as_ref();
-                let real = &real;
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = listeners
-                        .into_iter()
-                        .enumerate()
-                        .map(|(r, listener)| {
-                            let dial = chaos_ref.map_or_else(|| real.clone(), |c| c.dial(r));
-                            scope.spawn(move || {
-                                let ep = TcpEndpoint {
-                                    rank: r,
-                                    size: ranks,
-                                    generation,
-                                    restarts,
-                                    listen: real[r],
-                                    dial,
-                                    detection,
-                                };
-                                let transport = match TcpTransport::with_listener(listener, &ep) {
-                                    Ok(t) => t,
-                                    Err(e) => {
-                                        return RankOutcome::Panicked(format!(
-                                            "transport setup failed: {e}"
-                                        ))
-                                    }
-                                };
-                                let mut comm = Comm::from_transport(Box::new(transport), cluster);
-                                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                    f(&mut comm, ctx)
-                                }));
-                                match result {
-                                    Ok(Ok(v)) => RankOutcome::Ok(v),
-                                    Ok(Err(e)) => RankOutcome::Err(e),
-                                    Err(payload) => classify_panic(payload),
-                                }
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join().unwrap_or_else(|_| {
-                                RankOutcome::Panicked("rank thread died".into())
-                            })
-                        })
-                        .collect()
+            // Each rank's mesh state, published once its thread has
+            // dialled in, so the launcher can abandon a wedged rank.
+            let meshes: Vec<OnceLock<Arc<TcpShared>>> =
+                (0..ranks).map(|_| OnceLock::new()).collect();
+            let builders: Vec<_> = listeners
+                .into_iter()
+                .enumerate()
+                .map(|(r, listener)| {
+                    let ep = TcpEndpoint {
+                        rank: r,
+                        size: ranks,
+                        generation,
+                        restarts,
+                        listen: real[r],
+                        dial: chaos.as_ref().map_or_else(|| real.clone(), |c| c.dial(r)),
+                        detection: cluster.detection,
+                    };
+                    let mesh = &meshes[r];
+                    move || {
+                        let transport = TcpTransport::with_listener(listener, &ep)
+                            .map_err(|e| format!("transport setup failed: {e}"))?;
+                        let _ = mesh.set(Arc::clone(&transport.shared));
+                        Ok(Comm::from_transport(Box::new(transport), cluster))
+                    }
                 })
+                .collect();
+            let abandon = |r: usize| {
+                if let Some(shared) = meshes[r].get() {
+                    shared.declare_down(r, PeerFailureKind::Crashed, Frame::PEER_DOWN_EXIT);
+                }
             };
+            let outcomes = launch_ranks(cluster.join_deadline, builders, &abandon, &|comm| {
+                f(comm, &ctx)
+            });
             if let Some(c) = &chaos {
                 chaos_events = Some(c.events());
                 c.shutdown();
@@ -1005,21 +976,17 @@ impl TcpSupervisor {
                 .iter()
                 .filter(|o| matches!(o, RankOutcome::Err(CommError::PeerDown { .. })))
                 .count() as u64;
-            let all_ok = outcomes.iter().all(|o| o.is_ok());
-            if all_ok || restarts >= self.config.restart.max_restarts {
-                return Ok(TcpRun {
-                    outcomes,
-                    epochs: generation + 1,
-                    restarts,
-                    peer_down_aborts,
-                    chaos_events,
-                    store,
-                });
-            }
-            std::thread::sleep(self.config.restart.backoff(restarts));
-            restarts += 1;
-            generation += 1;
-        }
+            let failed = !outcomes.iter().all(RankOutcome::is_ok);
+            Ok::<_, io::Error>((outcomes, failed))
+        })?;
+        Ok(TcpRun {
+            outcomes,
+            epochs: u64::from(restarts) + 1,
+            restarts,
+            peer_down_aborts,
+            chaos_events,
+            store,
+        })
     }
 }
 
@@ -1082,6 +1049,97 @@ mod tests {
         });
         h0.join().expect("rank 0 thread");
         h1.join().expect("rank 1 thread");
+    }
+
+    fn supervisor(cluster: ClusterConfig, restart: RestartPolicy) -> TcpSupervisor {
+        TcpSupervisor::new(TcpConfig {
+            cluster,
+            restart,
+            chaos: None,
+        })
+    }
+
+    #[test]
+    fn join_deadline_reports_wedged_rank() {
+        let config = ClusterConfig {
+            join_deadline: Duration::from_secs(1),
+            ..ClusterConfig::default()
+        };
+        let run = supervisor(config, RestartPolicy::disabled())
+            .run(3, |comm, _ctx| {
+                if comm.rank() == 2 {
+                    // Wedged *outside* the comm layer, where no failure
+                    // detector can unblock it — only the join deadline sees it.
+                    std::thread::sleep(Duration::from_secs(3));
+                }
+                Ok(comm.rank())
+            })
+            .expect("mesh launches");
+        assert_eq!(
+            run.outcomes[2],
+            RankOutcome::Panicked("join timeout".to_string())
+        );
+        assert_eq!(run.outcomes[0], RankOutcome::Ok(0));
+        assert_eq!(run.outcomes[1], RankOutcome::Ok(1));
+    }
+
+    #[test]
+    fn plain_panic_announces_death_to_a_peer_in_barrier() {
+        // A short receive deadline: a survivor that never hears of the
+        // death gives up in 3 s instead of the default two minutes.
+        let config = ClusterConfig {
+            recv_deadline: Duration::from_secs(3),
+            ..ClusterConfig::default()
+        };
+        let run = supervisor(config, RestartPolicy::disabled())
+            .run(2, |comm, _ctx| {
+                if comm.rank() == 1 {
+                    panic!("boom on rank 1");
+                }
+                comm.try_barrier()
+            })
+            .expect("mesh launches");
+        match &run.outcomes[1] {
+            RankOutcome::Panicked(msg) => assert!(msg.contains("boom"), "{msg}"),
+            other => panic!("expected Panicked, got {other:?}"),
+        }
+        // Rank 0 sat in the barrier; the dying rank's notice fails it.
+        assert_eq!(
+            run.outcomes[0],
+            RankOutcome::Err(CommError::PeerDown { rank: 1 })
+        );
+    }
+
+    #[test]
+    fn backoff_doubles_from_the_first_restart_to_the_second() {
+        let base = Duration::from_millis(400);
+        let restart = RestartPolicy {
+            max_restarts: 2,
+            base_backoff: base,
+        };
+        let starts = Mutex::new(Vec::new());
+        let run = supervisor(ClusterConfig::default(), restart)
+            .run(2, |comm, ctx| {
+                if comm.rank() == 0 {
+                    starts.lock().expect("unpoisoned").push(Instant::now());
+                }
+                if ctx.epoch() < 2 {
+                    Err(CommError::Timeout)
+                } else {
+                    Ok(())
+                }
+            })
+            .expect("mesh launches");
+        assert!(run.all_ok(), "the third epoch succeeds");
+        assert_eq!(run.restarts, 2);
+        let starts = starts.into_inner().expect("unpoisoned");
+        // Both gaps hold one epoch's setup and teardown, which cancel:
+        // what is left is backoff(2) - backoff(1) = base.
+        let (first, second) = (starts[1] - starts[0], starts[2] - starts[1]);
+        assert!(
+            second >= first + base * 3 / 4,
+            "gaps {first:?} then {second:?}: restart 2 must wait backoff(2)"
+        );
     }
 
     #[test]

@@ -169,15 +169,6 @@ pub fn try_overlapped_timeline(
 }
 
 impl Timeline {
-    /// Total time the cores spent computing.
-    pub fn busy_compute(&self) -> f64 {
-        self.events
-            .iter()
-            .filter(|e| !e.label.starts_with("exchange"))
-            .map(|e| e.end - e.start)
-            .sum()
-    }
-
     /// Renders the schedule as an ASCII two-lane (NIC / cores) diagram.
     ///
     /// # Panics

@@ -426,11 +426,6 @@ impl Tuner {
         &self.rates
     }
 
-    /// Overrides the rate coefficients (tests; calibrated priors).
-    pub fn set_rates(&mut self, rates: RateModel) {
-        self.rates = rates;
-    }
-
     /// Wisdom entries currently held (loaded + learned this session).
     pub fn entries(&self) -> &[WisdomEntry] {
         &self.entries

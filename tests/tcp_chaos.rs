@@ -1,13 +1,14 @@
 //! TCP-mesh chaos: the SOI pipeline over real sockets with a
 //! deterministic network-fault proxy in path.
 //!
-//! Two invariants, the PR 8 contract:
+//! Two invariants:
 //!
-//! 1. **Heal**: a partition shorter than the staleness budget is
-//!    absorbed by the transport alone — senders reconnect with capped
-//!    backoff and resend, the receive side drops re-delivered frames by
-//!    sequence floor, and the run completes in one epoch with zero
-//!    restarts, bit-identical to a fault-free TCP run.
+//! 1. **Heal**: a partition shorter than the staleness budget, or a
+//!    one-shot connection reset, is absorbed by the transport alone —
+//!    senders reconnect with capped backoff and resend, the receive side
+//!    drops re-delivered frames by sequence floor, and the run completes
+//!    in one epoch with zero restarts, bit-identical to a fault-free TCP
+//!    run.
 //! 2. **Escalate**: a partition that outlasts the budget surfaces as a
 //!    typed `PeerDown` on every blocked rank, the supervisor respawns
 //!    the mesh into a bumped generation, the ranks resume from shared
@@ -178,5 +179,35 @@ fn unhealed_partition_escalates_to_peer_down_and_recovers_bit_identical() {
     assert!(
         err < 1e-9,
         "recovered spectrum must verify: rel err {err:.3e}"
+    );
+}
+
+#[test]
+fn connection_reset_mid_exchange_heals_without_respawn() {
+    let clean = run_mesh(Duration::from_secs(3), None);
+    assert!(clean.all_ok(), "fault-free mesh must complete");
+    let clean_parts = parts_of(clean);
+
+    // Hard-close rank 2's link toward rank 3 once 64 KiB have crossed
+    // it. That link carries no ghost traffic (ghosts flow from rank
+    // r + 1 to rank r), so the reset lands mid-all-to-all and may cut
+    // a frame in half. The sender must re-dial and resend inside the
+    // 3 s staleness budget.
+    let plan = NetChaosPlan::new(0x0C4A_05F7).reset_link(2, 3, 64 * 1024);
+    let run = run_mesh(Duration::from_secs(3), Some(plan));
+    let events = run.chaos_events.expect("proxy was installed");
+    println!(
+        "tcp-chaos reset: epochs {} | restarts {} | peer-down aborts {} | proxy {events:?}",
+        run.epochs, run.restarts, run.peer_down_aborts
+    );
+    assert_eq!(events.resets_fired, 1, "the reset must fire exactly once");
+    assert_eq!(run.epochs, 1, "a reset must not take a respawn");
+    assert_eq!(run.restarts, 0, "a reset must not consume the budget");
+    assert_eq!(run.peer_down_aborts, 0, "no rank may see a PeerDown");
+    assert!(run.all_ok(), "the run must complete across the reset");
+    assert_eq!(
+        bits(&parts_of(run)),
+        bits(&clean_parts),
+        "spectrum after a reset must be bit-identical to the fault-free TCP run"
     );
 }
