@@ -422,13 +422,20 @@ impl Comm {
     ///   cluster.
     #[must_use = "a failed send leaves the collective incomplete; handle or escalate the error"]
     pub fn try_send(&mut self, dst: usize, tag: u64, data: Vec<c64>) -> Result<(), CommError> {
+        self.post(dst, tag, data, 0)
+    }
+
+    /// [`Comm::try_send`] charged as one message of `data.len() + kept`
+    /// elements: `kept` counts data the caller keeps at home instead of
+    /// posting (see [`Comm::all_to_all_keep_own`]).
+    fn post(&mut self, dst: usize, tag: u64, data: Vec<c64>, kept: usize) -> Result<(), CommError> {
         if dst >= self.size {
             return Err(CommError::InvalidArgument {
                 what: "destination rank out of range",
             });
         }
         self.maybe_crash_sends();
-        let bytes = (data.len() * std::mem::size_of::<c64>()) as u64;
+        let bytes = ((data.len() + kept) * std::mem::size_of::<c64>()) as u64;
         self.stats.add_bytes_sent(bytes);
         if dst == self.rank {
             // Self-message: short-circuit into the pending map.
@@ -826,6 +833,71 @@ impl Comm {
     /// Infallible like [`Comm::send`]: a typed failure of the exchange
     /// (under the default receive deadline) becomes a rank-fatal panic.
     pub fn all_to_all_into(&mut self, outgoing: &mut [Vec<c64>], incoming: &mut Vec<Vec<c64>>) {
+        if let Err(e) = self.exchange_plain(outgoing, 0, incoming) {
+            resilience::raise(e)
+        }
+    }
+
+    /// An all-to-all whose sender keeps its own block at home: a
+    /// transpose reads that block straight from its local matrix, so
+    /// copying it into `outgoing[rank]` and posting it to itself would only
+    /// move it twice. The own slot must be empty; it is still posted
+    /// (empty), so send counts, tags and crash-after-k-sends schedules are
+    /// those of the full exchange, and `incoming[rank]` comes back empty.
+    ///
+    /// An own block is charged like a self-send: the own slot counts as
+    /// one message of `own_len` elements inside the `"all-to-all"` phase,
+    /// so `messages_sent`, `total_bytes_sent` and `bytes_in("all-to-all")`
+    /// read what the same exchange with a full own slot reads.
+    ///
+    /// Without a `policy` this is [`Comm::all_to_all_into`] (a failure is
+    /// rank-fatal); with one it is [`Comm::all_to_all_resilient`], and the
+    /// outgoing buffers are recycled once it returns. Either way the
+    /// outgoing slots come back empty.
+    ///
+    /// # Errors
+    /// Those of [`Comm::all_to_all_resilient`] under a `policy`, and
+    /// [`CommError::InvalidArgument`] for a non-empty own slot.
+    pub fn all_to_all_keep_own(
+        &mut self,
+        outgoing: &mut [Vec<c64>],
+        own_len: usize,
+        incoming: &mut Vec<Vec<c64>>,
+        policy: Option<&ExchangePolicy>,
+    ) -> Result<(), CommError> {
+        if outgoing.get(self.rank).is_some_and(|own| !own.is_empty()) {
+            return Err(CommError::InvalidArgument {
+                what: "a kept own block leaves its slot empty",
+            });
+        }
+        let Some(policy) = policy else {
+            if let Err(e) = self.exchange_plain(outgoing, own_len, incoming) {
+                resilience::raise(e)
+            }
+            return Ok(());
+        };
+        let result = self.exchange_resilient(outgoing, own_len, policy);
+        // The resilient exchange posts copies (it may retransmit across
+        // rounds); the originals go back to the pool once it returns.
+        for slot in outgoing.iter_mut() {
+            self.recycle_buffer(std::mem::take(slot));
+        }
+        for old in incoming.drain(..) {
+            self.recycle_buffer(old);
+        }
+        *incoming = result?;
+        Ok(())
+    }
+
+    /// The plain exchange behind [`Comm::all_to_all_into`] and
+    /// [`Comm::all_to_all_keep_own`], `kept` own elements charged on top
+    /// of the own slot.
+    fn exchange_plain(
+        &mut self,
+        outgoing: &mut [Vec<c64>],
+        kept: usize,
+        incoming: &mut Vec<Vec<c64>>,
+    ) -> Result<(), CommError> {
         assert_eq!(outgoing.len(), self.size, "need one buffer per rank");
         self.maybe_crash(CrashSite::AllToAll);
         let t = self.stats.phase_start();
@@ -834,26 +906,31 @@ impl Comm {
         }
         let end = Instant::now() + self.recv_deadline_default;
         let take = |_: &mut Comm, dst: usize| std::mem::take(&mut outgoing[dst]);
-        if let Err(e) = self.post_collect(tags::ALL_TO_ALL, end, incoming, take) {
-            resilience::raise(e)
-        }
+        self.post_collect(tags::ALL_TO_ALL, end, kept, incoming, take)?;
         self.stats.phase_end("all-to-all", t);
+        Ok(())
     }
 
     /// The one all-to-all core: posts `stage(self, d)` to every rank `d`
     /// on `tag`, then collects one message from every source into
     /// `incoming` (indexed by source), every receive against the one
     /// deadline `end`. Stops at the first failure.
+    ///
+    /// The own slot is charged `kept` elements on top of what it posts:
+    /// the one place the ledger counts an own block the caller kept at
+    /// home ([`Comm::all_to_all_keep_own`]) as sent.
     fn post_collect(
         &mut self,
         tag: u64,
         end: Instant,
+        kept: usize,
         incoming: &mut Vec<Vec<c64>>,
         mut stage: impl FnMut(&mut Comm, usize) -> Vec<c64>,
     ) -> Result<(), CommError> {
         for dst in 0..self.size {
             let data = stage(self, dst);
-            self.try_send(dst, tag, data)?;
+            let kept = if dst == self.rank { kept } else { 0 };
+            self.post(dst, tag, data, kept)?;
         }
         for src in 0..self.size {
             let got = self.recv_until(src, tag, end)?;
@@ -884,6 +961,18 @@ impl Comm {
     pub fn all_to_all_resilient(
         &mut self,
         outgoing: &[Vec<c64>],
+        policy: &ExchangePolicy,
+    ) -> Result<Vec<Vec<c64>>, CommError> {
+        self.exchange_resilient(outgoing, 0, policy)
+    }
+
+    /// The round loop behind [`Comm::all_to_all_resilient`] and
+    /// [`Comm::all_to_all_keep_own`], `kept` own elements charged on top
+    /// of the own slot in every round.
+    fn exchange_resilient(
+        &mut self,
+        outgoing: &[Vec<c64>],
+        kept: usize,
         policy: &ExchangePolicy,
     ) -> Result<Vec<Vec<c64>>, CommError> {
         if outgoing.len() != self.size {
@@ -919,7 +1008,7 @@ impl Comm {
                     copy.extend_from_slice(&outgoing[dst]);
                     copy
                 };
-                let posted = self.post_collect(data_tag, end, &mut incoming, stage);
+                let posted = self.post_collect(data_tag, end, kept, &mut incoming, stage);
                 // Structural failures cannot be retried away.
                 if let Err(e) = &posted {
                     if !e.is_transient() {
@@ -2227,6 +2316,89 @@ mod tests {
                 assert_eq!(buf.len(), 15, "rank {rank} src {src}");
                 assert_eq!(buf[0], c64::new(src as f64, rank as f64));
             }
+        }
+    }
+
+    #[test]
+    fn keep_own_exchange_charges_the_own_block_like_a_self_send() {
+        let (p, len) = (3, 7);
+        let part = |r: usize, d: usize| -> Vec<c64> {
+            (0..len)
+                .map(|j| c64::new((r * 10 + d) as f64, j as f64))
+                .collect()
+        };
+        let policy = ExchangePolicy {
+            deadline: Duration::from_secs(2),
+            max_rounds: 4,
+        };
+        for resilient in [false, true] {
+            // Self-sends skip injection, so both runs draw the same faults.
+            let plan = FaultPlan::new(31).drop(0.3).corrupt(0.2);
+            let run = |keep: bool| {
+                run_cluster_with_faults(p, plan.clone(), |comm| {
+                    let r = comm.rank();
+                    let mut outgoing: Vec<Vec<c64>> = (0..p)
+                        .map(|d| {
+                            if keep && d == r {
+                                Vec::new()
+                            } else {
+                                part(r, d)
+                            }
+                        })
+                        .collect();
+                    let mut incoming = Vec::new();
+                    let policy = resilient.then_some(&policy);
+                    match (keep, policy) {
+                        (true, _) => {
+                            comm.all_to_all_keep_own(&mut outgoing, len, &mut incoming, policy)?
+                        }
+                        (false, Some(policy)) => {
+                            incoming = comm.all_to_all_resilient(&outgoing, policy)?
+                        }
+                        (false, None) => comm.all_to_all_into(&mut outgoing, &mut incoming),
+                    }
+                    let s = comm.stats();
+                    let ledger = (
+                        s.messages_sent(),
+                        s.total_bytes_sent(),
+                        s.bytes_in("all-to-all"),
+                        s.retransmits(),
+                    );
+                    Ok::<_, CommError>((outgoing, incoming, ledger))
+                })
+            };
+            let (full, kept) = (run(false), run(true));
+            let mut retransmits = 0;
+            for (r, (f, k)) in full.into_iter().zip(kept).enumerate() {
+                let (_, f_in, f_ledger) = f.unwrap().expect("full own slot");
+                let (k_out, k_in, k_ledger) = k.unwrap().expect("kept own block");
+                assert!(
+                    k_out.iter().all(Vec::is_empty),
+                    "rank {r}: slots come back empty"
+                );
+                assert!(k_in[r].is_empty(), "rank {r}: the own slot is posted empty");
+                for q in (0..p).filter(|&q| q != r) {
+                    assert_eq!(k_in[q], part(q, r), "rank {r} from {q}");
+                    assert_eq!(k_in[q], f_in[q], "rank {r} from {q}");
+                }
+                assert_eq!(k_ledger, f_ledger, "rank {r}, resilient {resilient}");
+                assert!(k_ledger.2 >= (p * len * 16) as u64);
+                retransmits += k_ledger.3;
+            }
+            assert!(retransmits > 0, "the plan injected faults");
+        }
+    }
+
+    #[test]
+    fn keep_own_exchange_rejects_a_filled_own_slot() {
+        let out = Cluster::run(2, |comm| {
+            let mut outgoing = vec![vec![c64::ZERO; 3]; 2];
+            let err = comm.all_to_all_keep_own(&mut outgoing, 3, &mut Vec::new(), None);
+            (err.err(), comm.stats().messages_sent())
+        });
+        for (err, sent) in out {
+            assert!(matches!(err, Some(CommError::InvalidArgument { .. })));
+            assert_eq!(sent, 0, "nothing is posted");
         }
     }
 

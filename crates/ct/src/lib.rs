@@ -19,11 +19,15 @@
 //! Every entry point configures one private executor over a [`CtWorkspace`]:
 //! plain or round-retrying exchange, checkpoint restore-or-run-then-save,
 //! through the guard and checkpoint hooks SOI uses ([`soifft_cluster::abft`]).
-//! Each transpose packs with a contiguous copy (every local row's slice
-//! of a peer's columns, in row order) and the receiver does the actual
-//! transposition, one staged [`transpose_strided`] sweep per arrived part
-//! straight into place, through the workspace's stage; both reshuffles
-//! are `pack` spans in the ledger.
+//! Each transpose packs, for each peer, a contiguous copy (every local
+//! row's slice of that peer's columns, in row order), and the receiver
+//! does the actual transposition, one staged [`transpose_strided`] sweep
+//! per arrived part straight into place, through the workspace's stage;
+//! both reshuffles are `pack` spans in the ledger. A rank's own block is
+//! neither packed nor posted: its sweep reads it straight from the local
+//! matrix, and [`Comm::all_to_all_keep_own`] charges it as the self-send
+//! it replaces, so the byte and message ledger is that of three full
+//! all-to-alls.
 //!
 //! Constraints: `P | n1` and `P | n2`. Input and output are block
 //! distributed in natural order (rank `r` holds elements
@@ -433,16 +437,20 @@ pub fn distributed_transpose(comm: &mut Comm, local: &[c64], rows: usize, cols: 
     out
 }
 
-/// The transpose stage: packs to rank `q` this rank's columns
+/// The transpose stage: packs to each peer `q` this rank's columns
 /// `[q·out_rows, (q+1)·out_rows)` as a contiguous copy of each local row's
-/// column range into a pooled slot; exchanges (round-retrying under a
-/// `policy`); transposes each arrived part straight into `out` at column
-/// offset `q·my_rows` through `stage`; and recycles what arrived, so
-/// iterated transposes never allocate. Both reshuffles are `pack` spans.
+/// column range into a pooled slot; exchanges through
+/// [`Comm::all_to_all_keep_own`] (round-retrying under a `policy`);
+/// transposes each arrived part straight into `out` at column offset
+/// `q·my_rows` through `stage`; and recycles what arrived, so iterated
+/// transposes never allocate. Both reshuffles are `pack` spans.
 ///
-/// A part is therefore the sender's `my_rows × out_rows` block in the
-/// sender's row-major order (the receiver transposes); message count,
-/// sizes, tags and order are unchanged: one all-to-all of `P` equal parts.
+/// A part is therefore a peer's `my_rows × out_rows` block in the
+/// sender's row-major order (the receiver transposes). The own block is
+/// neither packed nor posted: it is transposed straight from `local` at
+/// source stride `cols`, and the exchange charges it as the self-send it
+/// replaces, so message count, sizes, tags and order in the ledger are
+/// those of one all-to-all of `P` equal parts.
 fn transpose(
     comm: &mut Comm,
     policy: Option<&ExchangePolicy>,
@@ -451,7 +459,7 @@ fn transpose(
     (outgoing, incoming, stage): (&mut Vec<Vec<c64>>, &mut Vec<Vec<c64>>, &mut [c64]),
     out: &mut [c64],
 ) -> Result<(), CommError> {
-    let p = comm.size();
+    let (p, me) = (comm.size(), comm.rank());
     assert_eq!(rows % p, 0, "P must divide rows");
     assert_eq!(cols % p, 0, "P must divide cols");
     let (my_rows, out_rows) = (rows / p, cols / p);
@@ -459,7 +467,7 @@ fn transpose(
     assert_eq!(out.len(), out_rows * rows, "output shape mismatch");
 
     comm.stats_mut().span_open("pack");
-    for (q, slot) in outgoing.iter_mut().enumerate() {
+    for (q, slot) in outgoing.iter_mut().enumerate().filter(|&(q, _)| q != me) {
         let c0 = q * out_rows;
         let mut buf = comm.acquire_buffer(out_rows * my_rows);
         for row in local.chunks_exact(cols) {
@@ -469,24 +477,20 @@ fn transpose(
     }
     comm.stats_mut().span_close("pack");
 
-    match policy {
-        Some(policy) => {
-            *incoming = comm.all_to_all_resilient(outgoing, policy)?;
-            // The resilient exchange borrows the outgoing buffers (it may
-            // retransmit them across rounds); recycle them once it returns.
-            for slot in outgoing.iter_mut() {
-                comm.recycle_buffer(std::mem::take(slot));
-            }
-        }
-        None => comm.all_to_all_into(outgoing, incoming),
-    }
+    comm.all_to_all_keep_own(outgoing, my_rows * out_rows, incoming, policy)?;
 
     // From rank q come its rows [q·my_rows, ...) restricted to my columns:
     // they become columns [q·my_rows, ...) of my out_rows × rows block.
+    // My own rows are those columns of `local` itself.
     comm.stats_mut().span_open("pack");
     for (q, part) in incoming.iter().enumerate() {
+        let (src, stride) = if q == me {
+            (&local[me * out_rows..], cols)
+        } else {
+            (&part[..], out_rows)
+        };
         let dst = &mut out[q * my_rows..];
-        transpose_strided(part, out_rows, dst, rows, (my_rows, out_rows), None, stage);
+        transpose_strided(src, stride, dst, rows, (my_rows, out_rows), None, stage);
     }
     comm.stats_mut().span_close("pack");
     for buf in incoming.drain(..) {
@@ -562,7 +566,7 @@ impl Distributed2dFft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soifft_cluster::{Cluster, ClusterConfig, FaultPlan, RankOutcome};
+    use soifft_cluster::{checksum, Cluster, ClusterConfig, FaultPlan, RankOutcome};
     use soifft_num::error::rel_linf;
 
     fn signal(n: usize) -> Vec<c64> {
@@ -743,6 +747,66 @@ mod tests {
         let per_rank_bytes = (n / p * 16) as u64;
         for &b in &stats {
             assert_eq!(b, 3 * per_rank_bytes);
+        }
+    }
+
+    /// Digests of the gathered spectra of a 1024-point signal, the same
+    /// for every `P` (and on the scalar kernels), recorded when every
+    /// transpose still posted its own block to itself: the 1D transform,
+    /// and the 32 × 32 2D one.
+    const OWN_BLOCK_DIGESTS: (u64, u64) = (0xb9868003440b65db, 0x7515a17874d455c1);
+
+    #[test]
+    fn own_block_stays_home_with_the_ledger_and_bits_of_a_self_send() {
+        let n = 1 << 10;
+        let x = signal(n);
+        let policy = ExchangePolicy::default();
+        let (want_1d, want_2d) = OWN_BLOCK_DIGESTS;
+        for p in [1, 2, 4] {
+            let parts = scatter(&x, p);
+            let fft = DistributedCtFft::new(n, p).unwrap();
+            let fft2 = Distributed2dFft::new(32, 32, p);
+            let runs = Cluster::run(p, |comm| {
+                let x = &parts[comm.rank()];
+                let ledger =
+                    |c: &Comm| (c.stats().bytes_in("all-to-all"), c.stats().messages_sent());
+                let (mut ws, mut y) = (fft.make_workspace(), vec![c64::ZERO; n / p]);
+                let mut at = vec![ledger(comm)];
+                for _ in 0..2 {
+                    fft.forward_into(comm, x, &mut ws, &mut y);
+                    at.push(ledger(comm));
+                }
+                let yt = fft.try_forward(comm, x, &policy).unwrap();
+                at.push(ledger(comm));
+                let y2 = fft2.forward(comm, x);
+                at.push(ledger(comm));
+                let step: Vec<_> = at
+                    .windows(2)
+                    .map(|w| (w[1].0 - w[0].0, w[1].1 - w[0].1))
+                    .collect();
+                (y, yt, y2, step)
+            });
+            let per = (n / p * 16) as u64;
+            let mut got = (Vec::new(), Vec::new(), Vec::new());
+            for (rank, (y, yt, y2, step)) in runs.into_iter().enumerate() {
+                // A healthy consensus round after each resilient exchange:
+                // rank 0 broadcasts to P − 1 peers, the others report once.
+                let votes = match (p, rank) {
+                    (1, _) => 0,
+                    (_, 0) => p as u64 - 1,
+                    _ => 1,
+                };
+                let one = (3 * per, 3 * p as u64);
+                let tried = (one.0 + 3 * votes * 16, one.1 + 3 * votes);
+                let want = [one, one, tried, (per, p as u64)];
+                assert_eq!(step, want, "P={p} rank {rank}");
+                got.0.extend(y);
+                got.1.extend(yt);
+                got.2.extend(y2);
+            }
+            assert_eq!(checksum(&got.0), want_1d, "P={p} forward_into");
+            assert_eq!(checksum(&got.1), want_1d, "P={p} try_forward");
+            assert_eq!(checksum(&got.2), want_2d, "P={p} 2D");
         }
     }
 
