@@ -19,7 +19,8 @@
 //!   non-Ok outcome, since a partition kills no thread and surfaces as a
 //!   typed [`CommError::PeerDown`](crate::CommError::PeerDown) instead.
 //! * [`ProcSupervisor`](crate::transport::proc::ProcSupervisor): child
-//!   OS processes around a hub. It respawns on any non-Ok exit.
+//!   OS processes on a fresh loopback mesh per epoch, each with a control
+//!   link to the supervisor. It respawns on any non-Ok exit.
 //!
 //! Both thread-backed supervisors start their ranks through the launcher
 //! under [`Cluster::run_with`](crate::Cluster::run_with): `catch_unwind`,

@@ -8,32 +8,31 @@
 //! fault injection, retry, the buffer pool, statistics) lives in
 //! [`Comm`](crate::Comm) and is backend-agnostic.
 //!
-//! Three backends ship:
+//! Two backends ship:
 //!
 //! * [`InProcTransport`] — the classic simulated cluster: ranks are OS
 //!   threads, links are crossbeam channels, failure detection is a
 //!   shared health flag, and the barrier is a condvar. This remains the
 //!   default used by [`Cluster::run`](crate::Cluster::run).
-//! * [`ProcTransport`](proc::ProcTransport) — ranks are separate OS
-//!   processes connected to a hub over Unix-domain sockets speaking the
-//!   [`wire`] codec, optionally with a per-rank inbound [`shm`] ring as
-//!   the same-host data plane. Peer death is *real* (`kill -9`) and is
-//!   detected by connection teardown or heartbeat staleness, surfacing
-//!   as [`CommError::PeerDown`].
 //! * [`TcpTransport`](tcp::TcpTransport) — a full mesh of per-peer TCP
-//!   connections speaking the same [`wire`] codec, suitable for ranks
-//!   on separate hosts. Transient link drops heal by
+//!   connections speaking the [`wire`] codec, suitable for ranks on
+//!   separate hosts. Transient link drops heal by
 //!   reconnect-with-backoff inside the staleness budget; longer
-//!   partitions escalate through the same [`CommError::PeerDown`]
-//!   ladder. The [`netchaos`] module puts a deterministic fault proxy
-//!   (partitions, resets, latency, bandwidth caps, slow-loris) in front
-//!   of it.
+//!   partitions escalate to [`CommError::PeerDown`]. The [`netchaos`]
+//!   module puts a deterministic fault proxy (partitions, resets,
+//!   latency, bandwidth caps, slow-loris) in front of it.
+//!
+//! Two supervisors run ranks on the mesh: [`TcpSupervisor`](tcp::TcpSupervisor)
+//! as threads, and [`ProcSupervisor`](proc::ProcSupervisor) as child OS
+//! processes, each joining the mesh through
+//! [`ProcEndpoint::connect`](proc::ProcEndpoint::connect). There, peer
+//! death is *real* (`kill -9`): the supervisor sees the exit status or a
+//! silent control link and announces it to the survivors as
+//! [`CommError::PeerDown`].
 
 pub mod netchaos;
 #[cfg(unix)]
 pub mod proc;
-#[cfg(unix)]
-pub mod shm;
 pub mod tcp;
 pub mod wire;
 
@@ -130,8 +129,6 @@ pub struct LinkDelta {
 pub(crate) struct PeerMap {
     pub(crate) any: AtomicBool,
     pub(crate) flags: Mutex<Vec<Option<PeerFailureKind>>>,
-    /// The control plane is gone (orderly shutdown or hub/mesh death).
-    pub(crate) closed: AtomicBool,
     /// Peers lost to heartbeat staleness (vs. connection/exit loss).
     pub(crate) hb_missed: AtomicU64,
 }
@@ -141,7 +138,6 @@ impl PeerMap {
         PeerMap {
             any: AtomicBool::new(false),
             flags: Mutex::new(vec![None; size]),
-            closed: AtomicBool::new(false),
             hb_missed: AtomicU64::new(0),
         }
     }

@@ -90,7 +90,7 @@ struct BarrierSvc {
     failed: Option<usize>,
 }
 
-struct TcpShared {
+pub(crate) struct TcpShared {
     rank: usize,
     size: usize,
     generation: u64,
@@ -120,10 +120,16 @@ struct TcpShared {
     reconnects: AtomicU64,
     partition_ns: AtomicU64,
     bytes_to: Vec<AtomicU64>,
+    /// Silences a process rank's control-link beacon (the chaos hook in
+    /// [`proc`](super::proc)); the mesh itself never reads it.
+    pub(crate) beacon_muted: AtomicBool,
+    /// How long a drop waits for the mesh threads to flush and exit —
+    /// set for process ranks, which exit right after the drop.
+    pub(crate) linger: OnceLock<Duration>,
 }
 
 impl TcpShared {
-    fn alive(&self) -> bool {
+    pub(crate) fn alive(&self) -> bool {
         self.alive.load(Ordering::SeqCst)
     }
 
@@ -177,7 +183,7 @@ impl TcpShared {
     }
 
     /// Records a remotely broadcast peer death.
-    fn note_remote_down(&self, dead: usize, reason: u64) {
+    pub(crate) fn note_remote_down(&self, dead: usize, reason: u64) {
         if dead >= self.size || !self.peers.mark(dead, PeerFailureKind::Down) {
             return;
         }
@@ -362,6 +368,8 @@ impl TcpTransport {
             reconnects: AtomicU64::new(0),
             partition_ns: AtomicU64::new(0),
             bytes_to: (0..size).map(|_| AtomicU64::new(0)).collect(),
+            beacon_muted: AtomicBool::new(false),
+            linger: OnceLock::new(),
         });
         {
             let shared = Arc::clone(&shared);
@@ -384,6 +392,11 @@ impl TcpTransport {
             barrier_rx,
             barrier_seq: 0,
         })
+    }
+
+    /// The mesh state, for a process rank's control thread.
+    pub(crate) fn mesh(&self) -> Arc<TcpShared> {
+        Arc::clone(&self.shared)
     }
 
     fn closed_error(&self) -> CommError {
@@ -413,13 +426,22 @@ impl Drop for TcpTransport {
             }
         }
         self.shared.alive.store(false, Ordering::SeqCst);
-        let mut g = self
+        for stream in self
             .shared
             .inbound
             .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        for stream in g.drain(..) {
+            .unwrap_or_else(|e| e.into_inner())
+            .drain(..)
+        {
             let _ = stream.shutdown(Shutdown::Both);
+        }
+        // Every mesh thread holds the shared state, so a count of one
+        // means each queued frame was written or given up on.
+        if let Some(&linger) = self.shared.linger.get() {
+            let end = Instant::now() + linger;
+            while Arc::strong_count(&self.shared) > 1 && Instant::now() < end {
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
     }
 }

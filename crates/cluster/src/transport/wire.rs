@@ -1,8 +1,7 @@
-//! Length-prefixed, checksummed wire codec for the multi-process
-//! transport.
+//! Length-prefixed, checksummed wire codec for the socket transports.
 //!
-//! Every frame that crosses a socket or a shared-memory ring is encoded
-//! as a fixed 72-byte header followed by the payload (complex values as
+//! Every frame that crosses a socket is encoded as a fixed 72-byte
+//! header followed by the payload (complex values as
 //! little-endian `f64` pairs). The header carries a magic/version
 //! prefix, the frame kind, routing metadata (src/dst/tag/seq), the
 //! sender's supervision *generation*, the payload length, a payload
@@ -11,8 +10,8 @@
 //! decoder trusts it, and a corrupted payload is detected before the
 //! message is surfaced to the rank.
 //!
-//! The codec is pure (bytes in, [`Frame`] out) and shared by both
-//! directions of both substrates; the streaming helpers
+//! The codec is pure (bytes in, [`Frame`] out) and shared by the mesh
+//! links and the process control links; the streaming helpers
 //! [`write_frame`] / [`read_frame`] layer it over `std::io`.
 
 use std::io::{self, Read, Write};
@@ -42,20 +41,22 @@ pub const MAX_PAYLOAD_ELEMS: u64 = 1 << 28;
 pub enum FrameKind {
     /// Application payload: a tagged rank-to-rank message.
     Data = 0,
-    /// Child → hub handshake: "rank `src` of generation `generation`
-    /// reporting for duty".
+    /// Dialer's handshake: "rank `src` of generation `generation`
+    /// reporting for duty" (a process rank's control-link Hello carries
+    /// its mesh port in `tag`).
     Hello = 1,
-    /// Hub → child handshake acknowledgement (generation echoed back).
+    /// Handshake acknowledgement (generation echoed back; a process
+    /// supervisor's Welcome lists every rank's mesh port in the payload).
     Welcome = 2,
-    /// Child → hub liveness beacon (the failure detector's input).
+    /// Liveness beacon on an idle link (the failure detectors' input).
     Heartbeat = 3,
-    /// Hub → children failure notice: rank `src` is dead. `tag` carries
+    /// Failure notice: rank `src` is dead. `tag` carries
     /// the detection reason ([`Frame::PEER_DOWN_EXIT`] /
     /// [`Frame::PEER_DOWN_HEARTBEAT`]).
     PeerDown = 4,
-    /// Child → hub barrier entry (seq = the child's barrier ordinal).
+    /// Barrier entry to rank 0 (seq = the entrant's barrier ordinal).
     BarrierEnter = 5,
-    /// Hub → child barrier release; `tag` 0 = success, `r + 1` = rank
+    /// Rank 0's barrier release; `tag` 0 = success, `r + 1` = rank
     /// `r` died while the barrier was pending.
     BarrierRelease = 6,
     /// Orderly teardown of the connection.
@@ -305,7 +306,7 @@ fn decode_header(bytes: &[u8]) -> Result<Header, WireError> {
 ///
 /// # Errors
 /// Any [`WireError`]; [`WireError::Truncated`] in particular means "feed
-/// me more bytes" to a streaming caller accumulating from a ring.
+/// me more bytes" to a streaming caller accumulating from a socket.
 pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), WireError> {
     let h = decode_header(bytes)?;
     let total = HEADER_LEN + h.payload_len * 16;

@@ -4,7 +4,7 @@
 //! spawns each rank as a child OS process and describes the rank's place
 //! in the cluster through the `SOIFFT_PROC_*` environment. This module is
 //! the matching child side: [`child_main`] probes that environment, and
-//! when present connects the multi-process transport, opens the shared
+//! when present joins the epoch's TCP mesh, opens the shared
 //! **disk-mode** checkpoint store, rebuilds the recovery context for its
 //! generation, runs [`SoiFft::try_forward_recoverable`], and writes its
 //! local spectrum — atomically — to a per-rank output file the parent can
@@ -18,7 +18,7 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-use soifft_cluster::transport::proc::{ProcEndpoint, ProcTransport, CHILD_COMM_ABORT};
+use soifft_cluster::transport::proc::{ProcEndpoint, CHILD_COMM_ABORT};
 use soifft_cluster::{CheckpointStore, ClusterConfig, Comm, ExchangePolicy, RecoveryCtx};
 use soifft_num::c64;
 
@@ -94,10 +94,13 @@ pub fn child_main(params: &SoiParams, seed: u64, out_dir: &Path) -> Option<i32> 
 /// [`child_main`] after the environment probe, for callers that already
 /// hold the [`ProcEndpoint`].
 pub fn run_child(ep: &ProcEndpoint, params: &SoiParams, seed: u64, out_dir: &Path) -> i32 {
-    let transport = match ProcTransport::connect(ep) {
+    let transport = match ep.connect() {
         Ok(t) => t,
+        // The supervisor closes the link unwelcomed when a peer died
+        // before every rank joined: a casualty, not a death.
+        Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => return CHILD_COMM_ABORT,
         Err(e) => {
-            eprintln!("rank {}: transport connect failed: {e}", ep.rank);
+            eprintln!("rank {}: joining the mesh failed: {e}", ep.rank);
             return 3;
         }
     };

@@ -31,8 +31,8 @@
 //! bit-identical to a fault-free run.
 //!
 //! Scenario 6 leaves the in-process world entirely: ranks become real OS
-//! processes on the multi-process transport (Unix sockets + shared-memory
-//! rings, disk checkpoints), and the fault is a genuine `kill -9` of
+//! processes on a loopback TCP mesh (a Unix-socket control link each to
+//! the supervisor, disk checkpoints), and the fault is a genuine `kill -9` of
 //! rank 2 as it enters the all-to-all. The supervisor detects the death,
 //! respawns the rank set into a new generation, and the recovered
 //! spectrum is bit-identical to a fault-free multi-process run.

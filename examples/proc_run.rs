@@ -9,10 +9,10 @@
 //! demo swaps that transport for the multi-process backend: a
 //! `ProcSupervisor` spawns each rank as a child process (re-executing
 //! this very binary — the probe at the top of `main` turns the child
-//! into a rank), wires them through Unix-domain sockets plus a
-//! shared-memory ring per rank, points them at a shared **disk**
+//! into a rank), has them join one loopback TCP mesh through a
+//! Unix-domain control link each, points them at a shared **disk**
 //! checkpoint directory, and watches their health (exit status +
-//! heartbeats).
+//! control-link heartbeats).
 //!
 //! Run 1 is fault-free. Run 2 delivers a real `kill -9` to rank 2 just
 //! as its `segment-fft` checkpoint lands (i.e. entering the all-to-all);
@@ -62,7 +62,7 @@ fn main() {
 
     let p = params();
     println!(
-        "multi-process SOI: N = {}, P = {PROCS} rank processes (UDS + shm ring, disk checkpoints)",
+        "multi-process SOI: N = {}, P = {PROCS} rank processes (loopback TCP mesh, disk checkpoints)",
         p.n
     );
     let exe = std::env::current_exe().expect("own path");

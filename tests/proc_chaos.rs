@@ -16,15 +16,15 @@ use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use soifft::cluster::transport::proc::{
-    KillPlan, KillWhen, ProcConfig, ProcEndpoint, ProcOutcome, ProcSupervisor, ProcTransport,
+    KillPlan, KillWhen, ProcConfig, ProcEndpoint, ProcOutcome, ProcSupervisor,
 };
-use soifft::cluster::{FailureDetection, RestartPolicy};
+use soifft::cluster::{Cluster, FailureDetection, RestartPolicy};
 use soifft::fft::Plan;
 use soifft::num::c64;
 use soifft::num::error::rel_l2;
-use soifft::soi::pipeline::gather_output;
+use soifft::soi::pipeline::{gather_output, scatter_input};
 use soifft::soi::procrun::{child_main, read_rank_output, seeded_input};
-use soifft::soi::{Rational, SoiParams};
+use soifft::soi::{Rational, SoiFft, SoiParams};
 
 const PROCS: usize = 4;
 const SEED: u64 = 0x050C_1FF7;
@@ -54,7 +54,7 @@ fn proc_child() {
     if let Ok(spec) = std::env::var("SOIFFT_TEST_WEDGE") {
         if let Some((r, g)) = spec.split_once(':') {
             if r.parse() == Ok(ep.rank) && g.parse() == Ok(ep.generation) {
-                let transport = ProcTransport::connect(&ep).expect("wedge child connects");
+                let transport = ep.connect().expect("wedge child connects");
                 transport.wedge_heartbeats();
                 std::thread::sleep(Duration::from_secs(30));
                 std::process::exit(7); // never reached: the supervisor reaps us
@@ -141,6 +141,18 @@ fn kill9_mid_run_recovers_bit_identical() {
     assert_eq!(run.epochs, 1);
     assert_eq!(run.deaths, 0);
     let clean_parts = collect_outputs(&clean_out);
+
+    // The process backend computes the in-process backend's bits.
+    let inputs = scatter_input(&seeded_input(params().n, SEED), PROCS);
+    let fft = SoiFft::new(params()).expect("valid SOI parameters");
+    let in_process = Cluster::run(PROCS, |comm| fft.forward(comm, &inputs[comm.rank()]));
+    for r in 0..PROCS {
+        assert_eq!(
+            bits(&clean_parts[r]),
+            bits(&in_process[r]),
+            "rank {r}: the process run must equal Cluster::run bit for bit"
+        );
+    }
 
     // Chaos run: SIGKILL rank 2 the moment its segment-fft snapshot
     // lands on disk — i.e. as it enters the all-to-all.

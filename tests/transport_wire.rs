@@ -1,17 +1,14 @@
-//! Property-based tests for the multi-process transport's wire codec
-//! (PR 7 satellite): round trips across payload sizes including empty
-//! and larger-than-ring frames, truncation always reads as "feed me
-//! more", corrupted length prefixes never drive an allocation, and
-//! cross-epoch frames are identifiable for rejection. The PR 8 TCP
-//! backend adds adversarial stream segmentation: frames must survive a
+//! Property-based tests for the transports' wire codec: round trips
+//! across payload sizes including empty and multi-kilobyte frames,
+//! truncation always reads as "feed me more", corrupted length prefixes
+//! never drive an allocation, and cross-epoch frames are identifiable
+//! for rejection. Adversarial stream segmentation: frames must survive a
 //! socket that returns one byte at a time, splits reads at the
 //! header/payload boundary, or coalesces several frames into one read.
 
 use std::io::Read;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
-use soifft::cluster::transport::shm::{shm_dir, ShmRing};
 use soifft::cluster::transport::wire::{
     decode_frame, encode_frame, read_frame, Frame, FrameKind, WireError, HEADER_LEN,
     MAX_PAYLOAD_ELEMS,
@@ -143,8 +140,8 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
         (
             any::<u64>(),
             0u64..16,
-            // Payload sizes from empty through well past the test ring's
-            // capacity (96 elems = 1536 payload bytes ≫ 256-byte ring).
+            // Payload sizes from empty through multi-kilobyte frames
+            // (96 elems = 1536 payload bytes).
             prop::sample::select(vec![0usize, 1, 2, 7, 15, 16, 17, 63, 96]),
             any::<u64>(),
         ),
@@ -175,7 +172,7 @@ proptest! {
     }
 
     /// Any prefix of a valid frame decodes to `Truncated` with an honest
-    /// byte count — the streaming contract ring consumers rely on.
+    /// byte count — the streaming contract socket readers rely on.
     #[test]
     fn every_truncation_asks_for_more_bytes(
         frame in frame_strategy(),
@@ -240,49 +237,6 @@ proptest! {
         prop_assert!(back.is_for_generation(frame.generation));
         prop_assert!(!back.is_for_generation(frame.generation.wrapping_add(delta)));
         prop_assert!(!back.is_for_generation(frame.generation.wrapping_sub(delta)));
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Frames stream bit-identically through a shared-memory ring far
-    /// smaller than the frame — the producer's partial pushes and the
-    /// consumer's `Truncated`-driven reassembly compose to the identity.
-    #[test]
-    fn round_trip_through_undersized_ring(frame in frame_strategy()) {
-        static CASE: AtomicUsize = AtomicUsize::new(0);
-        let path = shm_dir().join(format!(
-            "soifft-wiretest-{}-{}",
-            std::process::id(),
-            CASE.fetch_add(1, Ordering::Relaxed)
-        ));
-        let producer = ShmRing::create(&path, 256).expect("create ring");
-        let consumer = ShmRing::open(&path).expect("open ring");
-        let bytes = encode_frame(&frame);
-        let mut pushed = 0usize;
-        let mut acc: Vec<u8> = Vec::new();
-        let mut buf = [0u8; 128];
-        let mut spins = 0u32;
-        let decoded = loop {
-            spins += 1;
-            prop_assert!(spins < 100_000, "ring transfer made no progress");
-            if pushed < bytes.len() {
-                pushed += producer.try_push(&bytes[pushed..]).expect("push");
-            }
-            let n = consumer.try_pop(&mut buf).expect("pop");
-            acc.extend_from_slice(&buf[..n]);
-            match decode_frame(&acc) {
-                Ok((f, used)) => {
-                    prop_assert_eq!(used, bytes.len());
-                    break f;
-                }
-                Err(WireError::Truncated { .. }) => continue,
-                Err(e) => return Err(TestCaseError::fail(format!("ring corrupted frame: {e}"))),
-            }
-        };
-        let _ = std::fs::remove_file(&path);
-        prop_assert_eq!(decoded, frame);
     }
 }
 
